@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BlowupExceededError, BoundDivergedError, ConvergenceError
 
@@ -129,6 +128,7 @@ def numeric_oracle(
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         f = y[0]

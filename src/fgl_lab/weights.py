@@ -8,8 +8,8 @@ operators matter:
 * the smoothing kernel     K f(x) = (1/h(x)) int <x-y>^{-(n+1)} h(y) f(y) dy,
   which controls the commutator in the analysis (1-d here).
 
-kappa is estimated matrix-free by block power iteration on A*A; A itself
-is not self-adjoint, A*A is.
+Both operator norms come from one matrix-free Lanczos routine on the
+normal operator A^T A (A itself is not self-adjoint, A^T A is).
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError
 from .grid import FieldState, GridSpec, _require_finite
@@ -91,6 +90,8 @@ def norm_inv_h(w: WeightSpec, grid: GridSpec, tail_correction: bool = True) -> f
     vals = inv_weight_values(w, grid)
     total = grid.cell_volume * float(np.sum(vals**2))
     if tail_correction and grid.dim == 1 and inv_h_tail_integrable(w, grid):
+        from scipy.integrate import quad
+
         s, r = w.exponent, w.scale
         tail, _ = quad(
             lambda x: (1.0 + (x / r) ** 2) ** (-s), grid.half_length, np.inf
@@ -141,50 +142,36 @@ def apply_commutator(
     return FieldState(grid, op(f.values.ravel()).reshape(grid.shape))
 
 
-def _top_singular_value(
-    apply_op,
-    apply_adjoint,
-    n_dofs: int,
-    tol: float,
-    max_iter: int,
-    seed: int,
-    block: int = 2,
-) -> tuple[float, int, float]:
-    """Largest singular value by block power iteration on the normal operator.
+def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
+                   seed: int) -> tuple[float, int]:
+    """(||A||, applications of A^T A) for a real operator A on R^n.
 
-    Convergence: the top Ritz value changes by < tol (relative) on two
-    consecutive sweeps.  A block of 2 protects against the near-degenerate
-    even/odd pairs that symmetric weights produce.
+    ARPACK's Lanczos (eigsh, k=1, which='LA') finds the top eigenvalue
+    lambda of A^T A from a start vector drawn from ``seed``.  ``tol`` is
+    ARPACK's relative tolerance on lambda and ``max_iter`` the number of
+    ARPACK restarts allowed.  An A that annihilates the start vector
+    (the commutator of h == 1) has norm exactly 0.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_dofs, block)) + 1j * rng.standard_normal(
-        (n_dofs, block)
-    )
-    x, _ = np.linalg.qr(x)
-    sigma = 0.0
-    residual = math.inf
-    hits = 0
-    for it in range(1, max_iter + 1):
-        y = np.column_stack([apply_op(x[:, j]) for j in range(x.shape[1])])
-        gram = y.conj().T @ y
-        lam = max(float(np.max(np.linalg.eigvalsh(gram))), 0.0)
-        new_sigma = math.sqrt(lam)
-        if new_sigma < 1e-300:
-            return 0.0, it, 0.0
-        residual = abs(new_sigma - sigma) / new_sigma
-        sigma = new_sigma
-        if residual < tol:
-            hits += 1
-            if hits >= 2:
-                return sigma, it, residual
-        else:
-            hits = 0
-        z = np.column_stack([apply_adjoint(y[:, j]) for j in range(y.shape[1])])
-        x, _ = np.linalg.qr(z)
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} sweeps "
-        f"(last residual {residual:.3e})"
-    )
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    if not np.any(apply_op(v0)):
+        return 0.0, 0
+    applications = 0
+
+    def normal(v: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        return apply_adjoint(apply_op(v))
+
+    op = LinearOperator((n, n), matvec=normal, dtype=np.float64)
+    try:
+        lam = eigsh(op, k=1, which="LA", v0=v0, tol=tol, maxiter=max_iter,
+                    return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"Lanczos did not converge in {max_iter} "
+                               f"restarts (n = {n}, tol = {tol:g})") from exc
+    return math.sqrt(max(float(lam[0]), 0.0)), applications
 
 
 @dataclass(frozen=True)
@@ -192,8 +179,7 @@ class CommutatorEstimate:
     """Converged operator-norm estimate of the weighted commutator."""
 
     kappa: float
-    iterations: int
-    residual: float
+    iterations: int  # applications of the normal operator A*A
     grid: GridSpec
     weight: WeightSpec
 
@@ -204,18 +190,18 @@ def estimate_kappa(
     tol: float = 1e-8,
     max_iter: int = 10000,
     seed: int = 0,
-    block: int = 2,
 ) -> CommutatorEstimate:
-    """Estimate kappa = ||(1/h)[|D|, h]|| by power iteration on A*A."""
+    """Estimate kappa = ||(1/h)[|D|, h]|| by Lanczos on A*A.
+
+    ``tol`` is the relative tolerance on kappa^2, ``max_iter`` the number
+    of Lanczos restarts allowed.  A maps real data to real data (h real,
+    |k| even), so the Krylov vectors stay real.
+    """
     apply_a, apply_a_star = _commutator_closures(w, grid)
-    n_dofs = int(np.prod(grid.shape))
-    kappa, iters, res = _top_singular_value(
-        apply_a, apply_a_star, n_dofs, tol=tol, max_iter=max_iter, seed=seed,
-        block=block,
-    )
-    return CommutatorEstimate(
-        kappa=kappa, iterations=iters, residual=res, grid=grid, weight=w
-    )
+    kappa, applications = _operator_norm(
+        lambda v: apply_a(v).real, lambda v: apply_a_star(v).real,
+        int(np.prod(grid.shape)), tol=tol, max_iter=max_iter, seed=seed)
+    return CommutatorEstimate(kappa, applications, grid, w)
 
 
 # ----------------------------------------------------------------------
@@ -243,13 +229,31 @@ def weighted_kernel_matrix(
     return grid.dx * (1.0 / h)[:, None] * kernel * h[None, :]
 
 
-def apply_weighted_kernel(
-    w: WeightSpec, grid: GridSpec, f: FieldState, max_points: int = 4096
-) -> FieldState:
+def _kernel_closures(w: WeightSpec, grid: GridSpec):
+    """Matrix-free K = dx (1/h) T h and K^T = dx h T (1/h).
+
+    T is the symmetric Toeplitz matrix of <(i-j) dx>^{-2}, applied by
+    embedding it in a circulant of size 2N that the real FFT diagonalizes.
+    """
+    if grid.dim != 1:
+        raise ValueError("the smoothing kernel operator is implemented in 1-d only")
+    n = grid.points
+    h = weight_values(w, grid)
+    t = 1.0 / (1.0 + (np.arange(n) * grid.dx) ** 2)
+    symbol = np.fft.rfft(np.concatenate((t, [0.0], t[:0:-1])))
+
+    def toeplitz(vec: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(vec, 2 * n) * symbol, 2 * n)[:n]
+
+    return (lambda v: grid.dx / h * toeplitz(h * v),
+            lambda v: grid.dx * h * toeplitz(v / h))
+
+
+def apply_weighted_kernel(w: WeightSpec, grid: GridSpec, f: FieldState) -> FieldState:
     """Apply the smoothing kernel operator to a field."""
     _require_finite(f.values)
-    mat = weighted_kernel_matrix(w, grid, max_points=max_points)
-    return FieldState(grid, mat @ f.values)
+    apply_k, _ = _kernel_closures(w, grid)
+    return FieldState(grid, apply_k(f.values.real) + 1j * apply_k(f.values.imag))
 
 
 def estimate_weighted_kernel_norm(
@@ -258,16 +262,8 @@ def estimate_weighted_kernel_norm(
     tol: float = 1e-8,
     max_iter: int = 10000,
     seed: int = 0,
-    max_points: int = 4096,
 ) -> float:
-    """Operator norm of the smoothing kernel by power iteration on K*K."""
-    mat = weighted_kernel_matrix(w, grid, max_points=max_points)
-    sigma, _, _ = _top_singular_value(
-        lambda v: mat @ v,
-        lambda v: mat.T @ v,
-        grid.points,
-        tol=tol,
-        max_iter=max_iter,
-        seed=seed,
-    )
-    return sigma
+    """||K|| by Lanczos on K^T K; ``tol`` and ``max_iter`` as in estimate_kappa."""
+    apply_k, apply_k_t = _kernel_closures(w, grid)
+    return _operator_norm(apply_k, apply_k_t, grid.points, tol=tol,
+                          max_iter=max_iter, seed=seed)[0]

@@ -185,7 +185,7 @@ def test_criterion_04_linear_flow_preserves_invariants(scoreboard):
 
 
 def test_criterion_05_commutator_norm_validated_and_scales(scoreboard):
-    """Power iteration equals a dense SVD; kappa_R * R is near-constant."""
+    """Lanczos equals a dense SVD; kappa_R * R is near-constant."""
     grid = make_grid(20.0, 256)
     est = estimate_kappa(W, grid, tol=1e-10).kappa
     cols = []
@@ -217,7 +217,7 @@ def test_criterion_06_weighted_kernel_norm_uniformly_bounded(scoreboard):
     """||h^-1 <x-y>^-2 h||_{L2->L2} stays below 2 pi as the domain grows."""
     norms = {
         (half_length, points): estimate_weighted_kernel_norm(
-            W, make_grid(half_length, points), tol=1e-9, max_points=4096,
+            W, make_grid(half_length, points), tol=1e-9,
         )
         for half_length, points in
         ((100.0, 2048), (100.0, 4096), (200.0, 4096))

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fgl_lab
 from fgl_lab.cli import main
 from fgl_lab.config import (
     COMMAND_SECTIONS,
@@ -389,3 +392,13 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "Fujita" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where a solver needs it, so `fgl` starts fast.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fgl_lab.__file__)))
+    code = "import sys, fgl_lab.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

@@ -23,6 +23,7 @@ from fgl_lab import (
     weight_values,
     weighted_kernel_matrix,
 )
+from fgl_lab.weights import _kernel_closures
 
 
 def random_field(grid, seed):
@@ -174,7 +175,7 @@ class TestCommutator:
     def test_iteration_budget_raises(self):
         grid = make_grid(10.0, 128)
         with pytest.raises(ConvergenceError):
-            estimate_kappa(WeightSpec(1.0, 1.0), grid, tol=1e-14, max_iter=2)
+            estimate_kappa(WeightSpec(1.0, 1.0), grid, tol=1e-14, max_iter=1)
 
 
 class TestWeightedKernel:
@@ -193,12 +194,31 @@ class TestWeightedKernel:
         assert est == pytest.approx(svdvals(mat)[0], rel=1e-7)
 
     def test_apply_matches_matrix(self):
-        grid = make_grid(20.0, 256)
+        # K is applied matrix-free; K^T is checked too, Lanczos uses both.
+        for w in (WeightSpec(1.0, 1.0), WeightSpec(0.5, 3.0)):
+            for points in (256, 1024):
+                grid = make_grid(20.0, points)
+                f = random_field(grid, 3)
+                mat = weighted_kernel_matrix(w, grid)
+                out = apply_weighted_kernel(w, grid, f)
+                assert np.allclose(out.values, mat @ f.values,
+                                   rtol=1e-12, atol=1e-14)
+                _, apply_k_t = _kernel_closures(w, grid)
+                v = f.values.real
+                assert np.allclose(apply_k_t(v), mat.T @ v,
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_norm_bounded_as_domain_grows(self):
+        # Matrix-free, so the domain can grow past what a dense matrix allows.
         w = WeightSpec(1.0, 1.0)
-        f = random_field(grid, 3)
-        mat = weighted_kernel_matrix(w, grid)
-        out = apply_weighted_kernel(w, grid, f)
-        assert np.allclose(out.values, mat @ f.values, rtol=1e-12, atol=1e-14)
+        base = estimate_weighted_kernel_norm(w, make_grid(100.0, 2048), tol=1e-9)
+        for half_length, points in ((400.0, 8192), (800.0, 16384),
+                                    (1600.0, 32768)):
+            val = estimate_weighted_kernel_norm(
+                w, make_grid(half_length, points), tol=1e-9
+            )
+            assert val <= 2.0 * math.pi * 1.02
+            assert abs(val - base) / base <= 0.02
 
     def test_grid_budget_guard(self):
         grid = make_grid(100.0, 8192)
