@@ -96,7 +96,6 @@ from .kernel_decay import (
     bump_eval,
     fit_tail_decay,
     kernel_transform,
-    kernel_transform_complex,
 )
 from .experiments import (
     BoundsAudit,

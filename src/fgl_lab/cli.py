@@ -329,7 +329,7 @@ def _cmd_kernel(ctx: _RunContext):
         "shifted_slope": shifted.slope,
         "shifted_constant": shifted.constant,
         "constant_rel_change": c_change,
-        "g_at_origin_window_start": float(np.real(g[0])),
+        "g_at_origin_window_start": float(g[0]),
     }
     write_json(ctx.path("summary.json"), summary)
     outputs = ["kernel.csv", rel_g, rel_env, rel_bins,

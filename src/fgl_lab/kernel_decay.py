@@ -6,9 +6,10 @@ the symbol phi(|xi|)|xi| is the |xi| kink at the origin.  That kink is
 what limits the decay of g to <x>^{-(n+1)}; in 1-d the envelope of |g|
 should therefore fall off like x^{-2}.
 
-The transform is evaluated by composite Gauss-Legendre panels split at
-the origin (keeping every panel's integrand smooth), and the decay rate
-is read off a log-log fit through per-bin envelope maxima.
+The symbol is even, so g is a cosine integral over [0, support_end]: a
+closed form on the plateau and Gauss-Legendre panels on the ramp, where
+the integrand is smooth.  The decay rate is read off a log-log fit
+through per-bin envelope maxima.
 """
 from __future__ import annotations
 
@@ -49,48 +50,36 @@ def bump_eval(spec: BumpSpec, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def _panel_quadrature(spec: BumpSpec, num_nodes: int):
-    """Gauss-Legendre nodes/weights on [-support, support], split at 0."""
-    per_panel = 32
-    panels_per_side = max(4, math.ceil(num_nodes / (2 * per_panel)))
-    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(0.0, spec.support_end, panels_per_side + 1)
-    xs, ws = [], []
-    for side in (-1.0, 1.0):
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
-            xs.append(side * (mid + half * base_x))
-            ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def kernel_transform_complex(
+def kernel_transform(
     spec: BumpSpec, n: int, x_samples, num_nodes: int = 12800
 ) -> np.ndarray:
-    """Complex quadrature of the transform; imaginary part ~ round-off."""
+    """g(x) = 2 int_0^b phi(xi) xi cos(x xi) d xi on the samples (b = support_end).
+
+    On the plateau [0, a] phi = 1, giving the closed form
+    a^2 (2 sinc(ax/pi) - sinc(ax/2pi)^2), free of the (cos ax - 1)/x^2
+    cancellation near x = 0.  Only the ramp [a, b] is integrated, by
+    32-node Gauss-Legendre panels no wider than num_nodes makes them on
+    [-b, b].  A scalar x_samples gives a float.
+    """
     if n != 1:
         raise ValueError("kernel transform is implemented for n = 1 only")
     if num_nodes < 256:
         raise ValueError("num_nodes too small to resolve the oscillation")
     x = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    nodes, wts = _panel_quadrature(spec, num_nodes)
-    symbol = bump_eval(spec, nodes) * np.abs(nodes)
-    weighted = wts * symbol
-    out = np.empty(x.shape, dtype=complex)
-    # chunk the phase matrix so memory stays O(chunk * num_nodes)
-    chunk = max(1, 2**22 // max(num_nodes, 1))
+    a, b = spec.plateau_end, spec.support_end
+    g = a * a * (2.0 * np.sinc(a * x / np.pi) - np.sinc(a * x / (2 * np.pi)) ** 2)
+    num_panels = math.ceil(max(4, math.ceil(num_nodes / 64)) * (b - a) / b)
+    edges = np.linspace(a, b, num_panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    base_x, base_w = np.polynomial.legendre.leggauss(32)
+    nodes = (mid + half * base_x).ravel()
+    weighted = 2.0 * (half * base_w).ravel() * bump_eval(spec, nodes) * nodes
+    # chunk the samples so one cosine block holds at most 2**22 reals
+    chunk = max(1, 2**22 // nodes.size)
     for start in range(0, x.size, chunk):
-        block = x[start:start + chunk]
-        out[start:start + chunk] = np.exp(1j * np.outer(block, nodes)) @ weighted
-    return out
-
-
-def kernel_transform(
-    spec: BumpSpec, n: int, x_samples, num_nodes: int = 12800
-) -> np.ndarray:
-    """g(x) on the requested samples (real; the integrand is even in xi)."""
-    g = np.real(kernel_transform_complex(spec, n, x_samples, num_nodes))
+        phase = np.outer(x[start:start + chunk], nodes)
+        g[start:start + chunk] += np.cos(phase, out=phase) @ weighted
     if np.isscalar(x_samples):
         return float(g[0])
     return g

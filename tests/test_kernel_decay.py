@@ -1,22 +1,62 @@
 """Smooth-cutoff kernel: bump profile, oscillatory transform, tail fit."""
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fgl_lab import (
-    BumpSpec,
-    bump_eval,
-    fit_tail_decay,
-    kernel_transform,
-    kernel_transform_complex,
-)
+from fgl_lab import BumpSpec, bump_eval, fit_tail_decay, kernel_transform
 
 SPEC = BumpSpec()
 
 # independently frozen quadrature values (verified against adaptive
 # quadrature of the same integrand at 1e-11 absolute tolerance)
 G_AT_ZERO = 2.2769187101710813
+
+TAILS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_kernel_tails.py"
+
+
+def full_range_complex_transform(spec, x, num_nodes=12800):
+    """Reference rule: int phi(|xi|)|xi| e^{i x xi} over [-b, b], complex.
+
+    32-node Gauss-Legendre panels of equal width on each side of the
+    origin, the phase matrix exp(1j x xi) built over every node.  It uses
+    neither the evenness of the symbol nor the plateau, so its real part
+    is an independent check of kernel_transform and its imaginary part
+    shows the odd part of the symbol integrates to round-off.
+    """
+    per_panel = 32
+    panels_per_side = max(4, math.ceil(num_nodes / (2 * per_panel)))
+    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
+    edges = np.linspace(0.0, spec.support_end, panels_per_side + 1)
+    xs, ws = [], []
+    for side in (-1.0, 1.0):
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (b - a)
+            mid = 0.5 * (a + b)
+            xs.append(side * (mid + half * base_x))
+            ws.append(half * base_w)
+    nodes, wts = np.concatenate(xs), np.concatenate(ws)
+    weighted = wts * bump_eval(spec, nodes) * np.abs(nodes)
+    return np.exp(1j * np.outer(np.asarray(x, dtype=float), nodes)) @ weighted
+
+
+def cosine_quadrature(spec, x):
+    """g(x) = 2 int_0^b phi(xi) xi cos(x xi) d xi by QUADPACK's
+    cosine-weighted rule, on the plateau [0, a] and the ramp [a, b]."""
+    def integrand(xi):
+        return bump_eval(spec, xi) * xi
+
+    pieces = [
+        quad(integrand, a, b, weight="cos", wvar=x,
+             epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+        for a, b in ((0.0, spec.plateau_end),
+                     (spec.plateau_end, spec.support_end))
+    ]
+    return 2.0 * sum(pieces)
 
 
 class TestBump:
@@ -66,9 +106,10 @@ class TestTransform:
         gm = kernel_transform(SPEC, 1, -x)
         assert np.allclose(gp, gm, rtol=0, atol=1e-12)
 
-    def test_imaginary_part_is_roundoff(self):
-        x = np.array([0.0, 1.0, 7.5, 31.0])
-        z = kernel_transform_complex(SPEC, 1, x)
+    def test_matches_full_range_complex_rule(self):
+        x = np.linspace(0.0, 400.0, 201)
+        z = full_range_complex_transform(SPEC, x)
+        assert np.max(np.abs(kernel_transform(SPEC, 1, x) - z.real)) <= 1e-13
         assert np.max(np.abs(z.imag)) < 1e-12 * np.max(np.abs(z.real))
 
     def test_node_count_converged(self):
@@ -81,18 +122,21 @@ class TestTransform:
     # criterion 08 on (10,100), (20,200), (50,100) and (100,200)
     @pytest.mark.parametrize("x", [17.66, 28.04, 51.24, 103.62])
     def test_matches_adaptive_cosine_quadrature(self, x):
-        # g(x) = 2 int_0^2 phi(xi) xi cos(x xi) d xi, with QUADPACK's
-        # cosine-weighted rule on the plateau [0,1] and the ramp [1,2]
-        def integrand(xi):
-            return bump_eval(SPEC, xi) * xi
-
-        pieces = [
-            quad(integrand, a, b, weight="cos", wvar=x,
-                 epsabs=1e-14, epsrel=1e-14, limit=200)[0]
-            for a, b in ((0.0, 1.0), (1.0, 2.0))
-        ]
         assert kernel_transform(SPEC, 1, x) == pytest.approx(
-            2.0 * sum(pieces), rel=0, abs=1e-12
+            cosine_quadrature(SPEC, x), rel=0, abs=1e-12
+        )
+
+    # small x guards the plateau's closed form against the cancellation
+    # in (cos ax - 1)/x^2; at plateau_end = 1.3 the plateau end is not
+    # an edge of the panels a rule over [0, 2] would use
+    @pytest.mark.parametrize("x", [0.0, 1e-8, 1e-4, 1e-2, 0.5, 3.0])
+    @pytest.mark.parametrize(
+        "spec", [SPEC, BumpSpec(0.5, 2.0), BumpSpec(1.3, 2.0)],
+        ids=["a1", "a0.5", "a1.3"],
+    )
+    def test_small_x_matches_adaptive_cosine_quadrature(self, spec, x):
+        assert kernel_transform(spec, 1, x) == pytest.approx(
+            cosine_quadrature(spec, x), rel=0, abs=1e-12
         )
 
     def test_envelope_settles_near_two(self):
@@ -148,3 +192,14 @@ class TestTailFit:
         x = np.linspace(10, 100, 1000)
         with pytest.raises(ValueError, match="window"):
             fit_tail_decay(x, x**-2.0, window=(-1.0, 100.0))
+
+
+def test_kernel_tails_script_writes_kernel_and_fit_tables(tmp_path):
+    spec = importlib.util.spec_from_file_location("run_kernel_tails", TAILS_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    code = script.main(["--num-samples", "400", "--num-nodes", "3200",
+                        "--out-dir", str(tmp_path)])
+    assert code == 0
+    for name in ("kernel.dat", "fit_10_100.dat", "fit_20_200.dat"):
+        assert (tmp_path / name).is_file()
