@@ -15,9 +15,16 @@ fixed fraction theta of the distance to the substep singularity.  A run
 ends either at t_max or at the first of three blow-up signals: the sup
 norm crossing its threshold, the adaptive dt underflowing, or the
 nonlinear substep turning singular inside a step.
+
+simulate runs this step on raw arrays at three FFTs per step: it keeps
+the spectrum that ends each step, caches the phase symbol while dt
+repeats, and takes sup, dt and every recorded column from one density
+|u|^2 and that spectrum.  The FieldState functions strang_step,
+nonlinear_substep and choose_dt are its tested reference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +33,10 @@ from .errors import CorruptFieldError, SingularSubstepError
 from .grid import (
     FieldState,
     GridSpec,
+    abs_squared,
     apply_half_wave,
-    h1_norm,
+    h1_norm_from_spectrum,
+    half_wave_phase_symbol,
     sup_norm,
 )
 from .weights import WeightSpec, inv_weight_values
@@ -127,6 +136,29 @@ class SimConfig:
             raise ValueError("record_every must be >= 1")
 
 
+def _stable_dt(sup: float, p: float, theta: float, dt_max: float) -> float:
+    """Adaptive step: theta over the nonlinear blow-up rate at sup norm sup."""
+    if sup == 0.0:
+        return dt_max
+    return min(dt_max, theta / ((p - 1.0) * sup ** (p - 1.0)))
+
+
+def _substep_gain(dens: np.ndarray, dt: float, m: float) -> np.ndarray:
+    """Modulus factor (1 - m dt |w|^m)^{-1/m} from dens = |w|^2.
+
+    Raises SingularSubstepError as nonlinear_substep does.
+    """
+    sup = math.sqrt(float(np.max(dens)))
+    if sup > 0:
+        dt_adm = 1.0 / (m * sup**m)
+        if dt >= dt_adm:
+            raise SingularSubstepError(
+                f"nonlinear substep singular: dt = {dt:.3e} >= {dt_adm:.3e}",
+                dt_admissible=dt_adm,
+            )
+    return (1.0 - m * dt * dens ** (0.5 * m)) ** (-1.0 / m)
+
+
 def nonlinear_substep(f: FieldState, dt: float, p: float) -> FieldState:
     """Exact flow of w' = |w|^{p-1} w for time dt (phase is frozen).
 
@@ -141,24 +173,13 @@ def nonlinear_substep(f: FieldState, dt: float, p: float) -> FieldState:
         raise CorruptFieldError("field contains NaN or Inf")
     if dt == 0.0:
         return f
-    m = p - 1.0
-    sup = float(np.max(np.abs(vals)))
-    if sup > 0:
-        dt_adm = 1.0 / (m * sup**m)
-        if dt >= dt_adm:
-            raise SingularSubstepError(
-                f"nonlinear substep singular: dt = {dt:.3e} >= {dt_adm:.3e}",
-                dt_admissible=dt_adm,
-            )
-    amp = np.abs(vals) ** m
-    factor = (1.0 - m * dt * amp) ** (-1.0 / m)
-    return FieldState(f.grid, vals * factor)
+    return FieldState(f.grid, vals * _substep_gain(abs_squared(vals), dt, p - 1.0))
 
 
 def strang_step(
     f: FieldState, dt: float, p: float, linear_only: bool = False
 ) -> FieldState:
-    """One second-order split step of size dt."""
+    """One second-order split step of size dt (the reference for simulate)."""
     half = apply_half_wave(f, 0.5 * dt)
     if not linear_only:
         half = nonlinear_substep(half, dt, p)
@@ -167,10 +188,7 @@ def strang_step(
 
 def choose_dt(f: FieldState, p: float, theta: float, dt_max: float) -> float:
     """Adaptive step: theta over the current nonlinear blow-up rate."""
-    sup = sup_norm(f)
-    if sup == 0.0:
-        return dt_max
-    return min(dt_max, theta / ((p - 1.0) * sup ** (p - 1.0)))
+    return _stable_dt(sup_norm(f), p, theta, dt_max)
 
 
 # ----------------------------------------------------------------------
@@ -210,39 +228,33 @@ class _Recorder:
         self.cfg = cfg
         self.weights = tuple(weights)
         self.inv_sq = [inv_weight_values(w, cfg.grid) ** 2 for w in self.weights]
-        self.rows = {k: [] for k in ("t", "dt", "mass", "h1", "lp1", "sup")}
-        self.momenta = {w.label: [] for w in self.weights}
-        self.last_t = None
+        self.rows = []
 
-    def record(self, t: float, dt: float, u: FieldState):
-        if self.last_t is not None and t <= self.last_t:
+    def record(self, t: float, dt: float, dens: np.ndarray, spec: np.ndarray):
+        """Sample the state with density |u|^2 = dens and spectrum fftn(u) = spec."""
+        if self.rows and t <= self.rows[-1][0]:
             return
         cv = self.cfg.grid.cell_volume
-        dens = np.abs(u.values) ** 2
-        self.rows["t"].append(t)
-        self.rows["dt"].append(dt)
-        self.rows["mass"].append(cv * float(np.sum(dens)))
-        self.rows["h1"].append(h1_norm(u))
-        self.rows["lp1"].append(
-            cv * float(np.sum(dens ** ((self.cfg.p + 1.0) / 2.0)))
+        lp1 = cv * float(np.sum(dens ** ((self.cfg.p + 1.0) / 2.0)))
+        h1 = h1_norm_from_spectrum(spec, self.cfg.grid)
+        self.rows.append(
+            [t, dt, cv * float(np.sum(dens)), h1, lp1, math.sqrt(float(np.max(dens)))]
+            + [cv * float(np.sum(dens * inv_sq)) for inv_sq in self.inv_sq]
         )
-        self.rows["sup"].append(float(np.sqrt(np.max(dens))))
-        for w, inv_sq in zip(self.weights, self.inv_sq):
-            self.momenta[w.label].append(cv * float(np.sum(dens * inv_sq)))
-        self.last_t = t
 
     def freeze(self) -> TimeSeries:
+        t, dt, mass, h1, lp1, sup, *momenta = np.array(self.rows).T.copy()
         return TimeSeries(
             p=self.cfg.p,
             grid=self.cfg.grid,
             weights=self.weights,
-            times=np.asarray(self.rows["t"]),
-            dts=np.asarray(self.rows["dt"]),
-            mass=np.asarray(self.rows["mass"]),
-            h1=np.asarray(self.rows["h1"]),
-            lp1=np.asarray(self.rows["lp1"]),
-            sup=np.asarray(self.rows["sup"]),
-            momenta={k: np.asarray(v) for k, v in self.momenta.items()},
+            times=t,
+            dts=dt,
+            mass=mass,
+            h1=h1,
+            lp1=lp1,
+            sup=sup,
+            momenta={w.label: q for w, q in zip(self.weights, momenta)},
         )
 
 
@@ -260,77 +272,68 @@ def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
     if weights is None:
         weights = DEFAULT_WEIGHTS
     rec = _Recorder(cfg, weights)
-    u = initial_field(cfg.profile, cfg.grid)
-    if not u.is_finite:
+    u = initial_field(cfg.profile, cfg.grid).values
+    if not np.isfinite(u).all():
         raise CorruptFieldError("initial data contains NaN or Inf")
+    # The loop carries u, its density and its spectrum at time t; each
+    # step ends on the spectrum it needs for the next first half-step.
+    spec = np.fft.fftn(u)
+    dens = abs_squared(u)
     t = 0.0
     steps = 0
     last_dt = 0.0
-    rec.record(t, 0.0, u)
+    phase_dt = phase = None
+    criterion = t_detected = bracket = None
+    rec.record(t, 0.0, dens, spec)
 
     while True:
-        sup = sup_norm(u)
+        sup = math.sqrt(float(np.max(dens)))
         if sup >= cfg.sup_threshold:
-            rec.record(t, last_dt, u)
-            report = BlowupReport(
-                blew_up=True,
-                t_detected=t,
-                criterion="sup_threshold",
-                final_sup=sup,
-                steps=steps,
-                bracket=(max(t - last_dt, 0.0), t),
-            )
-            return rec.freeze(), report
-
+            criterion, t_detected = "sup_threshold", t
+            bracket = (max(t - last_dt, 0.0), t)
+            break
         if cfg.t_max - t <= 1e-12 * cfg.t_max:
             break
 
         if cfg.linear_only:
             dt_stab = cfg.dt_max
         else:
-            dt_stab = choose_dt(u, cfg.p, cfg.theta, cfg.dt_max)
+            dt_stab = _stable_dt(sup, cfg.p, cfg.theta, cfg.dt_max)
         if dt_stab < cfg.dt_min:
-            rec.record(t, last_dt, u)
-            report = BlowupReport(
-                blew_up=True,
-                t_detected=t,
-                criterion="dt_underflow",
-                final_sup=sup,
-                steps=steps,
-                bracket=(t, t),
-            )
-            return rec.freeze(), report
+            criterion, t_detected, bracket = "dt_underflow", t, (t, t)
+            break
         dt = min(dt_stab, cfg.t_max - t)
 
-        try:
-            u = strang_step(u, dt, cfg.p, linear_only=cfg.linear_only)
-        except SingularSubstepError as err:
-            rec.record(t, last_dt, u)
-            t_hit = t + err.dt_admissible
-            report = BlowupReport(
-                blew_up=True,
-                t_detected=t_hit,
-                criterion="nonlinear_substep_singular",
-                final_sup=sup,
-                steps=steps,
-                bracket=(t, t_hit),
-            )
-            return rec.freeze(), report
-        if not u.is_finite:
+        if dt != phase_dt:
+            phase_dt, phase = dt, half_wave_phase_symbol(cfg.grid, 0.5 * dt)
+        half = np.fft.ifftn(spec * phase)
+        if not cfg.linear_only:
+            try:
+                half *= _substep_gain(abs_squared(half), dt, cfg.p - 1.0)
+            except SingularSubstepError as err:
+                criterion = "nonlinear_substep_singular"
+                t_detected = t + err.dt_admissible
+                bracket = (t, t_detected)
+                break
+        spec = np.fft.fftn(half)
+        spec *= phase
+        u = np.fft.ifftn(spec)
+        if not np.isfinite(u).all():
             raise CorruptFieldError(f"state corrupt (NaN/Inf) after step at t = {t}")
+        dens = abs_squared(u)
         t += dt
         last_dt = dt
         steps += 1
         if steps % cfg.record_every == 0:
-            rec.record(t, dt, u)
+            rec.record(t, dt, dens, spec)
 
-    rec.record(t, last_dt, u)
+    rec.record(t, last_dt, dens, spec)
     report = BlowupReport(
-        blew_up=False,
-        t_detected=None,
-        criterion=None,
-        final_sup=sup_norm(u),
+        blew_up=criterion is not None,
+        t_detected=t_detected,
+        criterion=criterion,
+        final_sup=sup,
         steps=steps,
-        bracket=None,
+        bracket=bracket,
     )
     return rec.freeze(), report

@@ -65,15 +65,18 @@ class StabilityCheck:
         return self.rel_change <= self.budget
 
 
-def domain_doubling_check(fn, grid: GridSpec, label: str, budget: float = 0.05) -> StabilityCheck:
-    """Evaluate fn on grid and on its domain-doubled version (2L, 2N)."""
-    value = float(fn(grid))
+def domain_doubling_check(
+    value: float, fn, grid: GridSpec, label: str, budget: float = 0.05
+) -> StabilityCheck:
+    """Compare value, fn's result on grid as the caller holds it, with fn
+    on the domain-doubled grid (2L, 2N), the only grid fn runs on.
+    """
     doubled = make_grid(2.0 * grid.half_length, 2 * grid.points, grid.dim)
     doubled_value = float(fn(doubled))
     denom = max(abs(value), abs(doubled_value), 1e-300)
     return StabilityCheck(
         label=label,
-        value=value,
+        value=float(value),
         doubled_value=doubled_value,
         rel_change=abs(doubled_value - value) / denom,
         budget=budget,
@@ -160,6 +163,7 @@ def lifespan_sweep(
     resid = logs_t - (slope * logs_r + intercept)
 
     r_big = float(r_arr[included][-1])
+    t_big = float(measured[included][-1])
     cfg_big = replace(base, profile=scaled_profile(profile, r_big))
 
     def t_detected_on(grid: GridSpec) -> float:
@@ -170,7 +174,7 @@ def lifespan_sweep(
 
     stability = _require_stable(
         domain_doubling_check(
-            t_detected_on, base.grid, label=f"t_detected(R={r_big:g})"
+            t_big, t_detected_on, base.grid, label=f"t_detected(R={r_big:g})"
         )
     )
     return SweepResult(
@@ -227,8 +231,9 @@ def commutator_scaling(
     def kappa_on(grid: GridSpec) -> float:
         return estimate_kappa(w, grid, tol=tol, seed=seed).kappa
 
+    kappa_1 = kappas[0] if r_arr[0] == 1.0 else kappa_on(base_grid)
     stability = _require_stable(
-        domain_doubling_check(kappa_on, base_grid, label="kappa(R=1)")
+        domain_doubling_check(kappa_1, kappa_on, base_grid, label="kappa(R=1)")
     )
     return SweepResult(
         parameter="R",
@@ -338,13 +343,12 @@ def subcritical_threshold(
                 inv_weight_norm=ninv_r,
                 initial_weighted_norm=v0_r,
             )
-
-            def kappa_on(grid: GridSpec, _w=w_r) -> float:
-                return estimate_kappa(_w, grid, tol=tol, seed=seed).kappa
-
-            stability = _require_stable(
-                domain_doubling_check(kappa_on, grid_r, label=f"kappa(R={r:g})")
-            )
+            stability = _require_stable(domain_doubling_check(
+                kappa_r,
+                lambda g: estimate_kappa(w_r, g, tol=tol, seed=seed).kappa,
+                grid_r,
+                label=f"kappa(R={r:g})",
+            ))
             return ThresholdSearch(
                 r0=r,
                 bound=lifespan_upper_bound(b, variant="conservative"),
@@ -420,26 +424,17 @@ def bounds_consistency(
     growth = check_growth_inequality(series, c0, c1, weight=weight, tol=margin_tol)
     fitted = fit_growth_constants(series, weight=weight)
 
-    checks = (
-        _require_stable(
-            domain_doubling_check(
-                lambda g: estimate_kappa(weight, g, tol=kappa_tol, seed=seed).kappa,
-                cfg.grid,
-                label="kappa",
-            )
-        ),
-        _require_stable(
-            domain_doubling_check(
-                lambda g: norm_inv_h(weight, g), cfg.grid, label="inv_h_norm"
-            )
-        ),
-        _require_stable(
-            domain_doubling_check(
-                lambda g: _weighted_norm(initial_field(cfg.profile, g), weight),
-                cfg.grid,
-                label="weighted_data_norm",
-            )
-        ),
+    checks = tuple(
+        _require_stable(domain_doubling_check(value, fn, cfg.grid, label))
+        for value, fn, label in (
+            (kappa,
+             lambda g: estimate_kappa(weight, g, tol=kappa_tol, seed=seed).kappa,
+             "kappa"),
+            (ninv, lambda g: norm_inv_h(weight, g), "inv_h_norm"),
+            (v0,
+             lambda g: _weighted_norm(initial_field(cfg.profile, g), weight),
+             "weighted_data_norm"),
+        )
     )
     return BoundsAudit(
         bound_params=b,

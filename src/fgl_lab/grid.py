@@ -85,6 +85,13 @@ class GridSpec:
         axes = np.meshgrid(*([x] * self.dim), indexing="ij", sparse=True)
         return np.sqrt(sum(a**2 for a in axes))
 
+    @cached_property
+    def h1_weight(self) -> np.ndarray:
+        """Symbol 1 + |k|^2 of the squared H^1 norm, unpaired modes zeroed."""
+        return 1.0 + sum(
+            np.abs(gradient_symbol(self, axis)) ** 2 for axis in range(self.dim)
+        )
+
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Broadcastable coordinate arrays, one per axis."""
         return tuple(
@@ -122,16 +129,15 @@ class FieldState:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.values).all())
 
-    def distance(self, other: "FieldState") -> float:
-        """Max-norm distance to another field on the same grid."""
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
-        return float(np.max(np.abs(self.values - other.values)))
-
 
 def field_from_function(grid: GridSpec, fn) -> FieldState:
     """Sample a callable of the coordinate arrays onto the grid."""
     return FieldState(grid, np.asarray(fn(*grid.coordinates()), dtype=np.complex128))
+
+
+def abs_squared(values: np.ndarray) -> np.ndarray:
+    """|values|^2 as re^2 + im^2, without the square root np.abs takes."""
+    return np.square(values.real) + np.square(values.imag)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -228,18 +234,13 @@ def sup_norm(f: FieldState) -> float:
 def h1_norm(f: FieldState) -> float:
     """Sobolev norm sqrt(||f||_2^2 + ||grad f||_2^2)."""
     _require_finite(f.values)
-    coeffs = np.fft.fftn(f.values)
-    total = f.values.size
-    weight = f.grid.cell_volume / total
-    base = np.sum(np.abs(coeffs) ** 2)
-    grad = 0.0
-    k = f.grid.axis_frequencies.copy()
-    k[f.grid.points // 2] = 0.0
-    for axis in range(f.grid.dim):
-        shape = [1] * f.grid.dim
-        shape[axis] = f.grid.points
-        grad += np.sum((k.reshape(shape) ** 2) * np.abs(coeffs) ** 2)
-    return float(np.sqrt(weight * (base + grad)))
+    return h1_norm_from_spectrum(np.fft.fftn(f.values), f.grid)
+
+
+def h1_norm_from_spectrum(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """H^1 norm of the field whose unnormalized spectrum fftn(f) is coeffs."""
+    power = np.sum(grid.h1_weight * abs_squared(coeffs))
+    return float(np.sqrt(grid.cell_volume / coeffs.size * power))
 
 
 def norm(f: FieldState, kind: str, q: float | None = None) -> float:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fgl_lab import (
+    BlowupReport,
     ConstantProfile,
     CustomProfile,
     FieldState,
@@ -14,7 +15,9 @@ from fgl_lab import (
     WeightSpec,
     choose_dt,
     homogeneous_blowup_time,
+    h1_norm,
     initial_field,
+    inv_weight_values,
     l2_norm,
     make_grid,
     nonlinear_substep,
@@ -23,10 +26,85 @@ from fgl_lab import (
     strang_step,
     sup_norm,
 )
+from fgl_lab.evolution import DEFAULT_WEIGHTS
 
 
 def small_grid():
     return make_grid(10.0, 64)
+
+
+def reference_simulate(cfg, weights=DEFAULT_WEIGHTS):
+    """The split-step loop on FieldState, built from the public step operations.
+
+    Each step runs strang_step (two FFT pairs), choose_dt and the sup
+    check on the state itself, and every sample takes its own FFT for
+    h1.  Returns the series as one row per sample (t, dt, mass, h1, lp1,
+    sup, then one momentum per weight) and the BlowupReport.
+    """
+    grid = cfg.grid
+    inv_sq = [inv_weight_values(w, grid) ** 2 for w in weights]
+    rows = []
+
+    def record(t, dt, u):
+        if rows and t <= rows[-1][0]:
+            return
+        dens = np.abs(u.values) ** 2
+        cv = grid.cell_volume
+        rows.append(
+            [t, dt, cv * np.sum(dens), h1_norm(u),
+             cv * np.sum(dens ** ((cfg.p + 1.0) / 2.0)), np.sqrt(np.max(dens))]
+            + [cv * np.sum(dens * w) for w in inv_sq]
+        )
+
+    def blowup(criterion, t_detected, sup, steps, bracket):
+        report = BlowupReport(True, t_detected, criterion, sup, steps, bracket)
+        return np.array(rows), report
+
+    u = initial_field(cfg.profile, grid)
+    t, steps, last_dt = 0.0, 0, 0.0
+    record(t, 0.0, u)
+    while True:
+        sup = sup_norm(u)
+        if sup >= cfg.sup_threshold:
+            record(t, last_dt, u)
+            return blowup("sup_threshold", t, sup, steps, (max(t - last_dt, 0.0), t))
+        if cfg.t_max - t <= 1e-12 * cfg.t_max:
+            break
+        if cfg.linear_only:
+            dt_stab = cfg.dt_max
+        else:
+            dt_stab = choose_dt(u, cfg.p, cfg.theta, cfg.dt_max)
+        if dt_stab < cfg.dt_min:
+            record(t, last_dt, u)
+            return blowup("dt_underflow", t, sup, steps, (t, t))
+        dt = min(dt_stab, cfg.t_max - t)
+        try:
+            u = strang_step(u, dt, cfg.p, linear_only=cfg.linear_only)
+        except SingularSubstepError as err:
+            record(t, last_dt, u)
+            t_hit = t + err.dt_admissible
+            return blowup("nonlinear_substep_singular", t_hit, sup, steps, (t, t_hit))
+        t += dt
+        last_dt = dt
+        steps += 1
+        if steps % cfg.record_every == 0:
+            record(t, dt, u)
+    record(t, last_dt, u)
+    return np.array(rows), BlowupReport(False, None, None, sup_norm(u), steps, None)
+
+
+def series_rows(series):
+    """The TimeSeries columns in reference_simulate's row layout."""
+    cols = [series.times, series.dts, series.mass, series.h1, series.lp1, series.sup]
+    cols += [series.momenta[w.label] for w in series.weights]
+    return np.column_stack(cols)
+
+
+def gaussian_config(half_length, points, p, amplitude, **kw):
+    return SimConfig(
+        grid=make_grid(half_length, points), p=p,
+        profile=GaussianProfile(amplitude=amplitude, width=1.0, center=0.0), **kw,
+    )
 
 
 class TestProfiles:
@@ -247,3 +325,88 @@ class TestSimulate:
             SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, dt_max=0.0)
         with pytest.raises(ValueError):
             SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, record_every=0)
+
+
+def focusing_config():
+    """A spike of height 40 dispersed backwards, so the free flow refocuses it.
+
+    The first step's dt comes from the dispersed sup (about 20); the
+    second step's linear half-step raises the sup past 1/dt, so its
+    nonlinear substep is singular.
+    """
+    grid = make_grid(1.0, 256)
+    spike = 40.0 * np.exp(-((grid.nodes / 0.02) ** 2))
+    dispersed = np.fft.ifft(np.fft.fft(spike) * np.exp(0.045j * grid.abs_wavenumber))
+    return SimConfig(
+        grid=grid, p=2.0, profile=CustomProfile(dispersed), t_max=1.0,
+        dt_max=0.03, theta=0.9,
+    )
+
+
+class TestLeanLoop:
+    """simulate against the FieldState reference loop, its order and its FFT budget."""
+
+    # name -> (config, the criterion the reference loop reports)
+    CASES = {
+        "p2_sup_threshold": (
+            gaussian_config(25.0, 256, 2.0, 2.0, t_max=5.0, dt_max=0.01),
+            "sup_threshold"),
+        "p3_dt_underflow": (
+            gaussian_config(25.0, 256, 3.0, 1.0, t_max=5.0, dt_max=0.01, dt_min=1e-6),
+            "dt_underflow"),
+        "singular_substep": (focusing_config(), "nonlinear_substep_singular"),
+        "linear_only": (
+            gaussian_config(25.0, 256, 2.0, 1.0, t_max=2.0, dt_max=0.05, linear_only=True),
+            None),
+        "record_every_3": (
+            gaussian_config(25.0, 256, 2.0, 2.0, t_max=5.0, dt_max=0.01, record_every=3),
+            "sup_threshold"),
+        "reaches_t_max": (
+            gaussian_config(25.0, 256, 2.0, 1.0, t_max=0.4, dt_max=0.01),
+            None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_reference_loop(self, name):
+        cfg, criterion = self.CASES[name]
+        want_rows, want = reference_simulate(cfg)
+        series, got = simulate(cfg)
+        assert want.criterion == criterion
+        assert (got.steps, got.criterion, got.blew_up) == (
+            want.steps, want.criterion, want.blew_up)
+        assert series_rows(series).shape == want_rows.shape
+        if want.blew_up:
+            assert got.t_detected == pytest.approx(want.t_detected, rel=1e-12, abs=0)
+            assert got.bracket == pytest.approx(want.bracket, rel=1e-12, abs=0)
+        np.testing.assert_allclose(series_rows(series), want_rows, rtol=1e-10, atol=0)
+        assert got.final_sup == pytest.approx(want.final_sup, rel=1e-10)
+
+    def test_second_order_in_time_on_gaussian_data(self):
+        # At theta = 0.9 the adaptive step never undercuts dt_max here, so
+        # every run takes fixed steps of dt_max and the error of each
+        # diagnostic at t_max shrinks by 4 per halving.
+        finals = []
+        for dt_max in (0.04, 0.02, 0.01, 0.005):
+            cfg = gaussian_config(25.0, 512, 2.0, 1.0, t_max=0.4, dt_max=dt_max, theta=0.9)
+            series, report = simulate(cfg)
+            assert not report.blew_up
+            assert np.all(series.dts[1:-1] == dt_max)
+            q = series.momenta[DEFAULT_WEIGHTS[0].label]
+            finals.append([series.lp1[-1], series.h1[-1], series.sup[-1], q[-1]])
+        diffs = np.abs(np.diff(np.array(finals), axis=0))
+        orders = np.log2(diffs[:-1] / diffs[1:])
+        assert np.all((orders >= 1.9) & (orders <= 2.1)), orders
+
+    def test_three_ffts_per_step(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        _, report = simulate(self.CASES["p2_sup_threshold"][0])
+        assert report.steps > 10
+        assert len(calls) <= 3 * report.steps + 1

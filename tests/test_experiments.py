@@ -1,6 +1,8 @@
 """End-to-end experiments: sweeps, threshold search, bound audits."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +32,23 @@ from fgl_lab import (
 from fgl_lab.experiments import _require_stable
 
 W = WeightSpec(1.0, 1.0)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 class TestDomainDoubling:
     def test_grid_independent_scalar_is_stable(self):
-        check = domain_doubling_check(lambda g: 1.5, make_grid(10.0, 64), "const")
+        seen = []
+        check = domain_doubling_check(
+            1.5, lambda g: seen.append(g) or 1.5, make_grid(10.0, 64), "const"
+        )
+        assert seen == [make_grid(20.0, 128)]
         assert check.value == 1.5
         assert check.doubled_value == 1.5
         assert check.rel_change == 0.0
@@ -42,17 +56,17 @@ class TestDomainDoubling:
         assert _require_stable(check) is check
 
     def test_domain_dependent_scalar_is_flagged(self):
-        check = domain_doubling_check(
-            lambda g: g.half_length, make_grid(10.0, 64), "L"
-        )
+        grid = make_grid(10.0, 64)
+        check = domain_doubling_check(grid.half_length, lambda g: g.half_length, grid, "L")
         assert check.rel_change == pytest.approx(0.5)
         assert not check.stable
         with pytest.raises(GridStabilityError, match="L moved"):
             _require_stable(check)
 
     def test_budget_is_respected(self):
+        grid = make_grid(10.0, 64)
         check = domain_doubling_check(
-            lambda g: g.half_length, make_grid(10.0, 64), "L", budget=0.6
+            grid.half_length, lambda g: g.half_length, grid, "L", budget=0.6
         )
         assert check.stable
 
@@ -249,3 +263,20 @@ class TestBoundsConsistency:
         )
         with pytest.raises(ThresholdNotMetError, match="below"):
             bounds_consistency(cfg)
+
+
+def test_blowup_demo_script_writes_series_and_plot(tmp_path):
+    script = load_script("run_blowup_demo")
+    code = script.main(["--half-length", "50", "--points", "512", "--t-max", "2",
+                        "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv", "sup_vs_t.dat"]
+
+
+def test_scaling_suite_script_writes_sweep_tables(tmp_path):
+    script = load_script("run_scaling_suite")
+    code = script.main(["--half-length", "25", "--points", "256",
+                        "--amplitudes", "1", "2", "4", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "commutator.dat", "lifespan_p2.dat", "lifespan_p3.dat"]
