@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     ninv = norm_inv_h(weight, grid)
     unit = initial_field(GaussianProfile(amplitude=1.0, width=1.0, center=0.0),
                          grid)
-    unit_norm = math.sqrt(grid.cell_volume * float(np.sum(
+    unit_norm = math.sqrt(grid.dx * float(np.sum(
         np.abs(unit.values) ** 2 * inv_weight_values(weight, grid) ** 2)))
     probe = BoundParams(p=args.p, kappa=kappa, inv_weight_norm=ninv,
                         initial_weighted_norm=1.0)
@@ -91,8 +91,6 @@ def main(argv=None) -> int:
           f"({'ok' if not audit.lower_margins.violated else 'VIOLATED'})")
     print(f"growth-inequality margins: worst {audit.growth_margins.worst:+.4f} "
           f"({'ok' if not audit.growth_margins.violated else 'VIOLATED'})")
-    c0_hat, c1_hat = audit.fitted_constants
-    print(f"fitted growth constants: c0 = {c0_hat:.4f}, c1 = {c1_hat:.4f}")
     for check in audit.stability:
         print(f"stability: {check.label} moved {check.rel_change:.2%} "
               f"under domain doubling (budget {check.budget:.0%})")

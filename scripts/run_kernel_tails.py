@@ -39,8 +39,7 @@ def main(argv=None) -> int:
     windows = args.windows or [(10.0, 100.0), (20.0, 200.0)]
     x = np.logspace(np.log10(args.x_min), np.log10(args.x_max),
                     args.num_samples)
-    g = kernel_transform(BumpSpec(), n=1, x_samples=x,
-                         num_nodes=args.num_nodes)
+    g = kernel_transform(BumpSpec(), x_samples=x, num_nodes=args.num_nodes)
     envelope = np.abs(g) * (1.0 + x**2)
 
     print(f"kernel sampled at {x.size} points on "

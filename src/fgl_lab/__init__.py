@@ -31,7 +31,6 @@ from .grid import (
     l2_norm,
     lp_norm,
     make_grid,
-    norm,
     spectral_l2_norm,
     sup_norm,
 )
@@ -57,7 +56,6 @@ from .weights import (
     apply_weighted_kernel,
     estimate_kappa,
     estimate_weighted_kernel_norm,
-    eval_weight,
     inv_h_tail_integrable,
     inv_weight_values,
     norm_inv_h,
@@ -85,7 +83,6 @@ from .diagnostics import (
     MassIdentityReport,
     check_growth_inequality,
     check_weighted_lower_bound,
-    fit_growth_constants,
     h1_series,
     mass_identity_residual,
     weighted_momentum,

@@ -104,7 +104,7 @@ class _RunContext:
 
 def _grid_from(cfg: ResolvedConfig) -> GridSpec:
     g = cfg["grid"]
-    return make_grid(g["half_length"], g["points"], g["dim"])
+    return make_grid(g["half_length"], g["points"])
 
 
 def _weight_from(cfg: ResolvedConfig) -> WeightSpec:
@@ -300,7 +300,7 @@ def _cmd_kernel(ctx: _RunContext):
     k = ctx.cfg["kernel"]
     spec = BumpSpec()
     x = np.linspace(k["x_min"], k["x_max"], k["num_samples"])
-    g = kernel_transform(spec, 1, x, num_nodes=k["num_nodes"])
+    g = kernel_transform(spec, x, num_nodes=k["num_nodes"])
     envelope = np.abs(g) * (1.0 + x**2)
     fit = fit_tail_decay(x, g, window=(k["window_lo"], k["window_hi"]),
                          num_bins=k["num_bins"])
@@ -422,7 +422,6 @@ def _cmd_bounds(ctx: _RunContext):
         "lower_margins_ok": not lower.violated,
         "growth_margin_worst": audit.growth_margins.worst,
         "growth_margins_ok": not audit.growth_margins.violated,
-        "fitted_constants": list(audit.fitted_constants),
         "stability": [_stability_dict(c) for c in audit.stability],
     }
     write_json(ctx.path("summary.json"), summary)

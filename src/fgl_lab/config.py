@@ -64,7 +64,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     "grid": {
         "half_length": ("float", 50.0),
         "points": ("int", 1024),
-        "dim": ("int", 1),
     },
     "weights": {
         "exponent": ("float", 1.0),

@@ -135,19 +135,6 @@ def check_growth_inequality(
     )
 
 
-def fit_growth_constants(series: TimeSeries, weight=None) -> tuple[float, float]:
-    """Least-squares (c0, c1) with Q' ~ c0 Q^{(p+1)/2} - c1 Q on interior samples."""
-    if series.times.size < 5:
-        raise ValueError("need at least 5 recorded samples for derivative checks")
-    label = _resolve_label(series, weight)
-    q = series.momenta[label]
-    qdot = np.gradient(q, series.times)[1:-1]
-    qi = q[1:-1]
-    design = np.column_stack([qi ** ((series.p + 1.0) / 2.0), -qi])
-    coef, *_ = np.linalg.lstsq(design, qdot, rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
 @dataclass(frozen=True)
 class H1GrowthFit:
     """Fit of the Sobolev-norm growth to its Riccati-type envelope.

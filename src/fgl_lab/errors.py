@@ -41,7 +41,7 @@ class ThresholdNotMetError(ValueError):
 
 
 class SupercriticalError(ValueError):
-    """The nonlinearity power is at or above the Fujita exponent for this dimension."""
+    """The nonlinearity power is at or above the Fujita exponent p_F = 3."""
 
 
 class GridStabilityError(RuntimeError):

@@ -72,9 +72,9 @@ class CustomProfile:
 def initial_field(profile, grid: GridSpec) -> FieldState:
     """Realize an initial-data profile on a grid."""
     if isinstance(profile, GaussianProfile):
-        r2 = sum((x - profile.center) ** 2 for x in grid.coordinates())
+        r2 = (grid.nodes - profile.center) ** 2
         vals = profile.amplitude * np.exp(-r2 / profile.width**2)
-        return FieldState(grid, np.broadcast_to(vals, grid.shape).astype(complex))
+        return FieldState(grid, vals.astype(complex))
     if isinstance(profile, ConstantProfile):
         return FieldState(grid, np.full(grid.shape, profile.value, dtype=complex))
     if isinstance(profile, CustomProfile):
@@ -231,15 +231,15 @@ class _Recorder:
         self.rows = []
 
     def record(self, t: float, dt: float, dens: np.ndarray, spec: np.ndarray):
-        """Sample the state with density |u|^2 = dens and spectrum fftn(u) = spec."""
+        """Sample the state with density |u|^2 = dens and spectrum fft(u) = spec."""
         if self.rows and t <= self.rows[-1][0]:
             return
-        cv = self.cfg.grid.cell_volume
-        lp1 = cv * float(np.sum(dens ** ((self.cfg.p + 1.0) / 2.0)))
+        dx = self.cfg.grid.dx
+        lp1 = dx * float(np.sum(dens ** ((self.cfg.p + 1.0) / 2.0)))
         h1 = h1_norm_from_spectrum(spec, self.cfg.grid)
         self.rows.append(
-            [t, dt, cv * float(np.sum(dens)), h1, lp1, math.sqrt(float(np.max(dens)))]
-            + [cv * float(np.sum(dens * inv_sq)) for inv_sq in self.inv_sq]
+            [t, dt, dx * float(np.sum(dens)), h1, lp1, math.sqrt(float(np.max(dens)))]
+            + [dx * float(np.sum(dens * inv_sq)) for inv_sq in self.inv_sq]
         )
 
     def freeze(self) -> TimeSeries:
@@ -277,7 +277,7 @@ def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
         raise CorruptFieldError("initial data contains NaN or Inf")
     # The loop carries u, its density and its spectrum at time t; each
     # step ends on the spectrum it needs for the next first half-step.
-    spec = np.fft.fftn(u)
+    spec = np.fft.fft(u)
     dens = abs_squared(u)
     t = 0.0
     steps = 0
@@ -306,7 +306,7 @@ def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
 
         if dt != phase_dt:
             phase_dt, phase = dt, half_wave_phase_symbol(cfg.grid, 0.5 * dt)
-        half = np.fft.ifftn(spec * phase)
+        half = np.fft.ifft(spec * phase)
         if not cfg.linear_only:
             try:
                 half *= _substep_gain(abs_squared(half), dt, cfg.p - 1.0)
@@ -315,9 +315,9 @@ def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
                 t_detected = t + err.dt_admissible
                 bracket = (t, t_detected)
                 break
-        spec = np.fft.fftn(half)
+        spec = np.fft.fft(half)
         spec *= phase
-        u = np.fft.ifftn(spec)
+        u = np.fft.ifft(spec)
         if not np.isfinite(u).all():
             raise CorruptFieldError(f"state corrupt (NaN/Inf) after step at t = {t}")
         dens = abs_squared(u)

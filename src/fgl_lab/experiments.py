@@ -39,7 +39,6 @@ from .diagnostics import (
     MarginReport,
     check_growth_inequality,
     check_weighted_lower_bound,
-    fit_growth_constants,
 )
 from .weights import WeightSpec, estimate_kappa, inv_weight_values, norm_inv_h
 
@@ -71,7 +70,7 @@ def domain_doubling_check(
     """Compare value, fn's result on grid as the caller holds it, with fn
     on the domain-doubled grid (2L, 2N), the only grid fn runs on.
     """
-    doubled = make_grid(2.0 * grid.half_length, 2 * grid.points, grid.dim)
+    doubled = make_grid(2.0 * grid.half_length, 2 * grid.points)
     doubled_value = float(fn(doubled))
     denom = max(abs(value), abs(doubled_value), 1e-300)
     return StabilityCheck(
@@ -213,11 +212,7 @@ def commutator_scaling(
     kappas = []
     records = []
     for r in r_arr:
-        grid_r = make_grid(
-            base_grid.half_length * r,
-            int(base_grid.points * r),
-            base_grid.dim,
-        )
+        grid_r = make_grid(base_grid.half_length * r, int(base_grid.points * r))
         est = estimate_kappa(w.rescaled(r), grid_r, tol=tol, seed=seed)
         kappas.append(est.kappa)
         records.append(
@@ -266,7 +261,7 @@ class ThresholdSearch:
 
 def _weighted_norm(u: FieldState, w: WeightSpec) -> float:
     dens = np.abs(u.values) ** 2 * inv_weight_values(w, u.grid) ** 2
-    return math.sqrt(u.grid.cell_volume * float(np.sum(dens)))
+    return math.sqrt(u.grid.dx * float(np.sum(dens)))
 
 
 def predicted_threshold_scale(p: float, kappa_base: float, data_norm: float) -> float:
@@ -299,14 +294,11 @@ def subcritical_threshold(
     dilate with the weight, the (tail-corrected) norm of 1/h_R, and the
     weighted data norm on the data's own grid, until the data strictly
     clears the threshold.  Refuses at or above the Fujita power
-    p_F = 1 + 2/dim, where the threshold no longer decays.
+    p_F = 3, where the threshold no longer decays.
     """
-    dim = u0.grid.dim
-    if dim != 1:
-        raise ValueError("threshold search is implemented in 1-d only")
     if p <= 1:
         raise ValueError("need p > 1")
-    p_fujita = 1.0 + 2.0 / dim
+    p_fujita = 3.0
     if p >= p_fujita:
         raise SupercriticalError(
             f"p = {p:g} is at or above the Fujita power {p_fujita:g}; "
@@ -325,7 +317,7 @@ def subcritical_threshold(
                 f"threshold search exceeded the grid budget at R = {r:g} "
                 f"({points} > {max_points} points)"
             )
-        grid_r = make_grid(base_grid.half_length * r, points, dim)
+        grid_r = make_grid(base_grid.half_length * r, points)
         w_r = weight.rescaled(r)
         kappa_r = estimate_kappa(w_r, grid_r, tol=tol, seed=seed).kappa
         ninv_r = norm_inv_h(w_r, grid_r)
@@ -378,7 +370,6 @@ class BoundsAudit:
     series: TimeSeries
     lower_margins: MarginReport
     growth_margins: MarginReport
-    fitted_constants: tuple[float, float]
     stability: tuple[StabilityCheck, ...]
 
 
@@ -422,7 +413,6 @@ def bounds_consistency(
     c0 = 2.0 * ninv ** (-m)
     c1 = 2.0 * kappa
     growth = check_growth_inequality(series, c0, c1, weight=weight, tol=margin_tol)
-    fitted = fit_growth_constants(series, weight=weight)
 
     checks = tuple(
         _require_stable(domain_doubling_check(value, fn, cfg.grid, label))
@@ -444,6 +434,5 @@ def bounds_consistency(
         series=series,
         lower_margins=lower,
         growth_margins=growth,
-        fitted_constants=fitted,
         stability=checks,
     )

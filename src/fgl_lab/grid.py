@@ -1,6 +1,6 @@
 """Periodic pseudospectral grid, field states, and Fourier-multiplier operators.
 
-The domain is the torus [-L, L)^n sampled at N points per axis.  Fourier
+The domain is the periodic interval [-L, L) sampled at N points.  Fourier
 multipliers act exactly on the discrete frequency set k_j = j*pi/L,
 j = -N/2 .. N/2-1, so band-limited eigenfunctions are reproduced to
 round-off.  All norms use the rectangle rule, which is spectrally accurate
@@ -18,22 +18,18 @@ from .errors import CorruptFieldError
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [-half_length, half_length)^dim.
+    """Uniform periodic grid on [-half_length, half_length).
 
     Parameters
     ----------
     half_length : float
         Half the period, L > 0.  Nodes run from -L to L - dx.
     points : int
-        Number of nodes per axis, even and >= 4.
-    dim : int, optional
-        Spatial dimension (1 by default; 2 is supported by the data
-        model but quantitative claims in this package are 1-d).
+        Number of nodes, even and >= 4.
     """
 
     half_length: float
     points: int
-    dim: int = 1
 
     def __post_init__(self):
         if not np.isfinite(self.half_length) or self.half_length <= 0:
@@ -42,66 +38,39 @@ class GridSpec:
             raise ValueError("Grid resolution points must be even")
         if self.points < 4:
             raise ValueError("Grid resolution points must be at least 4")
-        if self.dim < 1:
-            raise ValueError("Grid dimension must be >= 1")
 
     @property
     def dx(self) -> float:
         return 2.0 * self.half_length / self.points
 
     @property
-    def cell_volume(self) -> float:
-        return self.dx**self.dim
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.points,) * self.dim
+    def shape(self) -> tuple[int]:
+        return (self.points,)
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        """1-d array of node coordinates along one axis."""
+        """Node coordinates -L, -L + dx, ..., L - dx."""
         return -self.half_length + self.dx * np.arange(self.points)
 
     @cached_property
     def axis_frequencies(self) -> np.ndarray:
-        """Angular frequencies k_j = j*pi/L along one axis, FFT ordering."""
+        """Angular frequencies k_j = j*pi/L, FFT ordering."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
     @cached_property
     def abs_wavenumber(self) -> np.ndarray:
-        """|k| on the full frequency lattice (shape == self.shape)."""
-        k = self.axis_frequencies
-        if self.dim == 1:
-            return np.abs(k)
-        axes = np.meshgrid(*([k] * self.dim), indexing="ij", sparse=True)
-        return np.sqrt(sum(a**2 for a in axes))
-
-    @cached_property
-    def radius(self) -> np.ndarray:
-        """|x| on the physical lattice (shape == self.shape)."""
-        x = self.nodes
-        if self.dim == 1:
-            return np.abs(x)
-        axes = np.meshgrid(*([x] * self.dim), indexing="ij", sparse=True)
-        return np.sqrt(sum(a**2 for a in axes))
+        """|k| on the frequency lattice."""
+        return np.abs(self.axis_frequencies)
 
     @cached_property
     def h1_weight(self) -> np.ndarray:
-        """Symbol 1 + |k|^2 of the squared H^1 norm, unpaired modes zeroed."""
-        return 1.0 + sum(
-            np.abs(gradient_symbol(self, axis)) ** 2 for axis in range(self.dim)
-        )
-
-    def coordinates(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable coordinate arrays, one per axis."""
-        return tuple(
-            np.meshgrid(*([self.nodes] * self.dim), indexing="ij", sparse=True)
-        )
+        """Symbol 1 + |k|^2 of the squared H^1 norm, unpaired mode zeroed."""
+        return 1.0 + np.abs(gradient_symbol(self)) ** 2
 
 
-def make_grid(half_length: float, points: int, dim: int = 1) -> GridSpec:
+def make_grid(half_length: float, points: int) -> GridSpec:
     """Construct a validated GridSpec."""
-    return GridSpec(half_length=float(half_length), points=int(points), dim=int(dim))
+    return GridSpec(half_length=float(half_length), points=int(points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +100,8 @@ class FieldState:
 
 
 def field_from_function(grid: GridSpec, fn) -> FieldState:
-    """Sample a callable of the coordinate arrays onto the grid."""
-    return FieldState(grid, np.asarray(fn(*grid.coordinates()), dtype=np.complex128))
+    """Sample a callable of the node coordinates onto the grid."""
+    return FieldState(grid, np.asarray(fn(grid.nodes), dtype=np.complex128))
 
 
 def abs_squared(values: np.ndarray) -> np.ndarray:
@@ -161,8 +130,8 @@ def half_wave_phase_symbol(grid: GridSpec, t: float) -> np.ndarray:
     return np.exp(-1j * t * grid.abs_wavenumber)
 
 
-def gradient_symbol(grid: GridSpec, axis: int = 0) -> np.ndarray:
-    """Symbol i*k_axis of the partial derivative, unpaired mode zeroed.
+def gradient_symbol(grid: GridSpec) -> np.ndarray:
+    """Symbol i*k of the derivative, unpaired mode zeroed.
 
     The j = -N/2 frequency has no conjugate partner, so it is dropped
     from the antisymmetric symbol; this keeps derivatives of real data
@@ -170,20 +139,14 @@ def gradient_symbol(grid: GridSpec, axis: int = 0) -> np.ndarray:
     """
     k = grid.axis_frequencies.copy()
     k[grid.points // 2] = 0.0
-    if grid.dim == 1:
-        return 1j * k
-    shape = [1] * grid.dim
-    shape[axis] = grid.points
-    full = np.zeros(grid.shape, dtype=np.complex128)
-    full += 1j * k.reshape(shape)
-    return full
+    return 1j * k
 
 
 def apply_multiplier(f: FieldState, symbol: np.ndarray) -> FieldState:
     """Apply a Fourier multiplier given by its symbol on the frequency lattice."""
     _require_finite(f.values)
-    spec = np.fft.fftn(f.values)
-    return FieldState(f.grid, np.fft.ifftn(spec * symbol))
+    spec = np.fft.fft(f.values)
+    return FieldState(f.grid, np.fft.ifft(spec * symbol))
 
 
 def apply_fractional(f: FieldState, s: float) -> FieldState:
@@ -191,9 +154,9 @@ def apply_fractional(f: FieldState, s: float) -> FieldState:
     return apply_multiplier(f, fractional_symbol(f.grid, s))
 
 
-def apply_gradient(f: FieldState, axis: int = 0) -> FieldState:
-    """Apply the spectral partial derivative along one axis."""
-    return apply_multiplier(f, gradient_symbol(f.grid, axis))
+def apply_gradient(f: FieldState) -> FieldState:
+    """Apply the spectral derivative."""
+    return apply_multiplier(f, gradient_symbol(f.grid))
 
 
 def apply_half_wave(f: FieldState, t: float) -> FieldState:
@@ -207,15 +170,15 @@ def apply_half_wave(f: FieldState, t: float) -> FieldState:
 
 def l2_norm(f: FieldState) -> float:
     _require_finite(f.values)
-    return float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(f.values) ** 2)))
+    return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
 
 
 def spectral_l2_norm(f: FieldState) -> float:
     """L2 norm computed from Fourier coefficients (Parseval route)."""
     _require_finite(f.values)
-    coeffs = np.fft.fftn(f.values)
+    coeffs = np.fft.fft(f.values)
     total = f.values.size
-    return float(np.sqrt(f.grid.cell_volume / total * np.sum(np.abs(coeffs) ** 2)))
+    return float(np.sqrt(f.grid.dx / total * np.sum(np.abs(coeffs) ** 2)))
 
 
 def lp_norm(f: FieldState, q: float) -> float:
@@ -223,7 +186,7 @@ def lp_norm(f: FieldState, q: float) -> float:
     if q < 1:
         raise ValueError("Lebesgue exponent must be >= 1")
     _require_finite(f.values)
-    return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** q)) ** (1.0 / q))
+    return float((f.grid.dx * np.sum(np.abs(f.values) ** q)) ** (1.0 / q))
 
 
 def sup_norm(f: FieldState) -> float:
@@ -234,25 +197,11 @@ def sup_norm(f: FieldState) -> float:
 def h1_norm(f: FieldState) -> float:
     """Sobolev norm sqrt(||f||_2^2 + ||grad f||_2^2)."""
     _require_finite(f.values)
-    return h1_norm_from_spectrum(np.fft.fftn(f.values), f.grid)
+    return h1_norm_from_spectrum(np.fft.fft(f.values), f.grid)
 
 
 def h1_norm_from_spectrum(coeffs: np.ndarray, grid: GridSpec) -> float:
-    """H^1 norm of the field whose unnormalized spectrum fftn(f) is coeffs."""
+    """H^1 norm of the field whose unnormalized spectrum fft(f) is coeffs."""
     power = np.sum(grid.h1_weight * abs_squared(coeffs))
-    return float(np.sqrt(grid.cell_volume / coeffs.size * power))
+    return float(np.sqrt(grid.dx / coeffs.size * power))
 
-
-def norm(f: FieldState, kind: str, q: float | None = None) -> float:
-    """Dispatch on norm kind: 'l2', 'lp' (requires exponent q), 'h1', 'sup'."""
-    if kind == "l2":
-        return l2_norm(f)
-    if kind == "lp":
-        if q is None:
-            raise ValueError("kind='lp' requires the exponent q")
-        return lp_norm(f, q)
-    if kind == "h1":
-        return h1_norm(f)
-    if kind == "sup":
-        return sup_norm(f)
-    raise ValueError(f"unknown norm kind {kind!r}")

@@ -3,8 +3,8 @@
 phi is a smooth radial bump (plateau on [0,1], support in [0,2]) built
 from the classical exp(-1/t) step, so the only non-smooth feature of
 the symbol phi(|xi|)|xi| is the |xi| kink at the origin.  That kink is
-what limits the decay of g to <x>^{-(n+1)}; in 1-d the envelope of |g|
-should therefore fall off like x^{-2}.
+what limits the decay of g, so the envelope of |g| should fall off like
+x^{-2}.
 
 The symbol is even, so g is a cosine integral over [0, support_end]: a
 closed form on the plateau and Gauss-Legendre panels on the ramp, where
@@ -50,9 +50,7 @@ def bump_eval(spec: BumpSpec, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_transform(
-    spec: BumpSpec, n: int, x_samples, num_nodes: int = 12800
-) -> np.ndarray:
+def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.ndarray:
     """g(x) = 2 int_0^b phi(xi) xi cos(x xi) d xi on the samples (b = support_end).
 
     On the plateau [0, a] phi = 1, giving the closed form
@@ -61,8 +59,6 @@ def kernel_transform(
     32-node Gauss-Legendre panels no wider than num_nodes makes them on
     [-b, b].  A scalar x_samples gives a float.
     """
-    if n != 1:
-        raise ValueError("kernel transform is implemented for n = 1 only")
     if num_nodes < 256:
         raise ValueError("num_nodes too small to resolve the oscillation")
     x = np.atleast_1d(np.asarray(x_samples, dtype=float))
@@ -90,7 +86,7 @@ class TailFit:
     """Log-log envelope fit of |g| over a window.
 
     slope : fitted decay exponent (x^{-2} gives -2)
-    constant : max of |g(x)| <x>^{n+1} over the window.  For the
+    constant : max of |g(x)| <x>^2 over the window.  For the
         kernel this max also sees the bump's transition-band term (for
         the default bump it decays like exp(-1.2 sqrt(x))), so it depends
         on the window whenever the window starts below x ~ 50; beyond
@@ -106,14 +102,14 @@ class TailFit:
 
 
 def fit_tail_decay(
-    x, g, window: tuple[float, float] = (10.0, 100.0), num_bins: int = 8, n: int = 1
+    x, g, window: tuple[float, float] = (10.0, 100.0), num_bins: int = 8
 ) -> TailFit:
     """Fit the envelope decay rate of |g| on a window of x > 0.
 
     The window is cut into logarithmic bins; each bin contributes the
     sample of largest |g| (at its own abscissa), which rides the
     envelope even when g oscillates through zero.  The returned
-    constant is the plain windowed max of |g| <x>^{n+1}, not a fitted
+    constant is the plain windowed max of |g| <x>^2, not a fitted
     one: for the kernel it includes the transition-band term, so with
     the default bump it is window-dependent for windows starting below
     x ~ 50 (6.40 on (10, 100) against 3.39 on (20, 200)).
@@ -146,7 +142,7 @@ def fit_tail_decay(
     bv = np.asarray(bin_v)
     slope, intercept = np.polyfit(np.log(bx), np.log(bv), 1)
     resid = np.log(bv) - (slope * np.log(bx) + intercept)
-    constant = float(np.max(gw * (1.0 + xw**2) ** ((n + 1) / 2.0)))
+    constant = float(np.max(gw * (1.0 + xw**2)))
     return TailFit(
         slope=float(slope),
         constant=constant,

@@ -5,8 +5,8 @@ operators matter:
 
 * the weighted commutator  A f = (1/h) [|D|, h] f = (1/h)|D|(h f) - |D| f,
   whose operator norm kappa drives every blow-up bound, and
-* the smoothing kernel     K f(x) = (1/h(x)) int <x-y>^{-(n+1)} h(y) f(y) dy,
-  which controls the commutator in the analysis (1-d here).
+* the smoothing kernel     K f(x) = (1/h(x)) int <x-y>^{-2} h(y) f(y) dy,
+  which controls the commutator in the analysis.
 
 Both operator norms come from one matrix-free Lanczos routine on the
 normal operator A^T A (A itself is not self-adjoint, A^T A is).
@@ -40,7 +40,7 @@ class WeightSpec:
             raise ValueError("weight scale must be positive and finite")
 
     def h(self, r):
-        """Evaluate h at radius/coordinate values (scalar or array)."""
+        """Evaluate h at coordinate values (scalar or array)."""
         r = np.asarray(r, dtype=float)
         out = (1.0 + (r / self.scale) ** 2) ** (self.exponent / 2.0)
         return float(out) if out.ndim == 0 else out
@@ -55,41 +55,30 @@ class WeightSpec:
 
 def weight_values(w: WeightSpec, grid: GridSpec) -> np.ndarray:
     """h sampled on the grid as a real array."""
-    return w.h(grid.radius)
+    return w.h(grid.nodes)
 
 
 def inv_weight_values(w: WeightSpec, grid: GridSpec) -> np.ndarray:
     return 1.0 / weight_values(w, grid)
 
 
-def eval_weight(w: WeightSpec, grid: GridSpec, which: str = "h") -> FieldState:
-    """Sample h (which='h') or 1/h (which='inv') as a FieldState."""
-    if which == "h":
-        vals = weight_values(w, grid)
-    elif which == "inv":
-        vals = inv_weight_values(w, grid)
-    else:
-        raise ValueError(f"unknown weight evaluation {which!r}")
-    return FieldState(grid, vals.astype(np.complex128))
-
-
-def inv_h_tail_integrable(w: WeightSpec, grid: GridSpec) -> bool:
-    """Whether 1/h^2 is integrable on the ambient space R^dim."""
-    return 2.0 * w.exponent > grid.dim
+def inv_h_tail_integrable(w: WeightSpec) -> bool:
+    """Whether 1/h^2 is integrable on the line."""
+    return 2.0 * w.exponent > 1
 
 
 def norm_inv_h(w: WeightSpec, grid: GridSpec, tail_correction: bool = True) -> float:
-    """L2 norm of 1/h: grid quadrature plus, in 1-d, the analytic tail.
+    """L2 norm of 1/h: grid quadrature plus the analytic tail.
 
     The grid only sees [-L, L); for slowly decaying weights the tail
     int_{|x|>L} h^{-2} dx is a visible fraction of the total, so it is
     added by adaptive quadrature whenever 1/h^2 is integrable.  When it
-    is not (2s <= dim), the truncated value is returned as-is and the
+    is not (2s <= 1), the truncated value is returned as-is and the
     caller should treat it as L-dependent.
     """
     vals = inv_weight_values(w, grid)
-    total = grid.cell_volume * float(np.sum(vals**2))
-    if tail_correction and grid.dim == 1 and inv_h_tail_integrable(w, grid):
+    total = grid.dx * float(np.sum(vals**2))
+    if tail_correction and inv_h_tail_integrable(w):
         from scipy.integrate import quad
 
         s, r = w.exponent, w.scale
@@ -109,19 +98,16 @@ def _commutator_closures(w: WeightSpec, grid: GridSpec):
     h = weight_values(w, grid)
     inv_h = 1.0 / h
     absk = grid.abs_wavenumber
-    shape = grid.shape
 
-    def apply_a(vec: np.ndarray) -> np.ndarray:
-        f = vec.reshape(shape)
-        df = np.fft.ifftn(np.fft.fftn(f) * absk)
-        dhf = np.fft.ifftn(np.fft.fftn(h * f) * absk)
-        return (inv_h * dhf - df).ravel()
+    def apply_a(f: np.ndarray) -> np.ndarray:
+        df = np.fft.ifft(np.fft.fft(f) * absk)
+        dhf = np.fft.ifft(np.fft.fft(h * f) * absk)
+        return inv_h * dhf - df
 
-    def apply_a_star(vec: np.ndarray) -> np.ndarray:
-        g = vec.reshape(shape)
-        dg = np.fft.ifftn(np.fft.fftn(g) * absk)
-        dg_over_h = np.fft.ifftn(np.fft.fftn(inv_h * g) * absk)
-        return (h * dg_over_h - dg).ravel()
+    def apply_a_star(g: np.ndarray) -> np.ndarray:
+        dg = np.fft.ifft(np.fft.fft(g) * absk)
+        dg_over_h = np.fft.ifft(np.fft.fft(inv_h * g) * absk)
+        return h * dg_over_h - dg
 
     return apply_a, apply_a_star
 
@@ -139,7 +125,7 @@ def apply_commutator(
         raise ValueError("field does not live on the supplied grid")
     apply_a, apply_a_star = _commutator_closures(w, grid)
     op = apply_a_star if adjoint else apply_a
-    return FieldState(grid, op(f.values.ravel()).reshape(grid.shape))
+    return FieldState(grid, op(f.values))
 
 
 def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
@@ -200,12 +186,12 @@ def estimate_kappa(
     apply_a, apply_a_star = _commutator_closures(w, grid)
     kappa, applications = _operator_norm(
         lambda v: apply_a(v).real, lambda v: apply_a_star(v).real,
-        int(np.prod(grid.shape)), tol=tol, max_iter=max_iter, seed=seed)
+        grid.points, tol=tol, max_iter=max_iter, seed=seed)
     return CommutatorEstimate(kappa, applications, grid, w)
 
 
 # ----------------------------------------------------------------------
-# Smoothing kernel operator (1-d)
+# Smoothing kernel operator
 
 
 def weighted_kernel_matrix(
@@ -216,8 +202,6 @@ def weighted_kernel_matrix(
     Uses the true line distance x - y on the truncated domain, not the
     torus distance, mirroring the ambient-space operator.
     """
-    if grid.dim != 1:
-        raise ValueError("the smoothing kernel operator is implemented in 1-d only")
     if grid.points > max_points:
         raise ValueError(
             f"grid has {grid.points} points, above the dense-kernel cap {max_points}"
@@ -235,8 +219,6 @@ def _kernel_closures(w: WeightSpec, grid: GridSpec):
     T is the symmetric Toeplitz matrix of <(i-j) dx>^{-2}, applied by
     embedding it in a circulant of size 2N that the real FFT diagonalizes.
     """
-    if grid.dim != 1:
-        raise ValueError("the smoothing kernel operator is implemented in 1-d only")
     n = grid.points
     h = weight_values(w, grid)
     t = 1.0 / (1.0 + (np.arange(n) * grid.dx) ** 2)

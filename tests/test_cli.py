@@ -349,10 +349,12 @@ class TestExitCodes:
         assert "not found" in capsys.readouterr().err
 
     def test_unknown_override_key(self, tmp_path, capsys):
-        code = main(["ode", "--ode.volume", "11",
-                     "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert "unknown config key" in capsys.readouterr().err
+        # the second key is the removed [grid] dim
+        for argv in (["ode", "--ode.volume", "11"],
+                     ["simulate", "--grid.dim", "2"]):
+            code = main(argv + ["--out-dir", str(tmp_path / "o")])
+            assert code == 1
+            assert "unknown config key" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 1

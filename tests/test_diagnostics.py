@@ -17,7 +17,6 @@ from fgl_lab import (
     check_weighted_lower_bound,
     closed_form_eval,
     comparison_ode,
-    fit_growth_constants,
     h1_series,
     homogeneous_blowup_time,
     initial_field,
@@ -142,15 +141,6 @@ class TestGrowthInequality:
         c1 = 2.0 * ref_params.kappa
         report = check_growth_inequality(series, c0, c1)
         assert report.violated
-
-    def test_fit_recovers_constants(self, ref_params):
-        series = exact_comparison_series(ref_params)
-        m = ref_params.p - 1.0
-        c0_true = 2.0 * ref_params.inv_weight_norm ** (-m)
-        c1_true = 2.0 * ref_params.kappa
-        c0_hat, c1_hat = fit_growth_constants(series)
-        assert c0_hat == pytest.approx(c0_true, rel=1e-3)
-        assert c1_hat == pytest.approx(c1_true, rel=1e-3)
 
     def test_needs_enough_samples(self, ref_params):
         series = exact_comparison_series(ref_params, n=4)

@@ -49,7 +49,7 @@ def reference_simulate(cfg, weights=DEFAULT_WEIGHTS):
         if rows and t <= rows[-1][0]:
             return
         dens = np.abs(u.values) ** 2
-        cv = grid.cell_volume
+        cv = grid.dx
         rows.append(
             [t, dt, cv * np.sum(dens), h1_norm(u),
              cv * np.sum(dens ** ((cfg.p + 1.0) / 2.0)), np.sqrt(np.max(dens))]

@@ -12,7 +12,6 @@ from fgl_lab import (
     ConstantProfile,
     ConvergenceError,
     CustomProfile,
-    FieldState,
     GaussianProfile,
     GridStabilityError,
     SimConfig,
@@ -215,10 +214,6 @@ class TestSubcriticalThreshold:
             subcritical_threshold(u0, 0.5, kb)
         with pytest.raises(ValueError, match="kappa_base"):
             subcritical_threshold(u0, 2.0, 0.0)
-        grid2 = make_grid(10.0, 32, 2)
-        u2 = FieldState(grid2, np.ones((32, 32), dtype=complex))
-        with pytest.raises(ValueError, match="1-d"):
-            subcritical_threshold(u2, 2.0, kb)
 
 
 @pytest.fixture(scope="module")
@@ -249,9 +244,6 @@ class TestBoundsConsistency:
         assert audit.growth_margins.worst >= -0.05
 
     def test_fit_and_stability_are_reported(self, audit):
-        c0_hat, c1_hat = audit.fitted_constants
-        assert math.isfinite(c0_hat) and math.isfinite(c1_hat)
-        assert c0_hat > 0  # realized growth is at least as fast as certified
         assert len(audit.stability) == 3
         assert all(c.stable for c in audit.stability)
 

@@ -19,7 +19,6 @@ from fgl_lab import (
     l2_norm,
     lp_norm,
     make_grid,
-    norm,
     spectral_l2_norm,
     sup_norm,
 )
@@ -45,10 +44,6 @@ class TestGridSpec:
         k = grid.axis_frequencies
         assert k[0] == 0.0
         assert k[1] == pytest.approx(np.pi / 10.0)
-
-    def test_cell_volume_matches_dx(self):
-        grid = make_grid(5.0, 32)
-        assert grid.cell_volume == pytest.approx(grid.dx)
 
     @pytest.mark.parametrize("points", [3, 7, 65])
     def test_odd_points_rejected(self, points):
@@ -187,14 +182,3 @@ class TestNorms:
         grad = apply_gradient(f)
         expected = np.sqrt(l2_norm(f) ** 2 + l2_norm(grad) ** 2)
         assert h1_norm(f) == pytest.approx(expected, rel=1e-12)
-
-    def test_norm_dispatcher(self):
-        f = random_field(make_grid(6.0, 64), 11)
-        assert norm(f, "l2") == l2_norm(f)
-        assert norm(f, "sup") == sup_norm(f)
-        assert norm(f, "h1") == h1_norm(f)
-        assert norm(f, "lp", q=3.0) == lp_norm(f, 3.0)
-        with pytest.raises(ValueError):
-            norm(f, "unknown")
-        with pytest.raises(ValueError):
-            norm(f, "lp")

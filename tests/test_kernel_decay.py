@@ -93,36 +93,36 @@ class TestBump:
 
 class TestTransform:
     def test_value_at_origin(self):
-        assert kernel_transform(SPEC, 1, 0.0) == pytest.approx(
+        assert kernel_transform(SPEC, 0.0) == pytest.approx(
             G_AT_ZERO, rel=1e-12
         )
 
     def test_scalar_input_returns_float(self):
-        assert isinstance(kernel_transform(SPEC, 1, 3.0), float)
+        assert isinstance(kernel_transform(SPEC, 3.0), float)
 
     def test_even_in_x(self):
         x = np.array([0.5, 1.7, 12.0, 40.0])
-        gp = kernel_transform(SPEC, 1, x)
-        gm = kernel_transform(SPEC, 1, -x)
+        gp = kernel_transform(SPEC, x)
+        gm = kernel_transform(SPEC, -x)
         assert np.allclose(gp, gm, rtol=0, atol=1e-12)
 
     def test_matches_full_range_complex_rule(self):
         x = np.linspace(0.0, 400.0, 201)
         z = full_range_complex_transform(SPEC, x)
-        assert np.max(np.abs(kernel_transform(SPEC, 1, x) - z.real)) <= 1e-13
+        assert np.max(np.abs(kernel_transform(SPEC, x) - z.real)) <= 1e-13
         assert np.max(np.abs(z.imag)) < 1e-12 * np.max(np.abs(z.real))
 
     def test_node_count_converged(self):
         x = np.array([0.0, 5.0, 25.0, 50.0])
-        coarse = kernel_transform(SPEC, 1, x, num_nodes=12800)
-        fine = kernel_transform(SPEC, 1, x, num_nodes=25600)
+        coarse = kernel_transform(SPEC, x, num_nodes=12800)
+        fine = kernel_transform(SPEC, x, num_nodes=25600)
         assert np.max(np.abs(coarse - fine)) < 1e-9
 
     # abscissae of the windowed maxima of |g|(1+x^2) that decide
     # criterion 08 on (10,100), (20,200), (50,100) and (100,200)
     @pytest.mark.parametrize("x", [17.66, 28.04, 51.24, 103.62])
     def test_matches_adaptive_cosine_quadrature(self, x):
-        assert kernel_transform(SPEC, 1, x) == pytest.approx(
+        assert kernel_transform(SPEC, x) == pytest.approx(
             cosine_quadrature(SPEC, x), rel=0, abs=1e-12
         )
 
@@ -135,22 +135,18 @@ class TestTransform:
         ids=["a1", "a0.5", "a1.3"],
     )
     def test_small_x_matches_adaptive_cosine_quadrature(self, spec, x):
-        assert kernel_transform(spec, 1, x) == pytest.approx(
+        assert kernel_transform(spec, x) == pytest.approx(
             cosine_quadrature(spec, x), rel=0, abs=1e-12
         )
 
     def test_envelope_settles_near_two(self):
         # |g(x)| (1 + x^2) -> 2 for the quadratic-kink tail
-        g50 = kernel_transform(SPEC, 1, 50.0)
+        g50 = kernel_transform(SPEC, 50.0)
         assert abs(g50) * (1 + 50.0**2) == pytest.approx(2.0, abs=0.2)
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            kernel_transform(SPEC, 2, 1.0)
 
     def test_node_floor(self):
         with pytest.raises(ValueError):
-            kernel_transform(SPEC, 1, 1.0, num_nodes=100)
+            kernel_transform(SPEC, 1.0, num_nodes=100)
 
 
 class TestTailFit:

@@ -15,7 +15,6 @@ from fgl_lab import (
     apply_weighted_kernel,
     estimate_kappa,
     estimate_weighted_kernel_norm,
-    eval_weight,
     inv_h_tail_integrable,
     inv_weight_values,
     make_grid,
@@ -33,7 +32,7 @@ def random_field(grid, seed):
 
 
 def inner(f, g):
-    return complex(np.vdot(f.values, g.values) * f.grid.cell_volume)
+    return complex(np.vdot(f.values, g.values) * f.grid.dx)
 
 
 class TestWeightSpec:
@@ -67,18 +66,6 @@ class TestWeightSpec:
         with pytest.raises(ValueError):
             WeightSpec(1.0, 0.0)
 
-    def test_eval_weight_fields(self):
-        grid = make_grid(10.0, 64)
-        w = WeightSpec(1.0, 1.0)
-        assert np.allclose(
-            eval_weight(w, grid, "h").values.real, weight_values(w, grid)
-        )
-        assert np.allclose(
-            eval_weight(w, grid, "inv").values.real, inv_weight_values(w, grid)
-        )
-        with pytest.raises(ValueError):
-            eval_weight(w, grid, "sqrt")
-
 
 class TestNormInvH:
     def test_bracket_weight_norm_is_sqrt_pi(self):
@@ -108,10 +95,9 @@ class TestNormInvH:
         )
 
     def test_tail_integrability_predicate(self):
-        grid = make_grid(50.0, 256)
-        assert inv_h_tail_integrable(WeightSpec(1.0, 1.0), grid)
-        assert not inv_h_tail_integrable(WeightSpec(0.4, 1.0), grid)
-        assert not inv_h_tail_integrable(WeightSpec(0.0, 1.0), grid)
+        assert inv_h_tail_integrable(WeightSpec(1.0, 1.0))
+        assert not inv_h_tail_integrable(WeightSpec(0.4, 1.0))
+        assert not inv_h_tail_integrable(WeightSpec(0.0, 1.0))
 
 
 class TestCommutator:
