@@ -30,7 +30,7 @@ from fgl_lab import (  # noqa: E402
     make_grid,
     norm_inv_h,
 )
-from fgl_lab.io import write_plot_curve, write_timeseries_csv  # noqa: E402
+from fgl_lab.io import timeseries_table, write_plot_curve, write_rows_csv  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -97,8 +97,8 @@ def main(argv=None) -> int:
 
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        write_timeseries_csv(os.path.join(args.out_dir, "series.csv"),
-                             audit.series)
+        write_rows_csv(os.path.join(args.out_dir, "series.csv"),
+                       *timeseries_table(audit.series))
         write_plot_curve(os.path.join(args.out_dir, "sup_vs_t.dat"),
                          audit.series.times, audit.series.sup)
         print(f"\nwrote series.csv and sup_vs_t.dat to {args.out_dir}/")

@@ -48,9 +48,8 @@ def report_sweep(result, expected: float) -> None:
         status = "included" if ok else "excluded"
         t_str = f"{t:.6f}" if np.isfinite(t) else "no blow-up"
         print(f"    R = {r:<6g} t_detected = {t_str:<12} [{status}]")
-    if result.stability is not None:
-        print(f"  largest-R check: moved {result.stability.rel_change:.2%} "
-              f"under domain doubling (budget {result.stability.budget:.0%})")
+    print(f"  largest-R check: moved {result.stability.rel_change:.2%} "
+          f"under domain doubling (budget {result.stability.budget:.0%})")
 
 
 def dump_sweep(path: str, result) -> None:

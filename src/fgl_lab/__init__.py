@@ -19,19 +19,14 @@ from .errors import (
 from .grid import (
     FieldState,
     GridSpec,
-    apply_fractional,
-    apply_gradient,
     apply_half_wave,
     apply_multiplier,
-    field_from_function,
     fractional_symbol,
     gradient_symbol,
     h1_norm,
     half_wave_phase_symbol,
     l2_norm,
-    lp_norm,
     make_grid,
-    spectral_l2_norm,
     sup_norm,
 )
 from .ode import (

@@ -4,10 +4,11 @@
 [--workers N] [--out-dir DIR]``
 
 Commands: simulate, sweep, ode, commutator, kernel, threshold, bounds.
-Each run writes a summary JSON, command-specific CSV, two-column plot
-data under ``plots/``, and a run manifest, all into the output
-directory (``--out-dir`` flag, else the ``FGL_OUT_DIR`` environment
-variable, else ``fgl-out``).
+Each handler returns a ``_Result``; ``run`` alone writes it out as a
+summary JSON, command-specific CSV, two-column plot data under
+``plots/``, and a run manifest listing exactly those files, all into the
+output directory (``--out-dir`` flag, else the ``FGL_OUT_DIR``
+environment variable, else ``fgl-out``).
 
 Exit codes: 0 on success (a detected blow-up is a successful result),
 1 on usage/config errors and refused requests, 2 on numerical failure.
@@ -48,15 +49,14 @@ from .io import (
     RunManifest,
     fmt,
     run_timestamp,
+    timeseries_table,
     write_json,
     write_plot_curve,
-    write_plot_index,
     write_rows_csv,
-    write_timeseries_csv,
 )
 from .kernel_decay import BumpSpec, fit_tail_decay, kernel_transform
 from .ode import OdeParams, blowup_time, closed_form_eval, weighted_norm_lower_bound
-from .weights import WeightSpec, estimate_kappa, norm_inv_h
+from .weights import WeightSpec, estimate_kappa
 from .experiments import (
     bounds_consistency,
     commutator_scaling,
@@ -87,15 +87,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class _RunContext:
-    command: str
-    cfg: ResolvedConfig
-    seed: int
-    workers: int
-    out_dir: str
+class _Result:
+    """What a command produced; ``_write_tree`` turns it into files.
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
+    tables: (file name, header, rows) entries.
+    curves: (stem under plots/, x label, y label, title, x, y) entries.
+    """
+
+    line: str
+    summary: dict
+    tables: list
+    curves: list
 
 
 # ----------------------------------------------------------------------
@@ -137,9 +139,7 @@ def _sim_config(cfg: ResolvedConfig) -> SimConfig:
     )
 
 
-def _stability_dict(check) -> dict | None:
-    if check is None:
-        return None
+def _stability_dict(check) -> dict:
     return {
         "label": check.label,
         "value": check.value,
@@ -149,33 +149,21 @@ def _stability_dict(check) -> dict | None:
     }
 
 
-def _series_outputs(ctx: _RunContext, series) -> tuple[list[str], list[dict]]:
-    """Write the time-series CSV and per-quantity plot curves."""
-    outputs = ["series.csv"]
-    write_timeseries_csv(ctx.path("series.csv"), series)
-    curves = []
+def _series_curves(series) -> list:
+    """One plot curve per recorded quantity against t."""
     named = [("mass", series.mass), ("h1", series.h1), ("sup", series.sup)]
     named += [(f"Q_{lab}", series.momenta[lab]) for lab in sorted(series.momenta)]
-    for name, values in named:
-        rel = os.path.join("plots", f"{name}_vs_t.dat")
-        write_plot_curve(ctx.path(rel), series.times, values)
-        outputs.append(rel)
-        curves.append({"file": rel, "x": "t", "y": name,
-                       "title": f"{name} along the run"})
-    return outputs, curves
+    return [(f"{name}_vs_t", "t", name, f"{name} along the run",
+             series.times, values) for name, values in named]
 
 
 # ----------------------------------------------------------------------
-# Command handlers: each writes its files and returns (summary_line, outputs)
+# Command handlers: each computes its results and returns a _Result
 
 
-def _cmd_simulate(ctx: _RunContext):
-    cfg = _sim_config(ctx.cfg)
-    weight = _weight_from(ctx.cfg)
-    series, report = simulate(cfg, weights=(weight,))
-    outputs, curves = _series_outputs(ctx, series)
-    write_plot_index(ctx.path(os.path.join("plots", "index.json")), curves)
-    outputs.append(os.path.join("plots", "index.json"))
+def _cmd_simulate(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+    sim = _sim_config(cfg)
+    series, report = simulate(sim, weights=(_weight_from(cfg),))
     summary = {
         "blew_up": report.blew_up,
         "t_detected": report.t_detected,
@@ -184,38 +172,22 @@ def _cmd_simulate(ctx: _RunContext):
         "steps": report.steps,
         "bracket": list(report.bracket) if report.bracket else None,
         "samples": len(series.times),
-        "p": cfg.p,
+        "p": sim.p,
     }
-    write_json(ctx.path("summary.json"), summary)
-    outputs.append("summary.json")
     if report.blew_up:
         line = (f"simulate: blow-up at t={fmt(report.t_detected)} "
                 f"({report.criterion}) after {report.steps} steps")
     else:
-        line = (f"simulate: no blow-up by t={fmt(cfg.t_max)} "
+        line = (f"simulate: no blow-up by t={fmt(sim.t_max)} "
                 f"(final sup {fmt(report.final_sup)})")
-    return line, outputs
+    return _Result(line, summary, [("series.csv", *timeseries_table(series))],
+                   _series_curves(series))
 
 
-def _cmd_sweep(ctx: _RunContext):
-    base = _sim_config(ctx.cfg)
-    profile = _profile_from(ctx.cfg)
-    r_values = ctx.cfg["sweep"]["r_values"]
-    result = lifespan_sweep(base, profile, r_values, workers=ctx.workers)
-    rows = [
-        (r, t, bool(inc))
-        for r, t, inc in zip(result.parameter_values, result.measured,
-                             result.included)
-    ]
-    write_rows_csv(ctx.path("sweep.csv"),
-                   ["R", "t_detected", "included"], rows)
-    rel = os.path.join("plots", "t_detected_vs_R.dat")
+def _cmd_sweep(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+    result = lifespan_sweep(_sim_config(cfg), _profile_from(cfg),
+                            cfg["sweep"]["r_values"], workers=workers)
     mask = result.included
-    write_plot_curve(ctx.path(rel), result.parameter_values[mask],
-                     result.measured[mask])
-    write_plot_index(ctx.path(os.path.join("plots", "index.json")),
-                     [{"file": rel, "x": "R", "y": "t_detected",
-                       "title": "lifespan vs amplitude scale (log-log)"}])
     summary = {
         "parameter": result.parameter,
         "slope": result.slope,
@@ -224,16 +196,20 @@ def _cmd_sweep(ctx: _RunContext):
         "runs_included": int(np.count_nonzero(result.included)),
         "stability": _stability_dict(result.stability),
     }
-    write_json(ctx.path("summary.json"), summary)
-    outputs = ["sweep.csv", rel, os.path.join("plots", "index.json"),
-               "summary.json"]
     line = (f"sweep: slope={fmt(result.slope)} over "
             f"{summary['runs_included']} runs (residual {fmt(result.residual)})")
-    return line, outputs
+    return _Result(
+        line, summary,
+        [("sweep.csv", ["R", "t_detected", "included"],
+          zip(result.parameter_values, result.measured, mask))],
+        [("t_detected_vs_R", "R", "t_detected",
+          "lifespan vs amplitude scale (log-log)",
+          result.parameter_values[mask], result.measured[mask])],
+    )
 
 
-def _cmd_ode(ctx: _RunContext):
-    o = ctx.cfg["ode"]
+def _cmd_ode(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+    o = cfg["ode"]
     params = OdeParams(c1=o["c1"], c2=o["c2"], q=o["q"], f0=o["f0"])
     t_star = blowup_time(params)
     frac = o["t_fraction"]
@@ -242,12 +218,6 @@ def _cmd_ode(ctx: _RunContext):
     horizon = frac * t_star if np.isfinite(t_star) else 5.0 / params.c1
     times = np.linspace(0.0, horizon, o["num_samples"])
     values = closed_form_eval(params, times)
-    write_rows_csv(ctx.path("ode.csv"), ["t", "f"], zip(times, values))
-    rel = os.path.join("plots", "f_vs_t.dat")
-    write_plot_curve(ctx.path(rel), times, values)
-    write_plot_index(ctx.path(os.path.join("plots", "index.json")),
-                     [{"file": rel, "x": "t", "y": "f",
-                       "title": "closed-form Bernoulli solution"}])
     summary = {
         "blowup_time": t_star,
         "equilibrium": params.equilibrium,
@@ -255,30 +225,18 @@ def _cmd_ode(ctx: _RunContext):
         "horizon": horizon,
         "final_value": float(values[-1]),
     }
-    write_json(ctx.path("summary.json"), summary)
-    outputs = ["ode.csv", rel, os.path.join("plots", "index.json"),
-               "summary.json"]
     line = f"ode: blowup_time={fmt(t_star)} equilibrium={fmt(params.equilibrium)}"
-    return line, outputs
+    return _Result(
+        line, summary,
+        [("ode.csv", ["t", "f"], zip(times, values))],
+        [("f_vs_t", "t", "f", "closed-form Bernoulli solution", times, values)],
+    )
 
 
-def _cmd_commutator(ctx: _RunContext):
-    weight = _weight_from(ctx.cfg)
-    grid = _grid_from(ctx.cfg)
-    c = ctx.cfg["commutator"]
-    result = commutator_scaling(weight, c["r_values"], grid,
-                                tol=c["tol"], seed=ctx.seed)
-    rows = [
-        (r, k, r * k)
-        for r, k in zip(result.parameter_values, result.measured)
-    ]
-    write_rows_csv(ctx.path("commutator.csv"),
-                   ["R", "kappa", "kappa_times_R"], rows)
-    rel = os.path.join("plots", "kappa_vs_R.dat")
-    write_plot_curve(ctx.path(rel), result.parameter_values, result.measured)
-    write_plot_index(ctx.path(os.path.join("plots", "index.json")),
-                     [{"file": rel, "x": "R", "y": "kappa",
-                       "title": "commutator norm vs weight scale (log-log)"}])
+def _cmd_commutator(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+    c = cfg["commutator"]
+    result = commutator_scaling(_weight_from(cfg), c["r_values"],
+                                _grid_from(cfg), tol=c["tol"], seed=seed)
     products = result.parameter_values * result.measured
     spread = float(products.max() / products.min() - 1.0)
     summary = {
@@ -288,40 +246,28 @@ def _cmd_commutator(ctx: _RunContext):
         "kappa_times_r_spread": spread,
         "stability": _stability_dict(result.stability),
     }
-    write_json(ctx.path("summary.json"), summary)
-    outputs = ["commutator.csv", rel, os.path.join("plots", "index.json"),
-               "summary.json"]
     line = (f"commutator: slope={fmt(result.slope)} "
             f"kappa*R spread={fmt(spread)}")
-    return line, outputs
+    return _Result(
+        line, summary,
+        [("commutator.csv", ["R", "kappa", "kappa_times_R"],
+          zip(result.parameter_values, result.measured, products))],
+        [("kappa_vs_R", "R", "kappa",
+          "commutator norm vs weight scale (log-log)",
+          result.parameter_values, result.measured)],
+    )
 
 
-def _cmd_kernel(ctx: _RunContext):
-    k = ctx.cfg["kernel"]
-    spec = BumpSpec()
+def _cmd_kernel(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+    k = cfg["kernel"]
     x = np.linspace(k["x_min"], k["x_max"], k["num_samples"])
-    g = kernel_transform(spec, x, num_nodes=k["num_nodes"])
+    g = kernel_transform(BumpSpec(), x, num_nodes=k["num_nodes"])
     envelope = np.abs(g) * (1.0 + x**2)
     fit = fit_tail_decay(x, g, window=(k["window_lo"], k["window_hi"]),
                          num_bins=k["num_bins"])
     shifted = fit_tail_decay(x, g, window=(k["shifted_lo"], k["shifted_hi"]),
                              num_bins=k["num_bins"])
     c_change = abs(shifted.constant - fit.constant) / fit.constant
-    write_rows_csv(ctx.path("kernel.csv"), ["x", "g", "envelope"],
-                   zip(x, g, envelope))
-    rel_g = os.path.join("plots", "g_vs_x.dat")
-    rel_env = os.path.join("plots", "envelope_vs_x.dat")
-    rel_bins = os.path.join("plots", "bin_maxima.dat")
-    write_plot_curve(ctx.path(rel_g), x, g)
-    write_plot_curve(ctx.path(rel_env), x, envelope)
-    write_plot_curve(ctx.path(rel_bins), fit.bin_x, fit.bin_values)
-    write_plot_index(ctx.path(os.path.join("plots", "index.json")), [
-        {"file": rel_g, "x": "x", "y": "g", "title": "kernel"},
-        {"file": rel_env, "x": "x", "y": "|g|(1+x^2)",
-         "title": "decay envelope"},
-        {"file": rel_bins, "x": "x", "y": "bin max |g|",
-         "title": "envelope bin maxima"},
-    ])
     summary = {
         "slope": fit.slope,
         "constant": fit.constant,
@@ -331,42 +277,30 @@ def _cmd_kernel(ctx: _RunContext):
         "constant_rel_change": c_change,
         "g_at_origin_window_start": float(g[0]),
     }
-    write_json(ctx.path("summary.json"), summary)
-    outputs = ["kernel.csv", rel_g, rel_env, rel_bins,
-               os.path.join("plots", "index.json"), "summary.json"]
     line = (f"kernel: slope={fmt(fit.slope)} C={fmt(fit.constant)} "
             f"C shift={fmt(c_change)}")
-    return line, outputs
+    return _Result(
+        line, summary,
+        [("kernel.csv", ["x", "g", "envelope"], zip(x, g, envelope))],
+        [("g_vs_x", "x", "g", "kernel", x, g),
+         ("envelope_vs_x", "x", "|g|(1+x^2)", "decay envelope", x, envelope),
+         ("bin_maxima", "x", "bin max |g|", "envelope bin maxima",
+          fit.bin_x, fit.bin_values)],
+    )
 
 
-def _cmd_threshold(ctx: _RunContext):
-    grid = _grid_from(ctx.cfg)
-    weight = _weight_from(ctx.cfg)
-    t = ctx.cfg["threshold"]
-    u0 = initial_field(_profile_from(ctx.cfg), grid)
-    kappa1 = estimate_kappa(weight, grid, tol=t["kappa_tol"],
-                            seed=ctx.seed).kappa
+def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+    grid = _grid_from(cfg)
+    weight = _weight_from(cfg)
+    t = cfg["threshold"]
+    u0 = initial_field(_profile_from(cfg), grid)
+    kappa1 = estimate_kappa(weight, grid, tol=t["kappa_tol"], seed=seed).kappa
     result = subcritical_threshold(
-        u0, ctx.cfg["evolution"]["p"], kappa1, weight=weight,
+        u0, cfg["evolution"]["p"], kappa1, weight=weight,
         max_doublings=t["max_doublings"], tol=t["kappa_tol"],
-        seed=ctx.seed, max_points=t["max_points"],
+        seed=seed, max_points=t["max_points"],
     )
-    rows = [
-        (h["R"], h["kappa"], h["inv_h_norm"], h["weighted_data_norm"],
-         h["threshold"], bool(h["met"]))
-        for h in result.history
-    ]
-    write_rows_csv(
-        ctx.path("threshold.csv"),
-        ["R", "kappa", "inv_h_norm", "weighted_data_norm", "threshold", "met"],
-        rows,
-    )
-    rel = os.path.join("plots", "threshold_vs_R.dat")
-    write_plot_curve(ctx.path(rel), [h["R"] for h in result.history],
-                     [h["threshold"] for h in result.history])
-    write_plot_index(ctx.path(os.path.join("plots", "index.json")),
-                     [{"file": rel, "x": "R", "y": "threshold",
-                       "title": "critical norm vs weight dilation"}])
+    columns = ["R", "kappa", "inv_h_norm", "weighted_data_norm", "threshold", "met"]
     summary = {
         "r0": result.r0,
         "predicted_r0": result.predicted_r0,
@@ -377,35 +311,30 @@ def _cmd_threshold(ctx: _RunContext):
         "doublings_tried": len(result.history),
         "stability": _stability_dict(result.stability),
     }
-    write_json(ctx.path("summary.json"), summary)
-    outputs = ["threshold.csv", rel, os.path.join("plots", "index.json"),
-               "summary.json"]
     line = (f"threshold: R0={fmt(result.r0)} predicted={fmt(result.predicted_r0)} "
             f"lifespan bound={fmt(result.bound.time)}")
-    return line, outputs
-
-
-def _cmd_bounds(ctx: _RunContext):
-    cfg = _sim_config(ctx.cfg)
-    weight = _weight_from(ctx.cfg)
-    b = ctx.cfg["bounds"]
-    audit = bounds_consistency(
-        cfg, weight=weight, required_margin=b["required_margin"],
-        margin_tol=b["margin_tol"], kappa_tol=b["kappa_tol"],
-        seed=ctx.seed, variant=b["variant"],
+    return _Result(
+        line, summary,
+        [("threshold.csv", columns,
+          [[h[c] for c in columns] for h in result.history])],
+        [("threshold_vs_R", "R", "threshold", "critical norm vs weight dilation",
+          [h["R"] for h in result.history],
+          [h["threshold"] for h in result.history])],
     )
-    outputs, curves = _series_outputs(ctx, audit.series)
+
+
+def _cmd_bounds(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+    b = cfg["bounds"]
+    audit = bounds_consistency(
+        _sim_config(cfg), weight=_weight_from(cfg),
+        required_margin=b["required_margin"], margin_tol=b["margin_tol"],
+        kappa_tol=b["kappa_tol"], seed=seed, variant=b["variant"],
+    )
     lower = audit.lower_margins
-    rel = os.path.join("plots", "lower_bound_vs_t.dat")
     bound_curve = [
         weighted_norm_lower_bound(audit.bound_params, tv, variant=b["variant"])
         for tv in lower.times
     ]
-    write_plot_curve(ctx.path(rel), lower.times, bound_curve)
-    curves.append({"file": rel, "x": "t", "y": "lower bound",
-                   "title": "certified weighted-norm lower bound"})
-    write_plot_index(ctx.path(os.path.join("plots", "index.json")), curves)
-    outputs += [rel, os.path.join("plots", "index.json")]
     report = audit.report
     summary = {
         "threshold_value": audit.threshold_value,
@@ -424,12 +353,16 @@ def _cmd_bounds(ctx: _RunContext):
         "growth_margins_ok": not audit.growth_margins.violated,
         "stability": [_stability_dict(c) for c in audit.stability],
     }
-    write_json(ctx.path("summary.json"), summary)
-    outputs.append("summary.json")
     line = (f"bounds: t_detected={fmt(report.t_detected)} vs bound "
             f"{fmt(audit.bound.time)}; worst margins "
             f"lower={fmt(lower.worst)} growth={fmt(audit.growth_margins.worst)}")
-    return line, outputs
+    return _Result(
+        line, summary,
+        [("series.csv", *timeseries_table(audit.series))],
+        _series_curves(audit.series) + [
+            ("lower_bound_vs_t", "t", "lower bound",
+             "certified weighted-norm lower bound", lower.times, bound_curve)],
+    )
 
 
 _HANDLERS = {
@@ -476,10 +409,26 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_out_dir(flag_value: str | None) -> str:
-    if flag_value is not None:
-        return flag_value
-    return os.environ.get("FGL_OUT_DIR", "fgl-out")
+def _write_tree(out_dir: str, result: _Result) -> list[str]:
+    """Write a command's tables, plot curves, plot index and summary.
+
+    Returns the files written, relative to out_dir: the manifest's list.
+    """
+    written = []
+    for name, header, rows in result.tables:
+        write_rows_csv(os.path.join(out_dir, name), header, rows)
+        written.append(name)
+    index = []
+    for stem, x_label, y_label, title, x, y in result.curves:
+        rel = os.path.join("plots", f"{stem}.dat")
+        write_plot_curve(os.path.join(out_dir, rel), x, y)
+        index.append({"file": rel, "x": x_label, "y": y_label, "title": title})
+        written.append(rel)
+    for rel, payload in ((os.path.join("plots", "index.json"), {"curves": index}),
+                         ("summary.json", result.summary)):
+        write_json(os.path.join(out_dir, rel), payload)
+        written.append(rel)
+    return written
 
 
 def run(argv) -> int:
@@ -488,23 +437,23 @@ def run(argv) -> int:
     overrides = parse_overrides(extra)
     cfg = resolve(args.command, load_config(args.config), overrides)
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    out_dir = _resolve_out_dir(args.out_dir)
+    out_dir = args.out_dir
+    if out_dir is None:
+        out_dir = os.environ.get("FGL_OUT_DIR", "fgl-out")
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
-    ctx = _RunContext(command=args.command, cfg=cfg, seed=args.seed,
-                      workers=workers, out_dir=out_dir)
-    line, outputs = _HANDLERS[args.command](ctx)
+    result = _HANDLERS[args.command](cfg, args.seed, workers)
     manifest = RunManifest(
         command=args.command,
-        config=cfg.as_dict(),
+        config=cfg.sections,
         version=__version__,
         seed=args.seed,
         workers=workers,
         out_dir=out_dir,
         timestamp=run_timestamp(),
-        outputs=tuple(outputs) + ("manifest.json",),
+        outputs=tuple(_write_tree(out_dir, result)) + ("manifest.json",),
     )
-    manifest.write(ctx.path("manifest.json"))
-    print(line)
+    manifest.write(os.path.join(out_dir, "manifest.json"))
+    print(result.line)
     return 0
 
 

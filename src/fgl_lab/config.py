@@ -144,18 +144,6 @@ class ResolvedConfig:
     def __getitem__(self, section: str) -> Mapping[str, Any]:
         return self.sections[section]
 
-    def as_dict(self) -> dict:
-        return {
-            sec: {k: _jsonable(v) for k, v in kv.items()}
-            for sec, kv in self.sections.items()
-        }
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
 
 def coerce_value(section: str, key: str, text: str):
     """Parse a raw string according to the schema, with a precise error."""

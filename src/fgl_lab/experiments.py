@@ -8,6 +8,7 @@ truncation artifacts cannot masquerade as results.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -69,24 +70,23 @@ def domain_doubling_check(
 ) -> StabilityCheck:
     """Compare value, fn's result on grid as the caller holds it, with fn
     on the domain-doubled grid (2L, 2N), the only grid fn runs on.
+
+    Raises GridStabilityError when the relative change exceeds budget.
     """
     doubled = make_grid(2.0 * grid.half_length, 2 * grid.points)
     doubled_value = float(fn(doubled))
     denom = max(abs(value), abs(doubled_value), 1e-300)
-    return StabilityCheck(
+    check = StabilityCheck(
         label=label,
         value=float(value),
         doubled_value=doubled_value,
         rel_change=abs(doubled_value - value) / denom,
         budget=budget,
     )
-
-
-def _require_stable(check: StabilityCheck) -> StabilityCheck:
     if not check.stable:
         raise GridStabilityError(
-            f"{check.label} moved {check.rel_change:.2%} under domain doubling "
-            f"(budget {check.budget:.0%}): {check.value:.6g} -> {check.doubled_value:.6g}"
+            f"{label} moved {check.rel_change:.2%} under domain doubling "
+            f"(budget {budget:.0%}): {check.value:.6g} -> {doubled_value:.6g}"
         )
     return check
 
@@ -107,11 +107,12 @@ class SweepResult:
     intercept: float
     residual: float
     records: tuple
-    stability: StabilityCheck | None
+    stability: StabilityCheck
 
 
 def _run_report(cfg: SimConfig) -> BlowupReport:
-    _, report = simulate(cfg)
+    # Only the report is kept, so record just the first and last samples.
+    _, report = simulate(replace(cfg, record_every=sys.maxsize))
     return report
 
 
@@ -171,11 +172,6 @@ def lifespan_sweep(
             raise GridStabilityError("stability rerun did not blow up")
         return rep.t_detected
 
-    stability = _require_stable(
-        domain_doubling_check(
-            t_big, t_detected_on, base.grid, label=f"t_detected(R={r_big:g})"
-        )
-    )
     return SweepResult(
         parameter="R",
         parameter_values=r_arr,
@@ -185,7 +181,9 @@ def lifespan_sweep(
         intercept=float(intercept),
         residual=float(np.sqrt(np.mean(resid**2))),
         records=records,
-        stability=stability,
+        stability=domain_doubling_check(
+            t_big, t_detected_on, base.grid, label=f"t_detected(R={r_big:g})"
+        ),
     )
 
 
@@ -227,9 +225,6 @@ def commutator_scaling(
         return estimate_kappa(w, grid, tol=tol, seed=seed).kappa
 
     kappa_1 = kappas[0] if r_arr[0] == 1.0 else kappa_on(base_grid)
-    stability = _require_stable(
-        domain_doubling_check(kappa_1, kappa_on, base_grid, label="kappa(R=1)")
-    )
     return SweepResult(
         parameter="R",
         parameter_values=r_arr,
@@ -239,7 +234,9 @@ def commutator_scaling(
         intercept=float(intercept),
         residual=float(np.sqrt(np.mean(resid**2))),
         records=tuple(records),
-        stability=stability,
+        stability=domain_doubling_check(
+            kappa_1, kappa_on, base_grid, label="kappa(R=1)"
+        ),
     )
 
 
@@ -335,19 +332,18 @@ def subcritical_threshold(
                 inv_weight_norm=ninv_r,
                 initial_weighted_norm=v0_r,
             )
-            stability = _require_stable(domain_doubling_check(
-                kappa_r,
-                lambda g: estimate_kappa(w_r, g, tol=tol, seed=seed).kappa,
-                grid_r,
-                label=f"kappa(R={r:g})",
-            ))
             return ThresholdSearch(
                 r0=r,
                 bound=lifespan_upper_bound(b, variant="conservative"),
                 bound_params=b,
                 predicted_r0=predicted_threshold_scale(p, kappa_base, l2_norm(u0)),
                 history=tuple(history),
-                stability=stability,
+                stability=domain_doubling_check(
+                    kappa_r,
+                    lambda g: estimate_kappa(w_r, g, tol=tol, seed=seed).kappa,
+                    grid_r,
+                    label=f"kappa(R={r:g})",
+                ),
             )
         r *= 2.0
     raise ConvergenceError(
@@ -414,18 +410,6 @@ def bounds_consistency(
     c1 = 2.0 * kappa
     growth = check_growth_inequality(series, c0, c1, weight=weight, tol=margin_tol)
 
-    checks = tuple(
-        _require_stable(domain_doubling_check(value, fn, cfg.grid, label))
-        for value, fn, label in (
-            (kappa,
-             lambda g: estimate_kappa(weight, g, tol=kappa_tol, seed=seed).kappa,
-             "kappa"),
-            (ninv, lambda g: norm_inv_h(weight, g), "inv_h_norm"),
-            (v0,
-             lambda g: _weighted_norm(initial_field(cfg.profile, g), weight),
-             "weighted_data_norm"),
-        )
-    )
     return BoundsAudit(
         bound_params=b,
         threshold_value=threshold,
@@ -434,5 +418,16 @@ def bounds_consistency(
         series=series,
         lower_margins=lower,
         growth_margins=growth,
-        stability=checks,
+        stability=tuple(
+            domain_doubling_check(value, fn, cfg.grid, label)
+            for value, fn, label in (
+                (kappa,
+                 lambda g: estimate_kappa(weight, g, tol=kappa_tol, seed=seed).kappa,
+                 "kappa"),
+                (ninv, lambda g: norm_inv_h(weight, g), "inv_h_norm"),
+                (v0,
+                 lambda g: _weighted_norm(initial_field(cfg.profile, g), weight),
+                 "weighted_data_norm"),
+            )
+        ),
     )

@@ -1,9 +1,11 @@
 """Deterministic result persistence: CSV, JSON, plot data, run manifest.
 
-Every writer here produces byte-identical output for identical inputs:
-floats are rendered with ``repr`` (shortest round-trip form), JSON keys
-are sorted, and the manifest timestamp honors the ``SOURCE_DATE_EPOCH``
-reproducible-build convention when that variable is set.
+The CLI's output tree is laid out in one place, ``cli._write_tree``,
+from these writers.  Every writer produces byte-identical output for
+identical inputs: floats are rendered with ``repr`` (shortest round-trip
+form), JSON keys are sorted, and the manifest timestamp honors the
+``SOURCE_DATE_EPOCH`` reproducible-build convention when that variable
+is set.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ __all__ = [
     "fmt",
     "run_timestamp",
     "sanitize_json",
+    "timeseries_table",
     "write_json",
     "write_plot_curve",
-    "write_plot_index",
-    "write_timeseries_csv",
     "write_rows_csv",
 ]
 
@@ -77,21 +78,18 @@ def write_json(path: str, payload) -> None:
         fh.write(text + "\n")
 
 
-def write_timeseries_csv(path: str, series: TimeSeries) -> None:
+def timeseries_table(series: TimeSeries) -> tuple[list[str], zip]:
     """Fixed column order: t, dt, mass, h1, lp1, sup, then one Q per weight."""
     labels = [w.label for w in series.weights]
     header = ["t", "dt", "mass", "h1", "lp1", "sup"] + [f"Q_{lab}" for lab in labels]
     columns = [series.times, series.dts, series.mass, series.h1,
                series.lp1, series.sup]
     columns += [series.momenta[lab] for lab in labels]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    return header, zip(*columns)
 
 
 def write_rows_csv(path: str, header: Sequence[str], rows) -> None:
-    """Small generic CSV writer; cells are floats, ints, bools, or strings."""
+    """The one CSV writer; cells are floats, ints, bools, or strings."""
     def cell(v) -> str:
         if isinstance(v, (bool, np.bool_)):
             return "true" if v else "false"
@@ -116,11 +114,6 @@ def write_plot_curve(path: str, x, y) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for xv, yv in zip(xs, ys):
             fh.write(f"{fmt(xv)} {fmt(yv)}\n")
-
-
-def write_plot_index(path: str, curves: Sequence[dict]) -> None:
-    """Descriptor file naming each emitted curve and its axis labels."""
-    write_json(path, {"curves": list(curves)})
 
 
 @dataclass(frozen=True)

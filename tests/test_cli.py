@@ -134,12 +134,6 @@ class TestResolve:
         with pytest.raises(ConfigError, match="unknown command"):
             resolve("transmogrify", {}, {})
 
-    def test_as_dict_is_json_ready(self):
-        cfg = resolve("sweep", {}, {})
-        d = cfg.as_dict()
-        assert d["sweep"]["r_values"] == [1.0, 2.0, 4.0, 8.0]
-        json.dumps(d)
-
 
 # ----------------------------------------------------------------------
 # End-to-end command runs
@@ -158,9 +152,19 @@ SIM_ARGS = [
 
 
 class TestMainCommands:
+    @staticmethod
+    def assert_manifest_lists_tree(out):
+        """The manifest names exactly the files on disk, itself included."""
+        manifest = _read_json(out / "manifest.json")
+        on_disk = {p.relative_to(out).as_posix()
+                   for p in out.rglob("*") if p.is_file()}
+        assert set(manifest["outputs"]) == on_disk
+        return manifest
+
     def test_ode_defaults(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["ode", "--out-dir", str(out)]) == 0
+        self.assert_manifest_lists_tree(out)
         assert capsys.readouterr().out.startswith("ode: blowup_time=")
         summary = _read_json(out / "summary.json")
         assert summary["blowup_time"] == pytest.approx(math.log(2.0))
@@ -192,6 +196,7 @@ class TestMainCommands:
         out = tmp_path / "run"
         assert main(["simulate", "--out-dir", str(out)] + SIM_ARGS) == 0
         assert "simulate: blow-up at t=" in capsys.readouterr().out
+        self.assert_manifest_lists_tree(out)
         summary = _read_json(out / "summary.json")
         assert summary["blew_up"] is True
         assert summary["t_detected"] == pytest.approx(0.5, abs=1e-3)
@@ -229,6 +234,8 @@ class TestMainCommands:
             "--sweep.r_values", "1,2,4",
         ]) == 0
         assert "sweep: slope=" in capsys.readouterr().out
+        manifest = self.assert_manifest_lists_tree(out)
+        assert manifest["config"]["sweep"]["r_values"] == [1.0, 2.0, 4.0]
         summary = _read_json(out / "summary.json")
         assert summary["slope"] == pytest.approx(-1.0, abs=1e-4)
         assert summary["runs_included"] == 3
@@ -245,6 +252,7 @@ class TestMainCommands:
             "--commutator.r_values", "1,2", "--commutator.tol", "1e-6",
         ]) == 0
         assert "commutator: slope=" in capsys.readouterr().out
+        self.assert_manifest_lists_tree(out)
         summary = _read_json(out / "summary.json")
         assert summary["slope"] == pytest.approx(-1.0, abs=0.01)
         assert summary["kappa_times_r_spread"] < 5e-3
@@ -257,6 +265,7 @@ class TestMainCommands:
             "--kernel.num_nodes", "3200",
         ]) == 0
         assert "kernel: slope=" in capsys.readouterr().out
+        self.assert_manifest_lists_tree(out)
         summary = _read_json(out / "summary.json")
         assert summary["slope"] <= -1.8
         assert summary["shifted_slope"] <= -1.8
@@ -273,6 +282,7 @@ class TestMainCommands:
             "--evolution.amplitude", "0.9", "--threshold.kappa_tol", "1e-6",
         ]) == 0
         assert "threshold: R0=" in capsys.readouterr().out
+        self.assert_manifest_lists_tree(out)
         summary = _read_json(out / "summary.json")
         assert summary["r0"] == 2.0
         assert summary["bound_condition_met"] is True
@@ -287,6 +297,7 @@ class TestMainCommands:
             "--evolution.t_max", "2", "--bounds.kappa_tol", "1e-6",
         ]) == 0
         assert "bounds: t_detected=" in capsys.readouterr().out
+        self.assert_manifest_lists_tree(out)
         summary = _read_json(out / "summary.json")
         assert summary["blew_up"] is True
         assert summary["t_detected"] <= summary["lifespan_bound"]

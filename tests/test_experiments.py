@@ -28,7 +28,6 @@ from fgl_lab import (
     predicted_threshold_scale,
     subcritical_threshold,
 )
-from fgl_lab.experiments import _require_stable
 
 W = WeightSpec(1.0, 1.0)
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -52,15 +51,11 @@ class TestDomainDoubling:
         assert check.doubled_value == 1.5
         assert check.rel_change == 0.0
         assert check.stable
-        assert _require_stable(check) is check
 
     def test_domain_dependent_scalar_is_flagged(self):
         grid = make_grid(10.0, 64)
-        check = domain_doubling_check(grid.half_length, lambda g: g.half_length, grid, "L")
-        assert check.rel_change == pytest.approx(0.5)
-        assert not check.stable
-        with pytest.raises(GridStabilityError, match="L moved"):
-            _require_stable(check)
+        with pytest.raises(GridStabilityError, match="L moved 50.00%"):
+            domain_doubling_check(grid.half_length, lambda g: g.half_length, grid, "L")
 
     def test_budget_is_respected(self):
         grid = make_grid(10.0, 64)

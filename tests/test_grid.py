@@ -7,20 +7,22 @@ from hypothesis import given, strategies as st
 from fgl_lab import (
     CorruptFieldError,
     FieldState,
-    apply_fractional,
-    apply_gradient,
     apply_half_wave,
     apply_multiplier,
-    field_from_function,
     fractional_symbol,
     gradient_symbol,
     h1_norm,
     half_wave_phase_symbol,
     l2_norm,
-    lp_norm,
     make_grid,
-    spectral_l2_norm,
     sup_norm,
+)
+from fgl_lab.grid import (
+    apply_fractional,
+    apply_gradient,
+    field_from_function,
+    lp_norm,
+    spectral_l2_norm,
 )
 
 
