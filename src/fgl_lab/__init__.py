@@ -33,7 +33,6 @@ from .ode import (
     BoundParams,
     LifespanBound,
     OdeParams,
-    OdeSolution,
     blowup_time,
     closed_form_eval,
     comparison_ode,
@@ -41,7 +40,6 @@ from .ode import (
     lifespan_upper_bound,
     lower_bound_divergence_time,
     numeric_oracle,
-    solve_closed_form,
     weighted_norm_lower_bound,
 )
 from .weights import (
@@ -73,14 +71,11 @@ from .evolution import (
     strang_step,
 )
 from .diagnostics import (
-    H1GrowthFit,
     MarginReport,
     MassIdentityReport,
     check_growth_inequality,
     check_weighted_lower_bound,
-    h1_series,
     mass_identity_residual,
-    weighted_momentum,
 )
 from .kernel_decay import (
     BumpSpec,

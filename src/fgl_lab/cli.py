@@ -56,7 +56,7 @@ from .io import (
 )
 from .kernel_decay import BumpSpec, fit_tail_decay, kernel_transform
 from .ode import OdeParams, blowup_time, closed_form_eval, weighted_norm_lower_bound
-from .weights import WeightSpec, estimate_kappa
+from .weights import WeightSpec
 from .experiments import (
     bounds_consistency,
     commutator_scaling,
@@ -294,9 +294,8 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     weight = _weight_from(cfg)
     t = cfg["threshold"]
     u0 = initial_field(_profile_from(cfg), grid)
-    kappa1 = estimate_kappa(weight, grid, tol=t["kappa_tol"], seed=seed).kappa
     result = subcritical_threshold(
-        u0, cfg["evolution"]["p"], kappa1, weight=weight,
+        u0, cfg["evolution"]["p"], weight=weight,
         max_doublings=t["max_doublings"], tol=t["kappa_tol"],
         seed=seed, max_points=t["max_points"],
     )
@@ -304,7 +303,7 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     summary = {
         "r0": result.r0,
         "predicted_r0": result.predicted_r0,
-        "kappa_base": kappa1,
+        "kappa_base": result.history[0]["kappa"],
         "data_l2_norm": l2_norm(u0),
         "lifespan_bound": result.bound.time,
         "bound_condition_met": result.bound.condition_met,

@@ -18,26 +18,15 @@ from .ode import (
     lower_bound_divergence_time,
     weighted_norm_lower_bound,
 )
-from .weights import WeightSpec
 
 
 def _resolve_label(series: TimeSeries, weight) -> str:
-    if weight is None:
-        label = series.weights[0].label
-    elif isinstance(weight, WeightSpec):
-        label = weight.label
-    else:
-        label = str(weight)
+    label = series.weights[0].label if weight is None else weight.label
     if label not in series.momenta:
         raise WeightNotRegisteredError(
             f"weight {label!r} was not recorded; have {sorted(series.momenta)}"
         )
     return label
-
-
-def weighted_momentum(series: TimeSeries, weight=None) -> np.ndarray:
-    """Recorded Q_h(t) = ||u(t)/h||_2^2 samples for one registered weight."""
-    return series.momenta[_resolve_label(series, weight)]
 
 
 @dataclass(frozen=True)
@@ -133,51 +122,6 @@ def check_growth_inequality(
         violated=bool(worst < -tol),
         worst=worst,
     )
-
-
-@dataclass(frozen=True)
-class H1GrowthFit:
-    """Fit of the Sobolev-norm growth to its Riccati-type envelope.
-
-    c_hat is the constant in ||u(t)||_{H1} <= (||u0||^{-(p-1)}
-    - c_hat (p-1) t / 2)^{-1/(p-1)}; implied_lifespan is where that
-    envelope diverges (+inf when the fit shows no growth).
-    """
-
-    c_hat: float
-    implied_lifespan: float
-    times: np.ndarray
-    h1: np.ndarray
-
-
-def h1_series(series: TimeSeries, t_window: tuple[float, float] | None = None) -> H1GrowthFit:
-    """Fit c_hat from the recorded H^1 samples.
-
-    In the variable y = ||u||_{H1}^{-(p-1)} the envelope is the straight
-    line y(t) = y(0) - c_hat (p-1) t / 2, so c_hat comes from a
-    least-squares slope anchored at the recorded initial value.
-    """
-    t = series.times
-    h1 = series.h1
-    if t_window is not None:
-        lo, hi = t_window
-        mask = (t >= lo) & (t <= hi)
-        # the anchor sample stays in even if the window starts later
-        t, h1 = t[mask], h1[mask]
-    if t.size < 3:
-        raise ValueError("need at least 3 samples in the fit window")
-    m = series.p - 1.0
-    y = h1 ** (-m)
-    y0 = series.h1[0] ** (-m)
-    dt = t - series.times[0]
-    slope = float(np.sum(dt * (y - y0)) / np.sum(dt**2))
-    c_hat = -2.0 * slope / m
-    if c_hat <= 0:
-        return H1GrowthFit(
-            c_hat=c_hat, implied_lifespan=math.inf, times=t, h1=h1
-        )
-    lifespan = 2.0 / (c_hat * m * series.h1[0] ** m)
-    return H1GrowthFit(c_hat=c_hat, implied_lifespan=lifespan, times=t, h1=h1)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,13 @@ from .diagnostics import (
     check_growth_inequality,
     check_weighted_lower_bound,
 )
-from .weights import WeightSpec, estimate_kappa, inv_weight_values, norm_inv_h
+from .weights import (
+    WeightSpec,
+    estimate_kappa,
+    inv_h_tail_integrable,
+    inv_weight_values,
+    norm_inv_h,
+)
 
 DEFAULT_WEIGHT = WeightSpec(exponent=1.0, scale=1.0)
 
@@ -106,8 +112,8 @@ class SweepResult:
     slope: float
     intercept: float
     residual: float
-    records: tuple
     stability: StabilityCheck
+    records: tuple = ()  # per-member run records (lifespan sweeps only)
 
 
 def _run_report(cfg: SimConfig) -> BlowupReport:
@@ -207,17 +213,14 @@ def commutator_scaling(
     r_arr = np.asarray(sorted(float(r) for r in r_values))
     if np.any(r_arr < 1):
         raise ValueError("dilation factors must be >= 1")
-    kappas = []
-    records = []
-    for r in r_arr:
-        grid_r = make_grid(base_grid.half_length * r, int(base_grid.points * r))
-        est = estimate_kappa(w.rescaled(r), grid_r, tol=tol, seed=seed)
-        kappas.append(est.kappa)
-        records.append(
-            {"R": float(r), "kappa": est.kappa, "iterations": est.iterations,
-             "points": grid_r.points}
-        )
-    kappas = np.asarray(kappas)
+    kappas = np.array([
+        estimate_kappa(
+            w.rescaled(r),
+            make_grid(base_grid.half_length * r, int(base_grid.points * r)),
+            tol=tol, seed=seed,
+        ).kappa
+        for r in r_arr
+    ])
     slope, intercept = np.polyfit(np.log(r_arr), np.log(kappas), 1)
     resid = np.log(kappas) - (slope * np.log(r_arr) + intercept)
 
@@ -233,7 +236,6 @@ def commutator_scaling(
         slope=float(slope),
         intercept=float(intercept),
         residual=float(np.sqrt(np.mean(resid**2))),
-        records=tuple(records),
         stability=domain_doubling_check(
             kappa_1, kappa_on, base_grid, label="kappa(R=1)"
         ),
@@ -261,24 +263,31 @@ def _weighted_norm(u: FieldState, w: WeightSpec) -> float:
     return math.sqrt(u.grid.dx * float(np.sum(dens)))
 
 
-def predicted_threshold_scale(p: float, kappa_base: float, data_norm: float) -> float:
-    """Scale R at which kappa_base/R^{1/(p-1)}-type threshold meets the data.
+def predicted_threshold_scale(
+    p: float, kappa_base: float, data_norm: float, weight: WeightSpec
+) -> float:
+    """Scale R at which the dilated weight's threshold meets the data.
 
-    Solves (kappa_base/R)^{1/(p-1)} sqrt(pi R) = data_norm for R, using
-    the ambient-space identities kappa_R = kappa_base / R and
-    ||1/h_R||_2 = sqrt(pi R) (1-d bracket weight).
+    Solves (kappa_base/R)^{1/(p-1)} ||1/h_R||_2 = data_norm for R, using
+    the ambient-space identities kappa_R = kappa_base / R and, for
+    h = <x/a>^s, ||1/h_R||_2^2 = a R C_s^2 with
+    C_s^2 = int (1+x^2)^{-s} dx = sqrt(pi) Gamma(s-1/2) / Gamma(s).
+    Returns +inf when 2s <= 1, where ||1/h_R||_2 diverges.
     """
     expo = 0.5 - 1.0 / (p - 1.0)
     if expo >= 0:
         raise SupercriticalError("threshold scale prediction needs p < 3 in 1-d")
-    base = kappa_base ** (1.0 / (p - 1.0)) * math.sqrt(math.pi)
+    if not inv_h_tail_integrable(weight):
+        return math.inf
+    s = weight.exponent
+    c_sq = math.sqrt(math.pi) * math.gamma(s - 0.5) / math.gamma(s)
+    base = kappa_base ** (1.0 / (p - 1.0)) * math.sqrt(c_sq * weight.scale)
     return (data_norm / base) ** (1.0 / expo)
 
 
 def subcritical_threshold(
     u0: FieldState,
     p: float,
-    kappa_base: float,
     weight: WeightSpec = DEFAULT_WEIGHT,
     max_doublings: int = 8,
     tol: float = 1e-8,
@@ -290,8 +299,9 @@ def subcritical_threshold(
     Walks R = 1, 2, 4, ... computing the commutator norm on grids that
     dilate with the weight, the (tail-corrected) norm of 1/h_R, and the
     weighted data norm on the data's own grid, until the data strictly
-    clears the threshold.  Refuses at or above the Fujita power
-    p_F = 3, where the threshold no longer decays.
+    clears the threshold.  The continuum prediction of that dilation
+    starts from the R = 1 row's kappa.  Refuses at or above the Fujita
+    power p_F = 3, where the threshold no longer decays.
     """
     if p <= 1:
         raise ValueError("need p > 1")
@@ -301,8 +311,6 @@ def subcritical_threshold(
             f"p = {p:g} is at or above the Fujita power {p_fujita:g}; "
             "the dilation threshold does not decay"
         )
-    if kappa_base <= 0:
-        raise ValueError("kappa_base must be positive")
 
     base_grid = u0.grid
     history = []
@@ -336,7 +344,8 @@ def subcritical_threshold(
                 r0=r,
                 bound=lifespan_upper_bound(b, variant="conservative"),
                 bound_params=b,
-                predicted_r0=predicted_threshold_scale(p, kappa_base, l2_norm(u0)),
+                predicted_r0=predicted_threshold_scale(
+                    p, history[0]["kappa"], l2_norm(u0), weight),
                 history=tuple(history),
                 stability=domain_doubling_check(
                     kappa_r,

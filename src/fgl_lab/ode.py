@@ -88,21 +88,6 @@ def closed_form_eval(params: OdeParams, t):
 
 
 @dataclass(frozen=True)
-class OdeSolution:
-    """Closed-form solution bundled with its blow-up time."""
-
-    params: OdeParams
-    blowup_time: float
-
-    def __call__(self, t):
-        return closed_form_eval(self.params, t)
-
-
-def solve_closed_form(params: OdeParams) -> OdeSolution:
-    return OdeSolution(params=params, blowup_time=blowup_time(params))
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Adaptive-integration record: samples, plus the threshold crossing if any."""
 

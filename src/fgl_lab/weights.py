@@ -67,7 +67,7 @@ def inv_h_tail_integrable(w: WeightSpec) -> bool:
     return 2.0 * w.exponent > 1
 
 
-def norm_inv_h(w: WeightSpec, grid: GridSpec, tail_correction: bool = True) -> float:
+def norm_inv_h(w: WeightSpec, grid: GridSpec) -> float:
     """L2 norm of 1/h: grid quadrature plus the analytic tail.
 
     The grid only sees [-L, L); for slowly decaying weights the tail
@@ -78,7 +78,7 @@ def norm_inv_h(w: WeightSpec, grid: GridSpec, tail_correction: bool = True) -> f
     """
     vals = inv_weight_values(w, grid)
     total = grid.dx * float(np.sum(vals**2))
-    if tail_correction and inv_h_tail_integrable(w):
+    if inv_h_tail_integrable(w):
         from scipy.integrate import quad
 
         s, r = w.exponent, w.scale
@@ -166,8 +166,6 @@ class CommutatorEstimate:
 
     kappa: float
     iterations: int  # applications of the normal operator A*A
-    grid: GridSpec
-    weight: WeightSpec
 
 
 def estimate_kappa(
@@ -187,7 +185,7 @@ def estimate_kappa(
     kappa, applications = _operator_norm(
         lambda v: apply_a(v).real, lambda v: apply_a_star(v).real,
         grid.points, tol=tol, max_iter=max_iter, seed=seed)
-    return CommutatorEstimate(kappa, applications, grid, w)
+    return CommutatorEstimate(kappa, applications)
 
 
 # ----------------------------------------------------------------------

@@ -353,8 +353,7 @@ def test_criterion_11_dilation_certifies_small_data_blowup(scoreboard):
     base = make_grid(12.5, 256)
     profile = GaussianProfile(amplitude=0.16, width=2.0, center=0.0)
     u0 = initial_field(profile, base)
-    kappa_base = estimate_kappa(W, base, tol=1e-8).kappa
-    found = subcritical_threshold(u0, 2.0, kappa_base)
+    found = subcritical_threshold(u0, 2.0)
     ratio = found.r0 / found.predicted_r0
 
     cfg = SimConfig(grid=make_grid(50.0, 1024), p=2.0, profile=profile,
@@ -362,7 +361,7 @@ def test_criterion_11_dilation_certifies_small_data_blowup(scoreboard):
     _, report = simulate(cfg)
 
     with pytest.raises(SupercriticalError):
-        subcritical_threshold(u0, 3.0, kappa_base)
+        subcritical_threshold(u0, 3.0)
 
     ok = (math.isfinite(found.r0) and 0.25 <= ratio <= 4.0
           and found.bound.condition_met and report.blew_up

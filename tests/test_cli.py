@@ -288,6 +288,36 @@ class TestMainCommands:
         assert summary["bound_condition_met"] is True
         assert summary["doublings_tried"] == 2
 
+    def test_threshold_estimates_kappa_once_per_dilation(self, tmp_path,
+                                                          monkeypatch, capsys):
+        from fgl_lab import weights
+
+        original = weights.estimate_kappa
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if ((name == "fgl_lab" or name.startswith("fgl_lab."))
+                    and getattr(module, "estimate_kappa", None) is original):
+                monkeypatch.setattr(module, "estimate_kappa", counted)
+        out = tmp_path / "run"
+        assert main([
+            "threshold", "--out-dir", str(out),
+            "--grid.half_length", "50", "--grid.points", "1024",
+            "--evolution.amplitude", "0.3", "--evolution.p", "1.5",
+        ]) == 0
+        capsys.readouterr()
+        summary = _read_json(out / "summary.json")
+        assert summary["r0"] == 2.0
+        # the R = 1 and R = 2 rows, then the domain-doubled rerun at R = 2
+        assert len(calls) == 3
+        kappas = np.loadtxt(out / "threshold.csv", delimiter=",", skiprows=1,
+                            usecols=1)
+        assert summary["kappa_base"] == kappas[0]
+
     def test_bounds_command(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main([
@@ -405,6 +435,15 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "Fujita" in capsys.readouterr().err
+
+    def test_zero_data_exhausts_the_grid_budget(self, tmp_path, capsys):
+        # zero data never clears the threshold; no bound is built for it
+        code = main([
+            "threshold", "--out-dir", str(tmp_path / "o"),
+            "--evolution.amplitude", "0", "--evolution.p", "1.5",
+        ])
+        assert code == 2
+        assert "grid budget" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

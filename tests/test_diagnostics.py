@@ -17,8 +17,6 @@ from fgl_lab import (
     check_weighted_lower_bound,
     closed_form_eval,
     comparison_ode,
-    h1_series,
-    homogeneous_blowup_time,
     initial_field,
     inv_weight_values,
     l2_norm,
@@ -26,7 +24,6 @@ from fgl_lab import (
     make_grid,
     mass_identity_residual,
     simulate,
-    weighted_momentum,
 )
 from fgl_lab.grid import FieldState
 
@@ -74,18 +71,20 @@ class TestWeightedMomentum:
             GaussianProfile(amplitude=1.5, width=1.0, center=0.0), grid
         )
         v = FieldState(grid, u0.values * inv_weight_values(W, grid))
-        assert weighted_momentum(series, W)[0] == pytest.approx(
+        assert series.momenta[W.label][0] == pytest.approx(
             l2_norm(v) ** 2, rel=1e-12
         )
 
     def test_unregistered_weight_raises(self, gaussian_run):
         series, _ = gaussian_run
         with pytest.raises(WeightNotRegisteredError):
-            weighted_momentum(series, WeightSpec(2.0, 3.0))
+            check_growth_inequality(series, 1.0, 1.0, weight=WeightSpec(2.0, 3.0))
 
     def test_default_weight_is_first_registered(self, gaussian_run):
         series, _ = gaussian_run
-        assert np.array_equal(weighted_momentum(series), weighted_momentum(series, W))
+        default = check_growth_inequality(series, 1.0, 1.0)
+        explicit = check_growth_inequality(series, 1.0, 1.0, weight=W)
+        assert np.array_equal(default.margins, explicit.margins)
 
 
 class TestLowerBoundMargins:
@@ -146,45 +145,6 @@ class TestGrowthInequality:
         series = exact_comparison_series(ref_params, n=4)
         with pytest.raises(ValueError):
             check_growth_inequality(series, 1.0, 1.0)
-
-
-class TestH1Fit:
-    def test_constant_data_fit_is_exact(self):
-        grid = make_grid(10.0, 64)
-        cfg = SimConfig(
-            grid=grid, p=2.0, profile=ConstantProfile(2.0),
-            t_max=0.4, dt_max=2e-3,
-        )
-        series, _ = simulate(cfg)
-        fit = h1_series(series)
-        assert fit.c_hat == pytest.approx(2.0 * (2 * 10.0) ** -0.5, rel=1e-10)
-        assert fit.implied_lifespan == pytest.approx(
-            homogeneous_blowup_time(2.0, 2.0), rel=1e-10
-        )
-
-    def test_window_restricts_samples(self):
-        grid = make_grid(10.0, 64)
-        cfg = SimConfig(
-            grid=grid, p=2.0, profile=ConstantProfile(2.0),
-            t_max=0.4, dt_max=2e-3,
-        )
-        series, _ = simulate(cfg)
-        fit = h1_series(series, t_window=(0.1, 0.3))
-        assert fit.times[0] >= 0.1
-        assert fit.times[-1] <= 0.3
-        assert fit.implied_lifespan == pytest.approx(0.5, rel=1e-6)
-
-    def test_decaying_h1_gives_infinite_lifespan(self, ref_params):
-        series = exact_comparison_series(ref_params, n=101)
-        decaying = TimeSeries(
-            p=series.p, grid=series.grid, weights=series.weights,
-            times=series.times, dts=series.dts, mass=series.mass,
-            h1=1.0 / (1.0 + series.times), lp1=series.lp1, sup=series.sup,
-            momenta=series.momenta,
-        )
-        fit = h1_series(decaying)
-        assert fit.c_hat <= 0
-        assert fit.implied_lifespan == math.inf
 
 
 class TestMassIdentity:

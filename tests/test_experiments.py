@@ -21,10 +21,10 @@ from fgl_lab import (
     bounds_consistency,
     commutator_scaling,
     domain_doubling_check,
-    estimate_kappa,
     initial_field,
     lifespan_sweep,
     make_grid,
+    norm_inv_h,
     predicted_threshold_scale,
     subcritical_threshold,
 )
@@ -134,29 +134,42 @@ class TestPredictedThresholdScale:
         norm=st.floats(0.01, 5.0),
     )
     def test_solves_the_matching_equation(self, p, kappa1, norm):
-        r = predicted_threshold_scale(p, kappa1, norm)
+        r = predicted_threshold_scale(p, kappa1, norm, W)
         threshold_at_r = (kappa1 / r) ** (1.0 / (p - 1.0)) * math.sqrt(
             math.pi * r
         )
         assert threshold_at_r == pytest.approx(norm, rel=1e-9)
 
+    def test_slow_weight_matches_the_grid_norm(self):
+        # ||1/h_R||_2 for h = <x/a>^0.75 is sqrt(a R C^2) with C^2 > pi;
+        # the prediction must use it, checked against the tail-corrected norm
+        w = WeightSpec(0.75, 2.0)
+        p, kappa1, norm = 1.5, 0.4, 0.3
+        r = predicted_threshold_scale(p, kappa1, norm, w)
+        ninv = norm_inv_h(w.rescaled(r), make_grid(400.0, 2**16))
+        threshold_at_r = (kappa1 / r) ** (1.0 / (p - 1.0)) * ninv
+        assert threshold_at_r == pytest.approx(norm, rel=1e-6)
+
+    def test_non_integrable_weight_has_no_prediction(self):
+        w = WeightSpec(0.5, 1.0)
+        assert predicted_threshold_scale(1.5, 0.4, 0.3, w) == math.inf
+
     def test_needs_subcritical_power(self):
         with pytest.raises(SupercriticalError):
-            predicted_threshold_scale(3.0, 0.5, 1.0)
+            predicted_threshold_scale(3.0, 0.5, 1.0, W)
 
 
 @pytest.fixture(scope="module")
-def base_grid_and_kappa():
-    grid = make_grid(12.5, 256)
-    kappa = estimate_kappa(W, grid, tol=1e-8).kappa
-    return grid, kappa
+def base_grid():
+    return make_grid(12.5, 256)
 
 
 class TestSubcriticalThreshold:
-    def test_large_data_certified_without_dilation(self, base_grid_and_kappa):
-        grid, kb = base_grid_and_kappa
-        u0 = initial_field(GaussianProfile(amplitude=1.2, width=1.0, center=0.0), grid)
-        found = subcritical_threshold(u0, 2.0, kb)
+    def test_large_data_certified_without_dilation(self, base_grid):
+        u0 = initial_field(
+            GaussianProfile(amplitude=1.2, width=1.0, center=0.0), base_grid
+        )
+        found = subcritical_threshold(u0, 2.0)
         assert found.r0 == 1.0
         assert len(found.history) == 1
         assert found.history[0]["met"] is True
@@ -164,10 +177,11 @@ class TestSubcriticalThreshold:
         assert math.isfinite(found.bound.time)
         assert found.stability.stable
 
-    def test_small_data_needs_one_doubling(self, base_grid_and_kappa):
-        grid, kb = base_grid_and_kappa
-        u0 = initial_field(GaussianProfile(amplitude=0.9, width=1.0, center=0.0), grid)
-        found = subcritical_threshold(u0, 2.0, kb)
+    def test_small_data_needs_one_doubling(self, base_grid):
+        u0 = initial_field(
+            GaussianProfile(amplitude=0.9, width=1.0, center=0.0), base_grid
+        )
+        found = subcritical_threshold(u0, 2.0)
         assert found.r0 == 2.0
         assert [h["met"] for h in found.history] == [False, True]
         # dilation trades kappa down faster than the data norm shrinks
@@ -175,40 +189,41 @@ class TestSubcriticalThreshold:
         assert h1["threshold"] < h0["threshold"]
         assert h1["kappa"] == pytest.approx(h0["kappa"] / 2.0, rel=0.01)
 
-    def test_prediction_brackets_the_dyadic_answer(self, base_grid_and_kappa):
-        grid, kb = base_grid_and_kappa
-        u0 = initial_field(GaussianProfile(amplitude=0.9, width=1.0, center=0.0), grid)
-        found = subcritical_threshold(u0, 2.0, kb)
+    def test_prediction_brackets_the_dyadic_answer(self, base_grid):
+        u0 = initial_field(
+            GaussianProfile(amplitude=0.9, width=1.0, center=0.0), base_grid
+        )
+        found = subcritical_threshold(u0, 2.0)
         # dyadic search lands within a factor of 4 of the continuum estimate
         assert 0.25 <= found.r0 / found.predicted_r0 <= 4.0
 
-    def test_grid_budget_guard(self, base_grid_and_kappa):
-        grid, kb = base_grid_and_kappa
-        u0 = initial_field(GaussianProfile(amplitude=0.9, width=1.0, center=0.0), grid)
-        with pytest.raises(ConvergenceError, match="grid budget"):
-            subcritical_threshold(u0, 2.0, kb, max_points=256)
-
-    def test_doubling_budget_guard(self, base_grid_and_kappa):
-        grid, kb = base_grid_and_kappa
+    def test_grid_budget_guard(self, base_grid):
         u0 = initial_field(
-            GaussianProfile(amplitude=1e-6, width=1.0, center=0.0), grid
+            GaussianProfile(amplitude=0.9, width=1.0, center=0.0), base_grid
+        )
+        with pytest.raises(ConvergenceError, match="grid budget"):
+            subcritical_threshold(u0, 2.0, max_points=256)
+
+    def test_doubling_budget_guard(self, base_grid):
+        u0 = initial_field(
+            GaussianProfile(amplitude=1e-6, width=1.0, center=0.0), base_grid
         )
         with pytest.raises(ConvergenceError, match="threshold not met"):
-            subcritical_threshold(u0, 2.0, kb, max_doublings=2, max_points=10**6)
+            subcritical_threshold(u0, 2.0, max_doublings=2, max_points=10**6)
 
-    def test_fujita_power_is_refused(self, base_grid_and_kappa):
-        grid, kb = base_grid_and_kappa
-        u0 = initial_field(GaussianProfile(amplitude=1.2, width=1.0, center=0.0), grid)
+    def test_fujita_power_is_refused(self, base_grid):
+        u0 = initial_field(
+            GaussianProfile(amplitude=1.2, width=1.0, center=0.0), base_grid
+        )
         with pytest.raises(SupercriticalError, match="Fujita"):
-            subcritical_threshold(u0, 3.0, kb)
+            subcritical_threshold(u0, 3.0)
 
-    def test_parameter_validation(self, base_grid_and_kappa):
-        grid, kb = base_grid_and_kappa
-        u0 = initial_field(GaussianProfile(amplitude=1.2, width=1.0, center=0.0), grid)
+    def test_parameter_validation(self, base_grid):
+        u0 = initial_field(
+            GaussianProfile(amplitude=1.2, width=1.0, center=0.0), base_grid
+        )
         with pytest.raises(ValueError, match="p > 1"):
-            subcritical_threshold(u0, 0.5, kb)
-        with pytest.raises(ValueError, match="kappa_base"):
-            subcritical_threshold(u0, 2.0, 0.0)
+            subcritical_threshold(u0, 0.5)
 
 
 @pytest.fixture(scope="module")

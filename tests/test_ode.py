@@ -18,7 +18,6 @@ from fgl_lab import (
     lifespan_upper_bound,
     lower_bound_divergence_time,
     numeric_oracle,
-    solve_closed_form,
     weighted_norm_lower_bound,
 )
 
@@ -79,12 +78,6 @@ class TestClosedForm:
     def test_initial_value(self):
         params = OdeParams(c1=0.7, c2=1.3, q=2.5, f0=3.0)
         assert closed_form_eval(params, 0.0) == pytest.approx(3.0, rel=1e-14)
-
-    def test_solution_object_matches_eval(self):
-        params = OdeParams(c1=1.0, c2=1.0, q=2.0, f0=2.0)
-        sol = solve_closed_form(params)
-        t = np.linspace(0.0, 0.6, 13)
-        assert np.allclose(sol(t), closed_form_eval(params, t), rtol=1e-14)
 
     @given(params=param_strategy)
     def test_supercritical_solutions_increase(self, params):

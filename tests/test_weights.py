@@ -83,8 +83,8 @@ class TestNormInvH:
     def test_tail_correction_improves_truncation(self):
         grid = make_grid(50.0, 2048)
         w = WeightSpec(1.0, 1.0)
-        with_tail = norm_inv_h(w, grid, tail_correction=True)
-        without = norm_inv_h(w, grid, tail_correction=False)
+        with_tail = norm_inv_h(w, grid)
+        without = math.sqrt(grid.dx * float(np.sum(inv_weight_values(w, grid) ** 2)))
         exact = math.sqrt(math.pi)
         assert abs(with_tail - exact) < abs(without - exact)
 
