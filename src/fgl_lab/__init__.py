@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BlowupExceededError,
-    BoundDivergedError,
     ConfigError,
     ConvergenceError,
     CorruptFieldError,
@@ -39,7 +38,6 @@ from .ode import (
     critical_initial_norm,
     lifespan_upper_bound,
     lower_bound_divergence_time,
-    numeric_oracle,
     weighted_norm_lower_bound,
 )
 from .weights import (

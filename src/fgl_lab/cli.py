@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .config import ResolvedConfig, load_config, parse_overrides, resolve
 from .errors import (
-    BoundDivergedError,
     BlowupExceededError,
     ConfigError,
     ConvergenceError,
@@ -67,7 +66,6 @@ from .experiments import (
 __all__ = ["main"]
 
 _NUMERICAL_ERRORS = (
-    BoundDivergedError,
     BlowupExceededError,
     ConvergenceError,
     CorruptFieldError,
@@ -330,10 +328,8 @@ def _cmd_bounds(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
         kappa_tol=b["kappa_tol"], seed=seed, variant=b["variant"],
     )
     lower = audit.lower_margins
-    bound_curve = [
-        weighted_norm_lower_bound(audit.bound_params, tv, variant=b["variant"])
-        for tv in lower.times
-    ]
+    bound_curve = weighted_norm_lower_bound(audit.bound_params, lower.times,
+                                            variant=b["variant"])
     report = audit.report
     summary = {
         "threshold_value": audit.threshold_value,

@@ -15,6 +15,7 @@ from .errors import WeightNotRegisteredError
 from .evolution import TimeSeries
 from .ode import (
     BoundParams,
+    OdeParams,
     lower_bound_divergence_time,
     weighted_norm_lower_bound,
 )
@@ -42,8 +43,6 @@ class MarginReport:
     tol: float
     violated: bool
     worst: float
-    n_certified: int = 0
-    certified_from: float | None = None
 
 
 def check_weighted_lower_bound(
@@ -56,63 +55,43 @@ def check_weighted_lower_bound(
     """Margins of ||u(t)/h||_2 against its blow-up lower bound.
 
     Samples at or past the bound's divergence time are excluded from the
-    margins (there the bound certifies blow-up outright) and counted in
-    ``n_certified``.
+    margins: there the bound certifies blow-up outright.  ``worst`` is
+    nan when no sample is left.
     """
     label = _resolve_label(series, weight)
-    values = np.sqrt(series.momenta[label])
-    t_div = lower_bound_divergence_time(b)
-    if math.isinf(t_div):
-        mask = np.ones_like(series.times, dtype=bool)
-    else:
-        mask = series.times < t_div * (1.0 - 1e-9)
+    mask = series.times < lower_bound_divergence_time(b) * (1.0 - 1e-9)
     times = series.times[mask]
-    if times.size == 0:
-        return MarginReport(
-            times=times,
-            margins=np.empty(0),
-            tol=tol,
-            violated=False,
-            worst=math.nan,
-            n_certified=int(series.times.size),
-            certified_from=t_div,
-        )
     bound = weighted_norm_lower_bound(b, times, variant=variant)
-    bound = np.atleast_1d(np.asarray(bound, dtype=float))
-    margins = (values[mask] - bound) / bound
-    worst = float(np.min(margins))
-    n_cert = int(series.times.size - times.size)
+    margins = (np.sqrt(series.momenta[label][mask]) - bound) / bound
+    worst = float(np.min(margins)) if margins.size else math.nan
     return MarginReport(
         times=times,
         margins=margins,
         tol=tol,
         violated=bool(worst < -tol),
         worst=worst,
-        n_certified=n_cert,
-        certified_from=t_div if n_cert else None,
     )
 
 
 def check_growth_inequality(
     series: TimeSeries,
-    c0: float,
-    c1: float,
+    ode: OdeParams,
     weight=None,
     tol: float = 0.05,
 ) -> MarginReport:
-    """Margins of Q' >= c0 Q^{(p+1)/2} - c1 Q on interior samples.
+    """Margins of Q' >= c2 Q^q - c1 Q on interior samples.
 
-    Margins are normalized by the scale c0 Q^{(p+1)/2} + c1 Q of the
-    right-hand side.
+    ``ode`` is the comparison ODE (``comparison_ode``) whose coefficients
+    the weighted momentum Q = ||u/h||_2^2 is checked against.  Margins
+    are normalized by the scale c2 Q^q + c1 Q of the right-hand side.
     """
     if series.times.size < 5:
         raise ValueError("need at least 5 recorded samples for derivative checks")
     label = _resolve_label(series, weight)
     q = series.momenta[label]
     qdot = np.gradient(q, series.times)
-    sigma = (series.p + 1.0) / 2.0
-    rhs_scale = c0 * q**sigma + c1 * q
-    raw = qdot - c0 * q**sigma + c1 * q
+    rhs_scale = ode.c2 * q**ode.q + ode.c1 * q
+    raw = qdot - ode.c2 * q**ode.q + ode.c1 * q
     margins = (raw / rhs_scale)[1:-1]
     worst = float(np.min(margins))
     return MarginReport(

@@ -24,14 +24,6 @@ class ConvergenceError(RuntimeError):
     """An iterative estimate failed to converge within its budget."""
 
 
-class BoundDivergedError(ValueError):
-    """A lower bound was evaluated past the time where it diverges.
-
-    Divergence of the bound certifies finite-time blow-up no later than
-    the divergence time.
-    """
-
-
 class WeightNotRegisteredError(KeyError):
     """A diagnostic asked for a weight that the run did not record."""
 

@@ -33,6 +33,7 @@ from .grid import FieldState, GridSpec, l2_norm, make_grid
 from .ode import (
     BoundParams,
     LifespanBound,
+    comparison_ode,
     critical_initial_norm,
     lifespan_upper_bound,
 )
@@ -113,7 +114,6 @@ class SweepResult:
     intercept: float
     residual: float
     stability: StabilityCheck
-    records: tuple = ()  # per-member run records (lifespan sweeps only)
 
 
 def _run_report(cfg: SimConfig) -> BlowupReport:
@@ -128,7 +128,7 @@ def lifespan_sweep(
     """Detected blow-up time versus amplitude factor R, with log-log fit.
 
     Members that do not blow up before base.t_max are excluded from the
-    fit and flagged in the records.  The largest blowing-up member is
+    fit and flagged in ``included``.  The largest blowing-up member is
     re-run on a domain-doubled grid as the stability check.
     """
     if isinstance(profile, CustomProfile):
@@ -148,16 +148,6 @@ def lifespan_sweep(
     included = np.array([rep.blew_up for rep in reports])
     measured = np.array(
         [rep.t_detected if rep.blew_up else math.nan for rep in reports]
-    )
-    records = tuple(
-        {
-            "R": float(r),
-            "blew_up": rep.blew_up,
-            "t_detected": rep.t_detected,
-            "criterion": rep.criterion,
-            "steps": rep.steps,
-        }
-        for r, rep in zip(r_arr, reports)
     )
     if int(included.sum()) < 3:
         raise ValueError(
@@ -186,7 +176,6 @@ def lifespan_sweep(
         slope=float(slope),
         intercept=float(intercept),
         residual=float(np.sqrt(np.mean(resid**2))),
-        records=records,
         stability=domain_doubling_check(
             t_big, t_detected_on, base.grid, label=f"t_detected(R={r_big:g})"
         ),
@@ -296,12 +285,13 @@ def subcritical_threshold(
 ) -> ThresholdSearch:
     """Find the first dyadic weight dilation certifying blow-up of small data.
 
-    Walks R = 1, 2, 4, ... computing the commutator norm on grids that
-    dilate with the weight, the (tail-corrected) norm of 1/h_R, and the
+    Walks R = 1, 2, 4, ... computing the (tail-corrected) norm of 1/h_R,
+    the commutator norm on grids that dilate with the weight, and the
     weighted data norm on the data's own grid, until the data strictly
     clears the threshold.  The continuum prediction of that dilation
     starts from the R = 1 row's kappa.  Refuses at or above the Fujita
-    power p_F = 3, where the threshold no longer decays.
+    power p_F = 3, where the threshold no longer decays, and (through
+    norm_inv_h, before any kappa) weights whose ||1/h||_2 is infinite.
     """
     if p <= 1:
         raise ValueError("need p > 1")
@@ -324,8 +314,8 @@ def subcritical_threshold(
             )
         grid_r = make_grid(base_grid.half_length * r, points)
         w_r = weight.rescaled(r)
-        kappa_r = estimate_kappa(w_r, grid_r, tol=tol, seed=seed).kappa
         ninv_r = norm_inv_h(w_r, grid_r)
+        kappa_r = estimate_kappa(w_r, grid_r, tol=tol, seed=seed).kappa
         v0_r = _weighted_norm(u0, w_r)
         threshold = kappa_r ** (1.0 / (p - 1.0)) * ninv_r
         met = v0_r > threshold
@@ -390,13 +380,14 @@ def bounds_consistency(
     """Run one blow-up simulation and audit it against all three bounds.
 
     Refuses (ThresholdNotMetError) unless the initial data clears the
-    blow-up threshold by the required margin.  Choose cfg.dt_max so that
-    kappa * dt stays below ~0.01, keeping the finite-difference checks
-    honest.
+    blow-up threshold by the required margin, and (ValueError from
+    norm_inv_h) weights whose ||1/h||_2 is infinite.  Choose cfg.dt_max
+    so that kappa * dt stays below ~0.01, keeping the finite-difference
+    checks honest.
     """
     u0 = initial_field(cfg.profile, cfg.grid)
-    kappa = estimate_kappa(weight, cfg.grid, tol=kappa_tol, seed=seed).kappa
     ninv = norm_inv_h(weight, cfg.grid)
+    kappa = estimate_kappa(weight, cfg.grid, tol=kappa_tol, seed=seed).kappa
     v0 = _weighted_norm(u0, weight)
     b = BoundParams(
         p=cfg.p, kappa=kappa, inv_weight_norm=ninv, initial_weighted_norm=v0
@@ -414,10 +405,9 @@ def bounds_consistency(
     lower = check_weighted_lower_bound(
         series, b, weight=weight, variant=variant, tol=margin_tol
     )
-    m = cfg.p - 1.0
-    c0 = 2.0 * ninv ** (-m)
-    c1 = 2.0 * kappa
-    growth = check_growth_inequality(series, c0, c1, weight=weight, tol=margin_tol)
+    growth = check_growth_inequality(
+        series, comparison_ode(b), weight=weight, tol=margin_tol
+    )
 
     return BoundsAudit(
         bound_params=b,

@@ -94,10 +94,6 @@ class FieldState:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
 
 def field_from_function(grid: GridSpec, fn) -> FieldState:
     """Sample a callable of the node coordinates onto the grid."""

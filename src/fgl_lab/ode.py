@@ -17,10 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupExceededError, BoundDivergedError, ConvergenceError
-
-# Below this, kappa is treated as zero and the limit formulas are used.
-_KAPPA_TINY = 1e-10
+from .errors import BlowupExceededError
 
 
 @dataclass(frozen=True)
@@ -76,74 +73,16 @@ def closed_form_eval(params: OdeParams, t):
     if np.any(t_arr < 0):
         raise ValueError("closed form is defined for t >= 0")
     m = params.q - 1.0
+    t_star = blowup_time(params)
     bracket = params.f0 ** (-m) + (params.c2 / params.c1) * np.expm1(
         -params.c1 * m * t_arr
     )
-    if np.any(bracket <= 0):
+    if np.any(t_arr >= t_star) or np.any(bracket <= 0):
         raise BlowupExceededError(
-            f"requested time at or beyond blow-up time T* = {blowup_time(params):.6g}"
+            f"requested time at or beyond blow-up time T* = {t_star:.6g}"
         )
     out = np.exp(-params.c1 * t_arr) * bracket ** (-1.0 / m)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Adaptive-integration record: samples, plus the threshold crossing if any."""
-
-    times: np.ndarray
-    values: np.ndarray
-    crossing_time: float | None
-
-
-def numeric_oracle(
-    params: OdeParams,
-    t_end: float,
-    tol: float = 1e-10,
-    num_samples: int = 200,
-    divergence_mode: bool = False,
-    threshold: float = 1e8,
-) -> OracleResult:
-    """Integrate the ODE with an adaptive embedded Runge-Kutta scheme.
-
-    Independent of the closed form: this is the oracle the analytic
-    formulas are checked against.  In divergence mode the integration
-    stops at the first time f crosses ``threshold`` and reports it as
-    ``crossing_time`` (None if no crossing happened by ``t_end``).
-    """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        f = y[0]
-        return (-params.c1 * f + params.c2 * f**params.q,)
-
-    def crossing(t, y):
-        return y[0] - threshold
-
-    crossing.terminal = divergence_mode
-    crossing.direction = 1.0
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        (params.f0,),
-        method="RK45",
-        rtol=tol,
-        atol=1e-300,
-        dense_output=True,
-        events=(crossing,),
-    )
-    if sol.status == -1:
-        raise ConvergenceError(f"ODE integration failed: {sol.message}")
-    t_hit = None
-    if sol.t_events[0].size:
-        t_hit = float(sol.t_events[0][0])
-    t_stop = sol.t[-1]
-    times = np.linspace(0.0, t_stop, num_samples)
-    values = sol.sol(times)[0]
-    return OracleResult(times=times, values=values, crossing_time=t_hit)
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +94,8 @@ class BoundParams:
     """Ingredients of the blow-up bounds for one run and one weight.
 
     p : nonlinearity power (> 1)
-    kappa : operator-norm estimate of the weighted commutator (>= 0)
+    kappa : operator-norm estimate of the weighted commutator (> 0; it
+        vanishes only for h == 1, whose ||1/h||_2 is infinite)
     inv_weight_norm : ||1/h||_2 on the ambient space
     initial_weighted_norm : ||u0/h||_2
     """
@@ -168,8 +108,8 @@ class BoundParams:
     def __post_init__(self):
         if self.p <= 1:
             raise ValueError("BoundParams.p must exceed 1")
-        if self.kappa < 0 or not math.isfinite(self.kappa):
-            raise ValueError("BoundParams.kappa must be finite and >= 0")
+        if self.kappa <= 0 or not math.isfinite(self.kappa):
+            raise ValueError("BoundParams.kappa must be finite and positive")
         if self.inv_weight_norm <= 0:
             raise ValueError("BoundParams.inv_weight_norm must be positive")
         if self.initial_weighted_norm <= 0:
@@ -185,55 +125,40 @@ def critical_initial_norm(b: BoundParams) -> float:
     return b.kappa ** (1.0 / (b.p - 1.0)) * b.inv_weight_norm
 
 
-def _bracket(b: BoundParams, t):
-    """Common bracket of the lower bound; hits zero at the divergence time."""
+def comparison_ode(b: BoundParams) -> OdeParams:
+    """Bernoulli model satisfied (as equality) by Q = ||u/h||_2^2.
+
+    Q' = -2 kappa Q + 2 ||1/h||_2^{-(p-1)} Q^{(p+1)/2}.  Every bound
+    below is read off its closed form.
+    """
     m = b.p - 1.0
-    v0 = b.initial_weighted_norm
-    ninv = b.inv_weight_norm
-    if b.kappa < _KAPPA_TINY:
-        return v0 ** (-m) - ninv ** (-m) * m * np.asarray(t, dtype=float)
-    return v0 ** (-m) + (ninv ** (-m) / b.kappa) * np.expm1(
-        -b.kappa * m * np.asarray(t, dtype=float)
+    return OdeParams(
+        c1=2.0 * b.kappa,
+        c2=2.0 * b.inv_weight_norm ** (-m),
+        q=(b.p + 1.0) / 2.0,
+        f0=b.initial_weighted_norm**2,
     )
 
 
 def weighted_norm_lower_bound(b: BoundParams, t, variant: str = "conservative"):
     """Lower bound on ||u(t)/h||_2 for data above the blow-up threshold.
 
-    variant='conservative' keeps the prefactor e^{-2 kappa t} that the
-    Gronwall step produces; variant='sharp' uses e^{-kappa t}, which is
-    what the comparison ODE for ||u/h||_2^2 actually yields.  Both share
-    the same bracket and hence the same divergence time.
+    variant='sharp' is sqrt(Q) for the comparison ODE, with prefactor
+    e^{-kappa t}; variant='conservative' keeps the e^{-2 kappa t} that
+    the Gronwall step produces.  Both diverge at the blow-up time of the
+    comparison ODE, and raise BlowupExceededError at or past it.
     """
     if variant not in ("conservative", "sharp"):
         raise ValueError(f"unknown variant {variant!r}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("bound is defined for t >= 0")
-    m = b.p - 1.0
-    bracket = _bracket(b, t_arr)
-    t_div = lower_bound_divergence_time(b)
-    if np.any(t_arr >= t_div) or np.any(bracket <= 0):
-        raise BoundDivergedError(
-            "lower bound diverged: blow-up certified no later than "
-            f"t = {t_div:.6g}"
-        )
-    rate = 2.0 * b.kappa if variant == "conservative" else b.kappa
-    out = np.exp(-rate * t_arr) * bracket ** (-1.0 / m)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    root = np.sqrt(closed_form_eval(comparison_ode(b), t))
+    if variant == "sharp":
+        return root
+    return np.exp(-b.kappa * np.asarray(t, dtype=float)) * root
 
 
 def lower_bound_divergence_time(b: BoundParams) -> float:
-    """Time at which the lower-bound bracket reaches zero (+inf if never)."""
-    m = b.p - 1.0
-    arg = b.kappa * b.inv_weight_norm**m * b.initial_weighted_norm ** (-m)
-    if arg >= 1.0:
-        return math.inf
-    if b.kappa < _KAPPA_TINY:
-        return (
-            b.initial_weighted_norm ** (-m) * b.inv_weight_norm**m / m
-        )
-    return -math.log1p(-arg) / (b.kappa * m)
+    """Blow-up time of the comparison ODE (+inf below the threshold)."""
+    return blowup_time(comparison_ode(b))
 
 
 @dataclass(frozen=True)
@@ -260,20 +185,3 @@ def lifespan_upper_bound(
         return LifespanBound(time=math.inf, condition_met=False)
     factor = 2.0 if variant == "conservative" else 1.0
     return LifespanBound(time=factor * t_div, condition_met=True)
-
-
-def comparison_ode(b: BoundParams) -> OdeParams:
-    """Bernoulli model satisfied (as equality) by Q = ||u/h||_2^2.
-
-    Q' = -2 kappa Q + 2 ||1/h||_2^{-(p-1)} Q^{(p+1)/2}; requires
-    kappa > 0 so the Bernoulli coefficients are admissible.
-    """
-    if b.kappa < _KAPPA_TINY:
-        raise ValueError("comparison ODE requires kappa > 0")
-    m = b.p - 1.0
-    return OdeParams(
-        c1=2.0 * b.kappa,
-        c2=2.0 * b.inv_weight_norm ** (-m),
-        q=(b.p + 1.0) / 2.0,
-        f0=b.initial_weighted_norm**2,
-    )

@@ -72,21 +72,22 @@ def norm_inv_h(w: WeightSpec, grid: GridSpec) -> float:
 
     The grid only sees [-L, L); for slowly decaying weights the tail
     int_{|x|>L} h^{-2} dx is a visible fraction of the total, so it is
-    added by adaptive quadrature whenever 1/h^2 is integrable.  When it
-    is not (2s <= 1), the truncated value is returned as-is and the
-    caller should treat it as L-dependent.
+    added by adaptive quadrature.  Raises ValueError when 2s <= 1: then
+    1/h^2 is not integrable and ||1/h||_2 is infinite.
     """
-    vals = inv_weight_values(w, grid)
-    total = grid.dx * float(np.sum(vals**2))
-    if inv_h_tail_integrable(w):
-        from scipy.integrate import quad
-
-        s, r = w.exponent, w.scale
-        tail, _ = quad(
-            lambda x: (1.0 + (x / r) ** 2) ** (-s), grid.half_length, np.inf
+    if not inv_h_tail_integrable(w):
+        raise ValueError(
+            f"||1/h||_2 is infinite for weight exponent {w.exponent:g}: "
+            "1/h^2 is integrable only for exponent > 1/2"
         )
-        total += 2.0 * tail
-    return math.sqrt(total)
+    from scipy.integrate import quad
+
+    s, r = w.exponent, w.scale
+    tail, _ = quad(
+        lambda x: (1.0 + (x / r) ** 2) ** (-s), grid.half_length, np.inf
+    )
+    vals = inv_weight_values(w, grid)
+    return math.sqrt(grid.dx * float(np.sum(vals**2)) + 2.0 * tail)
 
 
 # ----------------------------------------------------------------------

@@ -436,6 +436,25 @@ class TestExitCodes:
         assert code == 1
         assert "Fujita" in capsys.readouterr().err
 
+    def test_threshold_refuses_non_integrable_weight(self, tmp_path, capsys):
+        # ||1/h||_2 is infinite for exponent 0.5: no L-dependent bound
+        code = main([
+            "threshold", "--out-dir", str(tmp_path / "o"),
+            "--weights.exponent", "0.5", "--grid.half_length", "50",
+            "--grid.points", "1024", "--evolution.amplitude", "0.3",
+            "--evolution.p", "1.5",
+        ])
+        assert code == 1
+        assert "weight exponent 0.5" in capsys.readouterr().err
+
+    def test_bounds_refuses_flat_weight(self, tmp_path, capsys):
+        code = main([
+            "bounds", "--out-dir", str(tmp_path / "o"),
+            "--evolution.amplitude", "3", "--weights.exponent", "0",
+        ])
+        assert code == 1
+        assert "weight exponent 0" in capsys.readouterr().err
+
     def test_zero_data_exhausts_the_grid_budget(self, tmp_path, capsys):
         # zero data never clears the threshold; no bound is built for it
         code = main([

@@ -9,6 +9,7 @@ from fgl_lab import (
     BoundParams,
     ConstantProfile,
     GaussianProfile,
+    OdeParams,
     SimConfig,
     TimeSeries,
     WeightNotRegisteredError,
@@ -28,6 +29,7 @@ from fgl_lab import (
 from fgl_lab.grid import FieldState
 
 W = WeightSpec(1.0, 1.0)
+UNIT_ODE = OdeParams(c1=1.0, c2=1.0, q=1.5, f0=1.0)
 
 
 def exact_comparison_series(b: BoundParams, n=2001, frac=0.9) -> TimeSeries:
@@ -78,12 +80,12 @@ class TestWeightedMomentum:
     def test_unregistered_weight_raises(self, gaussian_run):
         series, _ = gaussian_run
         with pytest.raises(WeightNotRegisteredError):
-            check_growth_inequality(series, 1.0, 1.0, weight=WeightSpec(2.0, 3.0))
+            check_growth_inequality(series, UNIT_ODE, weight=WeightSpec(2.0, 3.0))
 
     def test_default_weight_is_first_registered(self, gaussian_run):
         series, _ = gaussian_run
-        default = check_growth_inequality(series, 1.0, 1.0)
-        explicit = check_growth_inequality(series, 1.0, 1.0, weight=W)
+        default = check_growth_inequality(series, UNIT_ODE)
+        explicit = check_growth_inequality(series, UNIT_ODE, weight=W)
         assert np.array_equal(default.margins, explicit.margins)
 
 
@@ -93,8 +95,6 @@ class TestLowerBoundMargins:
         report = check_weighted_lower_bound(series, ref_params, variant="sharp")
         assert not report.violated
         assert abs(report.worst) < 1e-10
-        assert report.n_certified == 0
-        assert report.certified_from is None
 
     def test_exact_solution_clears_conservative_bound(self, ref_params):
         series = exact_comparison_series(ref_params)
@@ -126,25 +126,21 @@ class TestLowerBoundMargins:
 class TestGrowthInequality:
     def test_exact_solution_has_zero_margins(self, ref_params):
         series = exact_comparison_series(ref_params)
-        m = ref_params.p - 1.0
-        c0 = 2.0 * ref_params.inv_weight_norm ** (-m)
-        c1 = 2.0 * ref_params.kappa
-        report = check_growth_inequality(series, c0, c1)
+        report = check_growth_inequality(series, comparison_ode(ref_params))
         assert not report.violated
         assert abs(report.worst) < 5e-4  # finite-difference error only
 
     def test_overclaimed_constant_is_flagged(self, ref_params):
         series = exact_comparison_series(ref_params)
-        m = ref_params.p - 1.0
-        c0 = 4.0 * ref_params.inv_weight_norm ** (-m)  # double the true c0
-        c1 = 2.0 * ref_params.kappa
-        report = check_growth_inequality(series, c0, c1)
+        ode = comparison_ode(ref_params)
+        doubled = OdeParams(c1=ode.c1, c2=2.0 * ode.c2, q=ode.q, f0=ode.f0)
+        report = check_growth_inequality(series, doubled)
         assert report.violated
 
     def test_needs_enough_samples(self, ref_params):
         series = exact_comparison_series(ref_params, n=4)
         with pytest.raises(ValueError):
-            check_growth_inequality(series, 1.0, 1.0)
+            check_growth_inequality(series, UNIT_ODE)
 
 
 class TestMassIdentity:

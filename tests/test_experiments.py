@@ -86,10 +86,6 @@ class TestLifespanSweep:
         res = lifespan_sweep(sweep_base, ConstantProfile(2.0), [0.2, 1, 2, 4])
         assert list(res.included) == [False, True, True, True]
         assert math.isnan(res.measured[0])
-        rec = res.records[0]
-        assert rec["blew_up"] is False
-        assert rec["t_detected"] is None
-        assert rec["criterion"] is None
 
     def test_needs_three_blowups(self, sweep_base):
         with pytest.raises(ValueError, match="need >= 3"):

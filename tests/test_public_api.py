@@ -1,6 +1,9 @@
-"""Every name fgl_lab exports has a caller outside the tests, or is an oracle."""
+"""Every name fgl_lab exports, and every field of an exported dataclass,
+has a reader outside the tests, or is an oracle."""
 
 import ast
+import dataclasses
+import functools
 import inspect
 from pathlib import Path
 
@@ -10,9 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Exported for the tests alone, each as an independent reference.
 TEST_ORACLES = {
-    "numeric_oracle": "adaptive Runge-Kutta check on the closed-form ODE solution",
-    "comparison_ode": "Bernoulli model whose exact solution the bound margins "
-                      "are checked on",
     "homogeneous_blowup_time": "closed-form lifespan of constant data",
     "apply_commutator": "applies the commutator to fields for adjoint and "
                         "dense-matrix checks of kappa",
@@ -20,43 +20,82 @@ TEST_ORACLES = {
     "mass_identity_residual": "audits the mass production identity (criterion 03)",
 }
 
+# Fields of exported dataclasses read by the tests alone.
+TEST_ONLY_FIELDS = {
+    "MarginReport.margins": "worst and violated derive from it; the tests "
+                            "check it sample by sample",
+    "MassIdentityReport.best_residual": "the report of an oracle "
+                                        "(mass_identity_residual)",
+}
 
-def _exported_names():
-    return sorted(
-        name for name, obj in vars(fgl_lab).items()
+
+def _exported():
+    return {
+        name: obj for name, obj in vars(fgl_lab).items()
         if not name.startswith("_") and not inspect.ismodule(obj)
-    )
+    }
 
 
-def _referenced_names():
-    """Names read, attributes accessed and strings used outside tests/.
+def _references():
+    """(names, reads) in the sources outside tests/.
 
-    Definitions and imports are not references, and neither is the
-    package __init__, which only re-exports.
+    names: names read, attributes accessed and strings used; these make
+    an export called.  reads: attributes read (Load context) and strings
+    used; these make a field read, while a keyword argument that fills
+    a field is a write.  Definitions and imports are neither, and the
+    package __init__, which only re-exports, is skipped.
     """
     package = ROOT / "src" / "fgl_lab"
     files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
     files += list((ROOT / "scripts").glob("*.py"))
     files += list((ROOT / "perfbench").glob("*.py"))
-    seen = set()
+    names, reads = set(), set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                seen.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                seen.add(node.attr)
+                names.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    reads.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                seen.add(node.value)
-    return seen
+                names.add(node.value)
+                reads.add(node.value)
+    return names, reads
+
+
+def _dataclass_fields(exported):
+    """'Class.field' for every field and property of an exported dataclass."""
+    out = []
+    for name, obj in exported.items():
+        if not (inspect.isclass(obj) and dataclasses.is_dataclass(obj)):
+            continue
+        attrs = [f.name for f in dataclasses.fields(obj)]
+        attrs += [a for a, v in vars(obj).items()
+                  if isinstance(v, (property, functools.cached_property))]
+        out += [f"{name}.{a}" for a in attrs]
+    return sorted(out)
 
 
 def test_every_export_has_a_non_test_caller():
-    exported = _exported_names()
+    exported = _exported()
     assert set(TEST_ORACLES) <= set(exported)
-    referenced = _referenced_names()
-    unused = [n for n in exported
+    referenced, _ = _references()
+    unused = [n for n in sorted(exported)
               if n not in referenced and n not in TEST_ORACLES]
     assert unused == [], (
         f"exported but used only by tests: {unused}; delete them or "
         "allow-list them as oracles with a reason"
+    )
+
+
+def test_every_dataclass_field_has_a_non_test_reader():
+    fields = _dataclass_fields(_exported())
+    assert set(TEST_ONLY_FIELDS) <= set(fields)
+    _, read = _references()
+    unread = [f for f in fields
+              if f.split(".")[1] not in read and f not in TEST_ONLY_FIELDS]
+    assert unread == [], (
+        f"fields read only by tests: {unread}; delete them or allow-list "
+        "them with a reason"
     )

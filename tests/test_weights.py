@@ -88,11 +88,12 @@ class TestNormInvH:
         exact = math.sqrt(math.pi)
         assert abs(with_tail - exact) < abs(without - exact)
 
-    def test_flat_weight_norm_is_sqrt_domain(self):
+    def test_non_integrable_weight_is_refused(self):
+        # 1/h^2 is not integrable for 2s <= 1, so ||1/h||_2 is infinite
         grid = make_grid(50.0, 2048)
-        assert norm_inv_h(WeightSpec(0.0, 1.0), grid) == pytest.approx(
-            math.sqrt(100.0), rel=1e-12
-        )
+        for s in (0.0, 0.25, 0.5):
+            with pytest.raises(ValueError, match=f"exponent {s:g}"):
+                norm_inv_h(WeightSpec(s, 1.0), grid)
 
     def test_tail_integrability_predicate(self):
         assert inv_h_tail_integrable(WeightSpec(1.0, 1.0))
