@@ -197,8 +197,15 @@ def commutator_scaling(
 
     For each R the weight scale and the domain are dilated together
     (L = R L0 at fixed dx), which is the discrete stand-in for the
-    ambient-space similarity giving kappa_R = kappa_1 / R.
+    ambient-space similarity giving kappa_R = kappa_1 / R.  Refuses
+    (ValueError, before any kappa) the flat weight h == 1: it commutes
+    with |D|, so kappa is 0 at every R and there is no slope to fit.
     """
+    if w.exponent == 0:
+        raise ValueError(
+            "weight exponent 0 gives h == 1, which commutes with |D|: "
+            "kappa = 0 at every R, so there is no scaling slope to fit"
+        )
     r_arr = np.asarray(sorted(float(r) for r in r_values))
     if np.any(r_arr < 1):
         raise ValueError("dilation factors must be >= 1")
@@ -290,8 +297,10 @@ def subcritical_threshold(
     weighted data norm on the data's own grid, until the data strictly
     clears the threshold.  The continuum prediction of that dilation
     starts from the R = 1 row's kappa.  Refuses at or above the Fujita
-    power p_F = 3, where the threshold no longer decays, and (through
-    norm_inv_h, before any kappa) weights whose ||1/h||_2 is infinite.
+    power p_F = 3, where the threshold no longer decays, (through
+    norm_inv_h, before any kappa) weights whose ||1/h||_2 is infinite,
+    and (ThresholdNotMetError, before any kappa) zero data, which no
+    dilation lifts above a positive threshold.
     """
     if p <= 1:
         raise ValueError("need p > 1")
@@ -315,8 +324,13 @@ def subcritical_threshold(
         grid_r = make_grid(base_grid.half_length * r, points)
         w_r = weight.rescaled(r)
         ninv_r = norm_inv_h(w_r, grid_r)
-        kappa_r = estimate_kappa(w_r, grid_r, tol=tol, seed=seed).kappa
         v0_r = _weighted_norm(u0, w_r)
+        if v0_r == 0:
+            raise ThresholdNotMetError(
+                "the initial data is zero (||u0/h||_2 = 0), so no weight "
+                "dilation clears the blow-up threshold"
+            )
+        kappa_r = estimate_kappa(w_r, grid_r, tol=tol, seed=seed).kappa
         threshold = kappa_r ** (1.0 / (p - 1.0)) * ninv_r
         met = v0_r > threshold
         history.append(
@@ -380,15 +394,21 @@ def bounds_consistency(
     """Run one blow-up simulation and audit it against all three bounds.
 
     Refuses (ThresholdNotMetError) unless the initial data clears the
-    blow-up threshold by the required margin, and (ValueError from
-    norm_inv_h) weights whose ||1/h||_2 is infinite.  Choose cfg.dt_max
+    blow-up threshold by the required margin, and, before any kappa,
+    (ValueError from norm_inv_h) weights whose ||1/h||_2 is infinite and
+    (ValueError) zero initial data.  Choose cfg.dt_max
     so that kappa * dt stays below ~0.01, keeping the finite-difference
     checks honest.
     """
     u0 = initial_field(cfg.profile, cfg.grid)
     ninv = norm_inv_h(weight, cfg.grid)
-    kappa = estimate_kappa(weight, cfg.grid, tol=kappa_tol, seed=seed).kappa
     v0 = _weighted_norm(u0, weight)
+    if v0 == 0:
+        raise ValueError(
+            "the initial data is zero (||u0/h||_2 = 0): there is no "
+            "blow-up to bound"
+        )
+    kappa = estimate_kappa(weight, cfg.grid, tol=kappa_tol, seed=seed).kappa
     b = BoundParams(
         p=cfg.p, kappa=kappa, inv_weight_norm=ninv, initial_weighted_norm=v0
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import FieldState, GridSpec, _require_finite
+from .grid import FieldState, GridSpec, _require_finite, apply_fractional
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,26 @@ def norm_inv_h(w: WeightSpec, grid: GridSpec) -> float:
 
 
 def _commutator_closures(w: WeightSpec, grid: GridSpec):
-    """Raw-array apply/adjoint closures for the commutator on this grid."""
+    """Real-array apply/adjoint closures for the commutator on this grid.
+
+    Each closure stacks its two inputs into one (2, N) array, so |D| acts
+    on both through one real FFT pair.  N is even, so the rfft half
+    spectrum ends on the Nyquist bin and |k| is even in k.
+    """
     h = weight_values(w, grid)
     inv_h = 1.0 / h
-    absk = grid.abs_wavenumber
+    n = grid.points
+    absk = grid.abs_wavenumber[: n // 2 + 1]
+
+    def abs_d_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(np.stack((a, b))) * absk, n)
 
     def apply_a(f: np.ndarray) -> np.ndarray:
-        df = np.fft.ifft(np.fft.fft(f) * absk)
-        dhf = np.fft.ifft(np.fft.fft(h * f) * absk)
+        df, dhf = abs_d_pair(f, h * f)
         return inv_h * dhf - df
 
     def apply_a_star(g: np.ndarray) -> np.ndarray:
-        dg = np.fft.ifft(np.fft.fft(g) * absk)
-        dg_over_h = np.fft.ifft(np.fft.fft(inv_h * g) * absk)
+        dg, dg_over_h = abs_d_pair(g, inv_h * g)
         return h * dg_over_h - dg
 
     return apply_a, apply_a_star
@@ -116,17 +123,22 @@ def _commutator_closures(w: WeightSpec, grid: GridSpec):
 def apply_commutator(
     w: WeightSpec, grid: GridSpec, f: FieldState, adjoint: bool = False
 ) -> FieldState:
-    """Apply A (or A* with adjoint=True) to a field.
+    """Apply A (or A* with adjoint=True) to a complex field.
 
     A* g = h |D|(g/h) - |D| g, the exact adjoint of A in the discrete
-    L2 inner product because |D| is self-adjoint and h is real.
+    L2 inner product because |D| is self-adjoint and h is real.  Built
+    from apply_fractional on complex fields, independently of the packed
+    real closures that estimate_kappa runs, so tests can check one
+    against the other.
     """
-    _require_finite(f.values)
     if f.grid != grid:
         raise ValueError("field does not live on the supplied grid")
-    apply_a, apply_a_star = _commutator_closures(w, grid)
-    op = apply_a_star if adjoint else apply_a
-    return FieldState(grid, op(f.values))
+    h = weight_values(w, grid)
+    if adjoint:
+        weighted = h * apply_fractional(FieldState(grid, f.values / h), 1.0).values
+    else:
+        weighted = apply_fractional(FieldState(grid, h * f.values), 1.0).values / h
+    return FieldState(grid, weighted - apply_fractional(f, 1.0).values)
 
 
 def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
@@ -136,14 +148,11 @@ def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
     ARPACK's Lanczos (eigsh, k=1, which='LA') finds the top eigenvalue
     lambda of A^T A from a start vector drawn from ``seed``.  ``tol`` is
     ARPACK's relative tolerance on lambda and ``max_iter`` the number of
-    ARPACK restarts allowed.  An A that annihilates the start vector
-    (the commutator of h == 1) has norm exactly 0.
+    ARPACK restarts allowed.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     v0 = np.random.default_rng(seed).standard_normal(n)
-    if not np.any(apply_op(v0)):
-        return 0.0, 0
     applications = 0
 
     def normal(v: np.ndarray) -> np.ndarray:
@@ -180,12 +189,15 @@ def estimate_kappa(
 
     ``tol`` is the relative tolerance on kappa^2, ``max_iter`` the number
     of Lanczos restarts allowed.  A maps real data to real data (h real,
-    |k| even), so the Krylov vectors stay real.
+    |k| even), so the Krylov vectors stay real.  The flat weight h == 1
+    commutes with |D|, so exponent 0 gives kappa = 0 without a solve.
     """
+    if w.exponent == 0:
+        return CommutatorEstimate(0.0, 0)
     apply_a, apply_a_star = _commutator_closures(w, grid)
     kappa, applications = _operator_norm(
-        lambda v: apply_a(v).real, lambda v: apply_a_star(v).real,
-        grid.points, tol=tol, max_iter=max_iter, seed=seed)
+        apply_a, apply_a_star, grid.points, tol=tol, max_iter=max_iter,
+        seed=seed)
     return CommutatorEstimate(kappa, applications)
 
 

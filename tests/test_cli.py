@@ -21,6 +21,25 @@ from fgl_lab.config import (
 )
 
 
+@pytest.fixture
+def kappa_calls(monkeypatch):
+    """Arguments of every estimate_kappa call made through fgl_lab."""
+    from fgl_lab import weights
+
+    original = weights.estimate_kappa
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "fgl_lab" or name.startswith("fgl_lab."))
+                and getattr(module, "estimate_kappa", None) is original):
+            monkeypatch.setattr(module, "estimate_kappa", counted)
+    return calls
+
+
 class TestCoerce:
     def test_scalar_types(self):
         assert coerce_value("grid", "half_length", "12.5") == 12.5
@@ -289,20 +308,7 @@ class TestMainCommands:
         assert summary["doublings_tried"] == 2
 
     def test_threshold_estimates_kappa_once_per_dilation(self, tmp_path,
-                                                          monkeypatch, capsys):
-        from fgl_lab import weights
-
-        original = weights.estimate_kappa
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if ((name == "fgl_lab" or name.startswith("fgl_lab."))
-                    and getattr(module, "estimate_kappa", None) is original):
-                monkeypatch.setattr(module, "estimate_kappa", counted)
+                                                          kappa_calls, capsys):
         out = tmp_path / "run"
         assert main([
             "threshold", "--out-dir", str(out),
@@ -313,7 +319,7 @@ class TestMainCommands:
         summary = _read_json(out / "summary.json")
         assert summary["r0"] == 2.0
         # the R = 1 and R = 2 rows, then the domain-doubled rerun at R = 2
-        assert len(calls) == 3
+        assert len(kappa_calls) == 3
         kappas = np.loadtxt(out / "threshold.csv", delimiter=",", skiprows=1,
                             usecols=1)
         assert summary["kappa_base"] == kappas[0]
@@ -455,14 +461,25 @@ class TestExitCodes:
         assert code == 1
         assert "weight exponent 0" in capsys.readouterr().err
 
-    def test_zero_data_exhausts_the_grid_budget(self, tmp_path, capsys):
+    def test_commutator_refuses_flat_weight(self, tmp_path, kappa_calls,
+                                            capsys):
+        # h == 1 commutes with |D|: kappa is 0 at every R, no slope to fit
+        code = main(["commutator", "--out-dir", str(tmp_path / "o"),
+                     "--weights.exponent", "0"])
+        assert code == 1
+        assert "weight exponent 0" in capsys.readouterr().err
+        assert kappa_calls == []
+
+    def test_zero_data_is_refused_before_any_kappa(self, tmp_path, kappa_calls,
+                                                   capsys):
         # zero data never clears the threshold; no bound is built for it
-        code = main([
-            "threshold", "--out-dir", str(tmp_path / "o"),
-            "--evolution.amplitude", "0", "--evolution.p", "1.5",
-        ])
-        assert code == 2
-        assert "grid budget" in capsys.readouterr().err
+        for command, extra, expected in (("bounds", [], 1),
+                                         ("threshold", ["--evolution.p", "1.5"], 2)):
+            code = main([command, "--out-dir", str(tmp_path / command),
+                         "--evolution.amplitude", "0"] + extra)
+            assert code == expected
+            assert "initial data is zero" in capsys.readouterr().err
+        assert kappa_calls == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

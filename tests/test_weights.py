@@ -22,7 +22,7 @@ from fgl_lab import (
     weight_values,
     weighted_kernel_matrix,
 )
-from fgl_lab.weights import _kernel_closures
+from fgl_lab.weights import _commutator_closures, _kernel_closures
 
 
 def random_field(grid, seed):
@@ -146,6 +146,42 @@ class TestCommutator:
         assert est.kappa == pytest.approx(sigma_dense, rel=1e-8)
         assert est.iterations < 10000
         assert est.kappa > 0
+
+    @pytest.mark.parametrize("half_length, points", [(15.0, 64), (100.0, 2048)])
+    def test_packed_closures_match_unpacked_operator(self, half_length, points):
+        # the real closures Lanczos runs against the complex-field oracle
+        grid = make_grid(half_length, points)
+        w = WeightSpec(1.0, 1.0)
+        apply_a, apply_a_star = _commutator_closures(w, grid)
+        random = np.random.default_rng(7).standard_normal(points)
+        nyquist = (-1.0) ** np.arange(points)
+        for v in (random, nyquist):
+            for packed, adjoint in ((apply_a, False), (apply_a_star, True)):
+                out = packed(v)
+                assert out.dtype == np.float64
+                want = apply_commutator(w, grid, FieldState(grid, v),
+                                        adjoint=adjoint).values
+                assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fft_budget_is_one_real_pair_per_operator(self, monkeypatch):
+        # A and A^T each take one rfft/irfft pair: 4 transforms per A^T A
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2",
+                     "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn",
+                     "irfftn"):
+            def counted(*args, _original=getattr(np.fft, name), **kwargs):
+                calls.append(_original)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        grid = make_grid(10.0, 256)
+        est = estimate_kappa(WeightSpec(1.0, 1.0), grid, tol=1e-10)
+        assert est.iterations > 0
+        assert len(calls) == 4 * est.iterations
+        calls.clear()
+        flat = estimate_kappa(WeightSpec(0.0, 1.0), grid, tol=1e-10)
+        assert flat.iterations == 0
+        assert calls == []
 
     def test_estimate_flat_weight_is_zero(self):
         grid = make_grid(10.0, 64)
