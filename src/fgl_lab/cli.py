@@ -243,6 +243,7 @@ def _cmd_commutator(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
         "residual": result.residual,
         "kappa_times_r_spread": spread,
         "stability": _stability_dict(result.stability),
+        "refinement": _stability_dict(result.refinement),
     }
     line = (f"commutator: slope={fmt(result.slope)} "
             f"kappa*R spread={fmt(spread)}")
@@ -294,8 +295,7 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     u0 = initial_field(_profile_from(cfg), grid)
     result = subcritical_threshold(
         u0, cfg["evolution"]["p"], weight=weight,
-        max_doublings=t["max_doublings"], tol=t["kappa_tol"],
-        seed=seed, max_points=t["max_points"],
+        max_doublings=t["max_doublings"], tol=t["kappa_tol"], seed=seed,
     )
     columns = ["R", "kappa", "inv_h_norm", "weighted_data_norm", "threshold", "met"]
     summary = {
@@ -307,6 +307,7 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
         "bound_condition_met": result.bound.condition_met,
         "doublings_tried": len(result.history),
         "stability": _stability_dict(result.stability),
+        "refinement": _stability_dict(result.refinement),
     }
     line = (f"threshold: R0={fmt(result.r0)} predicted={fmt(result.predicted_r0)} "
             f"lifespan bound={fmt(result.bound.time)}")
@@ -409,6 +410,7 @@ def _write_tree(out_dir: str, result: _Result) -> list[str]:
 
     Returns the files written, relative to out_dir: the manifest's list.
     """
+    os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     written = []
     for name, header, rows in result.tables:
         write_rows_csv(os.path.join(out_dir, name), header, rows)
@@ -435,7 +437,6 @@ def run(argv) -> int:
     out_dir = args.out_dir
     if out_dir is None:
         out_dir = os.environ.get("FGL_OUT_DIR", "fgl-out")
-    os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     result = _HANDLERS[args.command](cfg, args.seed, workers)
     manifest = RunManifest(
         command=args.command,

@@ -111,7 +111,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "threshold": {
         "max_doublings": ("int", 8),
-        "max_points": ("int", 8192),
         "kappa_tol": ("float", 1e-8),
     },
     "bounds": {

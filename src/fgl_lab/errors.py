@@ -33,11 +33,17 @@ class ThresholdNotMetError(ValueError):
 
 
 class SupercriticalError(ValueError):
-    """The nonlinearity power is at or above the Fujita exponent p_F = 3."""
+    """The nonlinearity power is at or above the Fujita exponent p_F = 3.
+
+    p_F = 3 is where the weight-dilation argument stops certifying blow-up
+    (its threshold no longer decays), not where the dynamics change: small
+    data blow up at p >= 3 as well.
+    """
 
 
 class GridStabilityError(RuntimeError):
-    """A quantity changed by more than its budget under domain doubling."""
+    """A quantity changed by more than its budget under domain doubling
+    or dx refinement."""
 
 
 class ConfigError(ValueError):

@@ -318,11 +318,35 @@ class TestMainCommands:
         capsys.readouterr()
         summary = _read_json(out / "summary.json")
         assert summary["r0"] == 2.0
-        # the R = 1 and R = 2 rows, then the domain-doubled rerun at R = 2
+        # kappa at R = 1 on (50, 1024), its domain doubling on (100, 2048)
+        # and its dx refinement on (50, 2048); the R = 2 row is kappa_1 / 2
         assert len(kappa_calls) == 3
+        assert sorted((g.half_length, g.points) for _, g in kappa_calls) == [
+            (50.0, 1024), (50.0, 2048), (100.0, 2048)]
+        assert summary["stability"]["label"] == "kappa(R=1)"
+        assert summary["refinement"]["stable"] is True
         kappas = np.loadtxt(out / "threshold.csv", delimiter=",", skiprows=1,
                             usecols=1)
         assert summary["kappa_base"] == kappas[0]
+
+    @pytest.mark.parametrize("r_values", ["1,2,4,8", "1,2,4,8,16,32"])
+    def test_commutator_solves_kappa_three_times(self, tmp_path, kappa_calls,
+                                                 capsys, r_values):
+        out = tmp_path / "run"
+        assert main([
+            "commutator", "--out-dir", str(out),
+            "--grid.half_length", "12.5", "--grid.points", "256",
+            "--commutator.r_values", r_values, "--commutator.tol", "1e-6",
+        ]) == 0
+        capsys.readouterr()
+        # kappa at R = 1, its dx refinement and its domain doubling, however
+        # many rungs: rung R is kappa_1 / R, and no solve runs above 2N
+        assert sorted((g.half_length, g.points) for _, g in kappa_calls) == [
+            (12.5, 256), (12.5, 512), (25.0, 512)]
+        summary = _read_json(out / "summary.json")
+        assert summary["kappa_times_r_spread"] == 0.0
+        assert summary["stability"]["stable"] is True
+        assert summary["refinement"]["stable"] is True
 
     def test_bounds_command(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -452,6 +476,8 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "weight exponent 0.5" in capsys.readouterr().err
+        # a refused run writes no output tree, not even an empty plots/
+        assert not (tmp_path / "o" / "plots").exists()
 
     def test_bounds_refuses_flat_weight(self, tmp_path, capsys):
         code = main([
@@ -473,11 +499,11 @@ class TestExitCodes:
     def test_zero_data_is_refused_before_any_kappa(self, tmp_path, kappa_calls,
                                                    capsys):
         # zero data never clears the threshold; no bound is built for it
-        for command, extra, expected in (("bounds", [], 1),
-                                         ("threshold", ["--evolution.p", "1.5"], 2)):
+        for command, extra in (("bounds", []),
+                               ("threshold", ["--evolution.p", "1.5"])):
             code = main([command, "--out-dir", str(tmp_path / command),
                          "--evolution.amplitude", "0"] + extra)
-            assert code == expected
+            assert code == 1
             assert "initial data is zero" in capsys.readouterr().err
         assert kappa_calls == []
 

@@ -12,15 +12,18 @@ from fgl_lab import (
     ConstantProfile,
     ConvergenceError,
     CustomProfile,
+    FieldState,
     GaussianProfile,
     GridStabilityError,
     SimConfig,
     SupercriticalError,
     ThresholdNotMetError,
     WeightSpec,
+    apply_commutator,
     bounds_consistency,
     commutator_scaling,
     domain_doubling_check,
+    estimate_kappa,
     initial_field,
     lifespan_sweep,
     make_grid,
@@ -63,6 +66,16 @@ class TestDomainDoubling:
             grid.half_length, lambda g: g.half_length, grid, "L", budget=0.6
         )
         assert check.stable
+
+    def test_refine_doubles_points_at_fixed_length(self):
+        seen = []
+        grid = make_grid(10.0, 64)
+        check = domain_doubling_check(
+            grid.dx, lambda g: seen.append(g) or g.dx, grid, "dx", budget=0.6,
+            refine=True,
+        )
+        assert seen == [make_grid(10.0, 128)]
+        assert check.rel_change == 0.5
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +123,53 @@ class TestLifespanSweep:
         assert serial.slope == parallel.slope
 
 
+def _dense_commutator(w, grid):
+    cols = []
+    for j in range(grid.points):
+        e = np.zeros(grid.points, dtype=complex)
+        e[j] = 1.0
+        cols.append(apply_commutator(w, grid, FieldState(grid, e)).values)
+    return np.column_stack(cols)
+
+
+class TestDilationIdentity:
+    """A(h_R; R L, N) = A(h_1; L, N) / R exactly for R a power of two."""
+
+    def test_dense_operators_agree_entry_for_entry(self):
+        base = _dense_commutator(W, make_grid(10.0, 512))
+        for r in (2, 4, 8):
+            dilated = _dense_commutator(W.rescaled(r), make_grid(10.0 * r, 512))
+            assert np.array_equal(dilated, base / r)
+
+    def test_kappa_agrees_bit_for_bit(self):
+        for half_length in (100.0, 12.5):
+            kappa_1 = estimate_kappa(W, make_grid(half_length, 2048)).kappa
+            for r in (2, 4, 8):
+                grid_r = make_grid(r * half_length, 2048)
+                assert r * estimate_kappa(W.rescaled(r), grid_r).kappa == kappa_1
+
+
 class TestCommutatorScaling:
     def test_kappa_scales_inversely_with_dilation(self):
         res = commutator_scaling(W, [1, 2], make_grid(6.25, 128), tol=1e-6)
-        assert res.slope == pytest.approx(-1.0, abs=0.01)
-        product = res.measured * res.parameter_values
-        assert product.max() / product.min() - 1 < 5e-3
+        assert res.slope == pytest.approx(-1.0, abs=1e-12)
+        assert np.array_equal(res.measured * res.parameter_values,
+                              [res.measured[0]] * 2)
         assert res.stability.stable
+        assert res.refinement.stable
+        # the coarsest grid in the suite: kappa moves 7.1e-4 as dx halves
+        assert res.refinement.rel_change == pytest.approx(7.1e-4, rel=0.01)
+        assert res.refinement.budget == 1e-3
+
+    def test_dx_refinement_budget_is_enforced(self):
+        grid = make_grid(6.25, 128)
+
+        def kappa_on(g):
+            return estimate_kappa(W, g, tol=1e-6).kappa
+
+        with pytest.raises(GridStabilityError, match="dx refinement"):
+            domain_doubling_check(kappa_on(grid), kappa_on, grid, "kappa(R=1)",
+                                  budget=5e-4, refine=True)
 
     def test_rejects_subunit_dilations(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -193,19 +246,12 @@ class TestSubcriticalThreshold:
         # dyadic search lands within a factor of 4 of the continuum estimate
         assert 0.25 <= found.r0 / found.predicted_r0 <= 4.0
 
-    def test_grid_budget_guard(self, base_grid):
-        u0 = initial_field(
-            GaussianProfile(amplitude=0.9, width=1.0, center=0.0), base_grid
-        )
-        with pytest.raises(ConvergenceError, match="grid budget"):
-            subcritical_threshold(u0, 2.0, max_points=256)
-
     def test_doubling_budget_guard(self, base_grid):
         u0 = initial_field(
             GaussianProfile(amplitude=1e-6, width=1.0, center=0.0), base_grid
         )
         with pytest.raises(ConvergenceError, match="threshold not met"):
-            subcritical_threshold(u0, 2.0, max_doublings=2, max_points=10**6)
+            subcritical_threshold(u0, 2.0, max_doublings=2)
 
     def test_fujita_power_is_refused(self, base_grid):
         u0 = initial_field(
@@ -220,6 +266,13 @@ class TestSubcriticalThreshold:
         )
         with pytest.raises(ValueError, match="p > 1"):
             subcritical_threshold(u0, 0.5)
+
+    def test_zero_data_is_a_refused_request(self, base_grid):
+        # a plain ValueError (exit 1), not a numerical failure
+        u0 = initial_field(ConstantProfile(0.0), base_grid)
+        with pytest.raises(ValueError, match="initial data is zero") as exc:
+            subcritical_threshold(u0, 2.0)
+        assert type(exc.value) is ValueError
 
 
 @pytest.fixture(scope="module")
