@@ -16,11 +16,15 @@ ends either at t_max or at the first of three blow-up signals: the sup
 norm crossing its threshold, the adaptive dt underflowing, or the
 nonlinear substep turning singular inside a step.
 
-simulate runs this step on raw arrays at three FFTs per step: it keeps
-the spectrum that ends each step, caches the phase symbol while dt
-repeats, and takes sup, dt and every recorded column from one density
-|u|^2 and that spectrum.  The FieldState functions strang_step,
-nonlinear_substep and choose_dt are its tested reference.
+simulate runs this step on raw arrays: it keeps the spectrum that ends
+each step, caches the phase symbol while dt repeats, and takes sup, dt
+and every recorded column from one density |u|^2 and that spectrum.  A
+recorded or non-quiet step costs three FFTs, a quiet one two.  A step is
+quiet when it is not recorded and the Wiener norm sum|fft(u)|/N, which
+bounds sup|u|, proves that the sup stays below every threshold and the
+next dt is dt_max; such a step never forms u = ifft(spec).  The
+FieldState functions strang_step, nonlinear_substep and choose_dt are
+its tested reference.
 """
 from __future__ import annotations
 
@@ -141,6 +145,26 @@ def _stable_dt(sup: float, p: float, theta: float, dt_max: float) -> float:
     if sup == 0.0:
         return dt_max
     return min(dt_max, theta / ((p - 1.0) * sup ** (p - 1.0)))
+
+
+def _quiet_limit(cfg: SimConfig) -> float:
+    """Wiener-norm level below which a state provably needs no sup.
+
+    The sup of u = ifft(spec) is at most the Wiener norm W = sum|spec|/N,
+    up to rounding of order eps log N.  Below this limit, which keeps a
+    relative margin of 1e-6 over that rounding, the sup stays under
+    sup_threshold and theta/((p-1) sup^{p-1}) stays above dt_max, so the
+    next step is exactly dt_max and no threshold is crossed.
+    """
+    margin = 1.0 - 1e-6
+    limit = margin * cfg.sup_threshold
+    if not cfg.linear_only:
+        rate = margin * cfg.theta / ((cfg.p - 1.0) * cfg.dt_max)
+        try:
+            limit = min(limit, rate ** (1.0 / (cfg.p - 1.0)))
+        except OverflowError:
+            pass
+    return limit
 
 
 def _substep_gain(dens: np.ndarray, dt: float, m: float) -> np.ndarray:
@@ -279,6 +303,10 @@ def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
     # step ends on the spectrum it needs for the next first half-step.
     spec = np.fft.fft(u)
     dens = abs_squared(u)
+    # A step may end without forming u: when it is not recorded and the
+    # Wiener norm sum|spec|/N of its spectrum is below _quiet_limit, it
+    # carries dens = None ("quiet") instead.
+    quiet_sum = cfg.grid.points * _quiet_limit(cfg)
     t = 0.0
     steps = 0
     last_dt = 0.0
@@ -287,21 +315,23 @@ def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
     rec.record(t, 0.0, dens, spec)
 
     while True:
-        sup = math.sqrt(float(np.max(dens)))
-        if sup >= cfg.sup_threshold:
-            criterion, t_detected = "sup_threshold", t
-            bracket = (max(t - last_dt, 0.0), t)
-            break
+        # A quiet state (dens None) crosses no threshold and takes dt_max.
+        if dens is not None:
+            sup = math.sqrt(float(np.max(dens)))
+            if sup >= cfg.sup_threshold:
+                criterion, t_detected = "sup_threshold", t
+                bracket = (max(t - last_dt, 0.0), t)
+                break
         if cfg.t_max - t <= 1e-12 * cfg.t_max:
             break
 
-        if cfg.linear_only:
+        if dens is None or cfg.linear_only:
             dt_stab = cfg.dt_max
         else:
             dt_stab = _stable_dt(sup, cfg.p, cfg.theta, cfg.dt_max)
-        if dt_stab < cfg.dt_min:
-            criterion, t_detected, bracket = "dt_underflow", t, (t, t)
-            break
+            if dt_stab < cfg.dt_min:
+                criterion, t_detected, bracket = "dt_underflow", t, (t, t)
+                break
         dt = min(dt_stab, cfg.t_max - t)
 
         if dt != phase_dt:
@@ -317,16 +347,24 @@ def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
                 break
         spec = np.fft.fft(half)
         spec *= phase
-        u = np.fft.ifft(spec)
-        if not np.isfinite(u).all():
-            raise CorruptFieldError(f"state corrupt (NaN/Inf) after step at t = {t}")
-        dens = abs_squared(u)
+        steps += 1
+        record = steps % cfg.record_every == 0
+        # NaN or Inf in spec makes the Wiener norm fail the test.
+        if not record and float(np.sum(np.abs(spec))) < quiet_sum:
+            dens = None
+        else:
+            u = np.fft.ifft(spec)
+            if not np.isfinite(u).all():
+                raise CorruptFieldError(f"state corrupt (NaN/Inf) after step at t = {t}")
+            dens = abs_squared(u)
         t += dt
         last_dt = dt
-        steps += 1
-        if steps % cfg.record_every == 0:
+        if record:
             rec.record(t, dt, dens, spec)
 
+    if dens is None:  # the run ended in a quiet state
+        dens = abs_squared(np.fft.ifft(spec))
+        sup = math.sqrt(float(np.max(dens)))
     rec.record(t, last_dt, dens, spec)
     report = BlowupReport(
         blew_up=criterion is not None,

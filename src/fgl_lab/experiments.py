@@ -133,6 +133,8 @@ class SweepResult:
 
 def _run_report(cfg: SimConfig) -> BlowupReport:
     # Only the report is kept, so record just the first and last samples.
+    # Unrecorded steps can be quiet: simulate skips their end-of-step ifft
+    # while the Wiener norm bounds the sup below every threshold.
     _, report = simulate(replace(cfg, record_every=sys.maxsize))
     return report
 
@@ -296,14 +298,18 @@ def predicted_threshold_scale(
     the ambient-space identities kappa_R = kappa_base / R and, for
     h = <x/a>^s, ||1/h_R||_2^2 = a R C_s^2 with
     C_s^2 = int (1+x^2)^{-s} dx = sqrt(pi) Gamma(s-1/2) / Gamma(s).
-    Returns +inf when 2s <= 1, where ||1/h_R||_2 diverges.
+    Raises ValueError, as norm_inv_h does, when 2s <= 1: then
+    ||1/h_R||_2 is infinite and no scale meets the data.
     """
     expo = 0.5 - 1.0 / (p - 1.0)
     if expo >= 0:
         raise SupercriticalError("threshold scale prediction needs p < 3 in 1-d")
-    if not inv_h_tail_integrable(weight):
-        return math.inf
     s = weight.exponent
+    if not inv_h_tail_integrable(weight):
+        raise ValueError(
+            f"no threshold scale for weight exponent {s:g}: ||1/h_R||_2 is "
+            "infinite, since 1/h^2 is integrable only for exponent > 1/2"
+        )
     c_sq = math.sqrt(math.pi) * math.gamma(s - 0.5) / math.gamma(s)
     base = kappa_base ** (1.0 / (p - 1.0)) * math.sqrt(c_sq * weight.scale)
     return (data_norm / base) ** (1.0 / expo)

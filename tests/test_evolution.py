@@ -1,5 +1,8 @@
 """Strang splitting, adaptive stepping, and blow-up detection."""
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +10,7 @@ from hypothesis import given, strategies as st
 from fgl_lab import (
     BlowupReport,
     ConstantProfile,
+    CorruptFieldError,
     CustomProfile,
     FieldState,
     GaussianProfile,
@@ -98,6 +102,13 @@ def series_rows(series):
     cols = [series.times, series.dts, series.mass, series.h1, series.lp1, series.sup]
     cols += [series.momenta[w.label] for w in series.weights]
     return np.column_stack(cols)
+
+
+def report_rows(cfg):
+    """The BlowupReport and the first and last series rows of one run."""
+    series, report = simulate(cfg)
+    rows = series_rows(series)
+    return report, rows[0].tolist(), rows[-1].tolist()
 
 
 def gaussian_config(half_length, points, p, amplitude, **kw):
@@ -381,6 +392,17 @@ class TestLeanLoop:
         np.testing.assert_allclose(series_rows(series), want_rows, rtol=1e-10, atol=0)
         assert got.final_sup == pytest.approx(want.final_sup, rel=1e-10)
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_unrecorded_run_matches_recorded_run(self, name):
+        # Unrecorded steps may be quiet; recorded ones never are.
+        cfg = self.CASES[name][0]
+        lean, lean_first, lean_last = report_rows(replace(cfg, record_every=sys.maxsize))
+        full, full_first, full_last = report_rows(replace(cfg, record_every=1))
+        for field in ("steps", "criterion", "t_detected", "bracket", "final_sup"):
+            assert getattr(lean, field) == getattr(full, field), field
+        assert lean_first == full_first
+        assert lean_last == full_last
+
     def test_second_order_in_time_on_gaussian_data(self):
         # At theta = 0.9 the adaptive step never undercuts dt_max here, so
         # every run takes fixed steps of dt_max and the error of each
@@ -410,3 +432,102 @@ class TestLeanLoop:
         _, report = simulate(self.CASES["p2_sup_threshold"][0])
         assert report.steps > 10
         assert len(calls) <= 3 * report.steps + 1
+
+    def test_two_ffts_per_quiet_step(self, monkeypatch):
+        # A lifespan-sweep member: only the report is kept, and the steps
+        # run at dt_max until the sup nears the blow-up rate.
+        cfg = replace(self.CASES["p2_sup_threshold"][0], record_every=sys.maxsize)
+        calls, spectra = [], []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                out = _original(*args, **kwargs)
+                calls.append(_original.__name__)
+                if _original.__name__ == "fft":
+                    spectra.append(out)
+                return out
+
+            monkeypatch.setattr(np.fft, name, counted)
+        _, report = simulate(cfg)
+        assert report.criterion == "sup_threshold"
+        # One forward FFT starts the run and one ends each step.
+        assert len(spectra) == report.steps + 1
+        # The sup of ifft(spec) is at most the Wiener norm sum|spec|/N.  A
+        # step that ends below both the sup threshold and the sup at which
+        # dt starts to adapt is quiet: it needs no ifft(spec).
+        limit = min(cfg.sup_threshold,
+                    (cfg.theta / ((cfg.p - 1.0) * cfg.dt_max)) ** (1.0 / (cfg.p - 1.0)))
+        wiener = np.array([np.sum(np.abs(s)) / s.size for s in spectra[1:]])
+        assert np.all(np.abs(wiener / limit - 1.0) > 1e-3)  # none near the margin
+        quiet = int(np.sum(wiener < limit))
+        assert quiet > report.steps / 2
+        assert len(calls) == 1 + 2 * quiet + 3 * (report.steps - quiet)
+
+
+class TestQuietSteps:
+    """The Wiener-norm margin errs on the side of forming u."""
+
+    @staticmethod
+    def constant_config(**kw):
+        # Constant data stay constant under the flow: the single Fourier
+        # mode k = 0, whose Wiener norm equals its sup at every step.
+        return SimConfig(grid=make_grid(5.0, 64), p=2.0, profile=ConstantProfile(1.0),
+                         t_max=2.0, dt_max=0.01, **kw)
+
+    def constant_sups(self, monkeypatch):
+        """The recorded constant run, whose every sup equals its Wiener norm."""
+        spectra = []
+        original = np.fft.fft
+
+        def kept(*args, **kwargs):
+            spectra.append(original(*args, **kwargs))
+            return spectra[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "fft", kept)
+            series, _ = simulate(self.constant_config(theta=0.9, record_every=1))
+        assert [np.sum(np.abs(s)) / s.size for s in spectra] == series.sup.tolist()
+        return series
+
+    def assert_same_run(self, **kw):
+        lean = report_rows(self.constant_config(record_every=sys.maxsize, **kw))
+        full = report_rows(self.constant_config(record_every=1, **kw))
+        assert lean == full
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_margin_at_the_sup_threshold(self, side, monkeypatch):
+        sup = float(self.constant_sups(monkeypatch).sup[40])
+        threshold = {-1: np.nextafter(sup, 0.0), 0: sup, 1: np.nextafter(sup, np.inf)}[side]
+        self.assert_same_run(sup_threshold=float(threshold))
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_margin_at_the_adaptive_dt_level(self, side, monkeypatch):
+        # At p = 2, dt adapts once the sup passes theta/dt_max; this theta
+        # puts that level at step 40's sup, so steps 1..40 still take dt_max.
+        series = self.constant_sups(monkeypatch)
+        assert np.all(series.dts[1:41] == 0.01)
+        theta = 0.01 * float(series.sup[40]) * (1.0 + side * 1e-15)
+        self.assert_same_run(theta=theta)
+
+    def test_corrupt_spectrum_raises_at_the_same_step(self, monkeypatch):
+        cfg = TestLeanLoop.CASES["p2_sup_threshold"][0]
+        original = np.fft.fft
+
+        def message(record_every, k=5):
+            # fft call 0 starts the run; call k ends step k, a quiet step here.
+            calls = []
+
+            def corrupt(*args, **kwargs):
+                out = original(*args, **kwargs)
+                if len(calls) == k:
+                    out[0] = np.nan
+                calls.append(1)
+                return out
+
+            monkeypatch.setattr(np.fft, "fft", corrupt)
+            with pytest.raises(CorruptFieldError) as err:
+                simulate(replace(cfg, record_every=record_every))
+            return str(err.value)
+
+        assert message(sys.maxsize) == message(1)

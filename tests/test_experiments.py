@@ -201,7 +201,8 @@ class TestPredictedThresholdScale:
 
     def test_non_integrable_weight_has_no_prediction(self):
         w = WeightSpec(0.5, 1.0)
-        assert predicted_threshold_scale(1.5, 0.4, 0.3, w) == math.inf
+        with pytest.raises(ValueError, match="integrable only for exponent > 1/2"):
+            predicted_threshold_scale(1.5, 0.4, 0.3, w)
 
     def test_needs_subcritical_power(self):
         with pytest.raises(SupercriticalError):
