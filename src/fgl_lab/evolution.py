@@ -141,10 +141,15 @@ class SimConfig:
 
 
 def _stable_dt(sup: float, p: float, theta: float, dt_max: float) -> float:
-    """Adaptive step: theta over the nonlinear blow-up rate at sup norm sup."""
-    if sup == 0.0:
+    """Adaptive step: theta over the nonlinear blow-up rate at sup norm sup.
+
+    A rate of 0, from zero data or a power of sup that underflows, takes
+    dt_max.
+    """
+    rate = (p - 1.0) * sup ** (p - 1.0)
+    if rate == 0.0:
         return dt_max
-    return min(dt_max, theta / ((p - 1.0) * sup ** (p - 1.0)))
+    return min(dt_max, theta / rate)
 
 
 def _quiet_limit(cfg: SimConfig) -> float:
@@ -170,11 +175,12 @@ def _quiet_limit(cfg: SimConfig) -> float:
 def _substep_gain(dens: np.ndarray, dt: float, m: float) -> np.ndarray:
     """Modulus factor (1 - m dt |w|^m)^{-1/m} from dens = |w|^2.
 
-    Raises SingularSubstepError as nonlinear_substep does.
+    Raises SingularSubstepError as nonlinear_substep does.  A rate
+    m sup^m of 0 (zero data, or a power that underflows) is never singular.
     """
-    sup = math.sqrt(float(np.max(dens)))
-    if sup > 0:
-        dt_adm = 1.0 / (m * sup**m)
+    rate = m * math.sqrt(float(np.max(dens))) ** m
+    if rate > 0:
+        dt_adm = 1.0 / rate
         if dt >= dt_adm:
             raise SingularSubstepError(
                 f"nonlinear substep singular: dt = {dt:.3e} >= {dt_adm:.3e}",

@@ -95,11 +95,6 @@ class FieldState:
         object.__setattr__(self, "values", vals)
 
 
-def field_from_function(grid: GridSpec, fn) -> FieldState:
-    """Sample a callable of the node coordinates onto the grid."""
-    return FieldState(grid, np.asarray(fn(grid.nodes), dtype=np.complex128))
-
-
 def abs_squared(values: np.ndarray) -> np.ndarray:
     """|values|^2 as re^2 + im^2, without the square root np.abs takes."""
     return np.square(values.real) + np.square(values.imag)
@@ -150,11 +145,6 @@ def apply_fractional(f: FieldState, s: float) -> FieldState:
     return apply_multiplier(f, fractional_symbol(f.grid, s))
 
 
-def apply_gradient(f: FieldState) -> FieldState:
-    """Apply the spectral derivative."""
-    return apply_multiplier(f, gradient_symbol(f.grid))
-
-
 def apply_half_wave(f: FieldState, t: float) -> FieldState:
     """Apply the free propagator e^{-i|D|t} (mass-preserving for any t)."""
     return apply_multiplier(f, half_wave_phase_symbol(f.grid, t))
@@ -167,22 +157,6 @@ def apply_half_wave(f: FieldState, t: float) -> FieldState:
 def l2_norm(f: FieldState) -> float:
     _require_finite(f.values)
     return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
-
-
-def spectral_l2_norm(f: FieldState) -> float:
-    """L2 norm computed from Fourier coefficients (Parseval route)."""
-    _require_finite(f.values)
-    coeffs = np.fft.fft(f.values)
-    total = f.values.size
-    return float(np.sqrt(f.grid.dx / total * np.sum(np.abs(coeffs) ** 2)))
-
-
-def lp_norm(f: FieldState, q: float) -> float:
-    """L^q norm; in the evolution diagnostics q = p + 1."""
-    if q < 1:
-        raise ValueError("Lebesgue exponent must be >= 1")
-    _require_finite(f.values)
-    return float((f.grid.dx * np.sum(np.abs(f.values) ** q)) ** (1.0 / q))
 
 
 def sup_norm(f: FieldState) -> float:

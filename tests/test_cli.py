@@ -3,14 +3,17 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fgl_lab
-from fgl_lab.cli import main
+from fgl_lab.cli import build_parser, main
 from fgl_lab.config import (
     COMMAND_SECTIONS,
     ConfigError,
@@ -153,6 +156,26 @@ class TestResolve:
         with pytest.raises(ConfigError, match="unknown command"):
             resolve("transmogrify", {}, {})
 
+    def test_readme_command_lines_resolve(self, tmp_path):
+        # every `fgl` line in the README's sh blocks parses and resolves
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+
+        def blocks(lang):
+            return re.findall(rf"^```{lang}\n(.*?)^```", text, re.M | re.S)
+
+        (ini,) = [b for b in blocks("ini") if b.startswith("# run.ini")]
+        (tmp_path / "run.ini").write_text(ini)
+        lines = [line for block in blocks("sh") for line in block.splitlines()
+                 if line.startswith("fgl ")]
+        assert lines
+        for line in lines:
+            argv = [str(tmp_path / a) if a == "run.ini" else a
+                    for a in shlex.split(line, comments=True)[1:]]
+            args, extra = build_parser().parse_known_args(argv)
+            resolve(args.command, load_config(args.config),
+                    parse_overrides(extra))
+
 
 # ----------------------------------------------------------------------
 # End-to-end command runs
@@ -228,6 +251,15 @@ class TestMainCommands:
         assert np.all(np.diff(data[:, 0]) > 0)
         sup_t, sup = np.loadtxt(out / "plots" / "sup_vs_t.dat", unpack=True)
         assert sup[-1] >= 1e8
+
+    def test_simulate_underflowing_rate_takes_dt_max(self, tmp_path, capsys):
+        # sup**(p-1) underflows to 0: no step limit and no singular substep
+        out = tmp_path / "run"
+        assert main(["simulate", "--out-dir", str(out),
+                     "--evolution.amplitude", "1e-160",
+                     "--evolution.p", "3.5"]) == 0
+        assert _read_json(out / "summary.json")["blew_up"] is False
+        capsys.readouterr()
 
     def test_manifest_lists_every_output(self, tmp_path):
         out = tmp_path / "run"

@@ -1,8 +1,6 @@
 """End-to-end experiments: sweeps, threshold search, bound audits."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,14 +31,6 @@ from fgl_lab import (
 )
 
 W = WeightSpec(1.0, 1.0)
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 class TestDomainDoubling:
@@ -315,20 +305,3 @@ class TestBoundsConsistency:
         )
         with pytest.raises(ThresholdNotMetError, match="below"):
             bounds_consistency(cfg)
-
-
-def test_blowup_demo_script_writes_series_and_plot(tmp_path):
-    script = load_script("run_blowup_demo")
-    code = script.main(["--half-length", "50", "--points", "512", "--t-max", "2",
-                        "--out-dir", str(tmp_path)])
-    assert code == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv", "sup_vs_t.dat"]
-
-
-def test_scaling_suite_script_writes_sweep_tables(tmp_path):
-    script = load_script("run_scaling_suite")
-    code = script.main(["--half-length", "25", "--points", "256",
-                        "--amplitudes", "1", "2", "4", "--out-dir", str(tmp_path)])
-    assert code == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "commutator.dat", "lifespan_p2.dat", "lifespan_p3.dat"]

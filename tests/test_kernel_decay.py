@@ -1,8 +1,6 @@
 """Smooth-cutoff kernel: bump profile, oscillatory transform, tail fit."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +13,6 @@ SPEC = BumpSpec()
 # independently frozen quadrature values (verified against adaptive
 # quadrature of the same integrand at 1e-11 absolute tolerance)
 G_AT_ZERO = 2.2769187101710813
-
-TAILS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_kernel_tails.py"
-
 
 def full_range_complex_transform(spec, x, num_nodes=12800):
     """Reference rule: int phi(|xi|)|xi| e^{i x xi} over [-b, b], complex.
@@ -188,14 +183,3 @@ class TestTailFit:
         x = np.linspace(10, 100, 1000)
         with pytest.raises(ValueError, match="window"):
             fit_tail_decay(x, x**-2.0, window=(-1.0, 100.0))
-
-
-def test_kernel_tails_script_writes_kernel_and_fit_tables(tmp_path):
-    spec = importlib.util.spec_from_file_location("run_kernel_tails", TAILS_SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    code = script.main(["--num-samples", "400", "--num-nodes", "3200",
-                        "--out-dir", str(tmp_path)])
-    assert code == 0
-    for name in ("kernel.dat", "fit_10_100.dat", "fit_20_200.dat"):
-        assert (tmp_path / name).is_file()

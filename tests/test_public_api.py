@@ -1,5 +1,6 @@
-"""Every name fgl_lab exports, and every field of an exported dataclass,
-has a reader outside the tests, or is an oracle."""
+"""Every name fgl_lab exports, every public top-level function and class
+of its modules, and every field of an exported dataclass has a reader
+outside the tests, or is an oracle."""
 
 import ast
 import dataclasses
@@ -10,8 +11,9 @@ from pathlib import Path
 import fgl_lab
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fgl_lab"
 
-# Exported for the tests alone, each as an independent reference.
+# Public for the tests alone, each as an independent reference.
 TEST_ORACLES = {
     "homogeneous_blowup_time": "closed-form lifespan of constant data",
     "apply_commutator": "applies the commutator to fields for adjoint and "
@@ -45,9 +47,7 @@ def _references():
     a field is a write.  Definitions and imports are neither, and the
     package __init__, which only re-exports, is skipped.
     """
-    package = ROOT / "src" / "fgl_lab"
-    files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
-    files += list((ROOT / "scripts").glob("*.py"))
+    files = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
     files += list((ROOT / "perfbench").glob("*.py"))
     names, reads = set(), set()
     for path in files:
@@ -62,6 +62,17 @@ def _references():
                 names.add(node.value)
                 reads.add(node.value)
     return names, reads
+
+
+def _public_definitions():
+    """'module.name' of every public top-level def and class in the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out += [f"{path.stem}.{node.name}" for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")]
+    return out
 
 
 def _dataclass_fields(exported):
@@ -86,6 +97,16 @@ def test_every_export_has_a_non_test_caller():
     assert unused == [], (
         f"exported but used only by tests: {unused}; delete them or "
         "allow-list them as oracles with a reason"
+    )
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    referenced, _ = _references()
+    known = referenced | set(TEST_ORACLES)
+    unused = [d for d in _public_definitions() if d.split(".")[1] not in known]
+    assert unused == [], (
+        f"public but used only by tests: {unused}; delete them, make them "
+        "private, or allow-list them as oracles with a reason"
     )
 
 
