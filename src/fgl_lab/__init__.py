@@ -13,7 +13,6 @@ from .errors import (
     SingularSubstepError,
     SupercriticalError,
     ThresholdNotMetError,
-    WeightNotRegisteredError,
 )
 from .grid import (
     FieldState,
@@ -30,7 +29,6 @@ from .grid import (
 )
 from .ode import (
     BoundParams,
-    LifespanBound,
     OdeParams,
     blowup_time,
     closed_form_eval,

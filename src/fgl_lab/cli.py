@@ -17,6 +17,7 @@ Exit codes: 0 on success (a detected blow-up is a successful result),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .errors import (
     SingularSubstepError,
     SupercriticalError,
     ThresholdNotMetError,
-    WeightNotRegisteredError,
 )
 from .evolution import (
     ConstantProfile,
@@ -72,7 +72,6 @@ _NUMERICAL_ERRORS = (
     GridStabilityError,
     SingularSubstepError,
     ThresholdNotMetError,
-    WeightNotRegisteredError,
     FloatingPointError,
 )
 
@@ -149,8 +148,8 @@ def _stability_dict(check) -> dict:
 
 def _series_curves(series) -> list:
     """One plot curve per recorded quantity against t."""
-    named = [("mass", series.mass), ("h1", series.h1), ("sup", series.sup)]
-    named += [(f"Q_{lab}", series.momenta[lab]) for lab in sorted(series.momenta)]
+    named = [("mass", series.mass), ("h1", series.h1), ("sup", series.sup),
+             (f"Q_{series.weight.label}", series.momentum)]
     return [(f"{name}_vs_t", "t", name, f"{name} along the run",
              series.times, values) for name, values in named]
 
@@ -161,7 +160,7 @@ def _series_curves(series) -> list:
 
 def _cmd_simulate(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     sim = _sim_config(cfg)
-    series, report = simulate(sim, weights=(_weight_from(cfg),))
+    series, report = simulate(sim, weight=_weight_from(cfg))
     summary = {
         "blew_up": report.blew_up,
         "t_detected": report.t_detected,
@@ -303,14 +302,14 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
         "predicted_r0": result.predicted_r0,
         "kappa_base": result.history[0]["kappa"],
         "data_l2_norm": l2_norm(u0),
-        "lifespan_bound": result.bound.time,
-        "bound_condition_met": result.bound.condition_met,
+        "lifespan_bound": result.bound,
+        "bound_condition_met": math.isfinite(result.bound),
         "doublings_tried": len(result.history),
         "stability": _stability_dict(result.stability),
         "refinement": _stability_dict(result.refinement),
     }
     line = (f"threshold: R0={fmt(result.r0)} predicted={fmt(result.predicted_r0)} "
-            f"lifespan bound={fmt(result.bound.time)}")
+            f"lifespan bound={fmt(result.bound)}")
     return _Result(
         line, summary,
         [("threshold.csv", columns,
@@ -337,8 +336,8 @@ def _cmd_bounds(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
         "kappa": audit.bound_params.kappa,
         "inv_weight_norm": audit.bound_params.inv_weight_norm,
         "initial_weighted_norm": audit.bound_params.initial_weighted_norm,
-        "lifespan_bound": audit.bound.time,
-        "bound_condition_met": audit.bound.condition_met,
+        "lifespan_bound": audit.bound,
+        "bound_condition_met": math.isfinite(audit.bound),
         "blew_up": report.blew_up,
         "t_detected": report.t_detected,
         "criterion": report.criterion,
@@ -350,7 +349,7 @@ def _cmd_bounds(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
         "stability": [_stability_dict(c) for c in audit.stability],
     }
     line = (f"bounds: t_detected={fmt(report.t_detected)} vs bound "
-            f"{fmt(audit.bound.time)}; worst margins "
+            f"{fmt(audit.bound)}; worst margins "
             f"lower={fmt(lower.worst)} growth={fmt(audit.growth_margins.worst)}")
     return _Result(
         line, summary,

@@ -72,7 +72,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     "evolution": {
         "p": ("float", 2.0),
         "profile": (_parse_choice("gaussian", "constant"), "gaussian"),
-        "amplitude": ("float", 1.0),
+        "amplitude": ("float", 2.0),
         "width": ("float", 1.0),
         "center": ("float", 0.0),
         "t_max": ("float", 5.0),

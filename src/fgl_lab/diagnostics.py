@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WeightNotRegisteredError
 from .evolution import TimeSeries
 from .ode import (
     BoundParams,
@@ -19,15 +18,6 @@ from .ode import (
     lower_bound_divergence_time,
     weighted_norm_lower_bound,
 )
-
-
-def _resolve_label(series: TimeSeries, weight) -> str:
-    label = series.weights[0].label if weight is None else weight.label
-    if label not in series.momenta:
-        raise WeightNotRegisteredError(
-            f"weight {label!r} was not recorded; have {sorted(series.momenta)}"
-        )
-    return label
 
 
 @dataclass(frozen=True)
@@ -48,7 +38,6 @@ class MarginReport:
 def check_weighted_lower_bound(
     series: TimeSeries,
     b: BoundParams,
-    weight=None,
     variant: str = "conservative",
     tol: float = 0.05,
 ) -> MarginReport:
@@ -58,11 +47,10 @@ def check_weighted_lower_bound(
     margins: there the bound certifies blow-up outright.  ``worst`` is
     nan when no sample is left.
     """
-    label = _resolve_label(series, weight)
     mask = series.times < lower_bound_divergence_time(b) * (1.0 - 1e-9)
     times = series.times[mask]
     bound = weighted_norm_lower_bound(b, times, variant=variant)
-    margins = (np.sqrt(series.momenta[label][mask]) - bound) / bound
+    margins = (np.sqrt(series.momentum[mask]) - bound) / bound
     worst = float(np.min(margins)) if margins.size else math.nan
     return MarginReport(
         times=times,
@@ -76,7 +64,6 @@ def check_weighted_lower_bound(
 def check_growth_inequality(
     series: TimeSeries,
     ode: OdeParams,
-    weight=None,
     tol: float = 0.05,
 ) -> MarginReport:
     """Margins of Q' >= c2 Q^q - c1 Q on interior samples.
@@ -87,8 +74,7 @@ def check_growth_inequality(
     """
     if series.times.size < 5:
         raise ValueError("need at least 5 recorded samples for derivative checks")
-    label = _resolve_label(series, weight)
-    q = series.momenta[label]
+    q = series.momentum
     qdot = np.gradient(q, series.times)
     rhs_scale = ode.c2 * q**ode.q + ode.c1 * q
     raw = qdot - ode.c2 * q**ode.q + ode.c1 * q

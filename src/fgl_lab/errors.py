@@ -24,10 +24,6 @@ class ConvergenceError(RuntimeError):
     """An iterative estimate failed to converge within its budget."""
 
 
-class WeightNotRegisteredError(KeyError):
-    """A diagnostic asked for a weight that the run did not record."""
-
-
 class ThresholdNotMetError(ValueError):
     """Initial data does not clear the blow-up threshold with the required margin."""
 

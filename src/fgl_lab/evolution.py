@@ -45,8 +45,6 @@ from .grid import (
 )
 from .weights import WeightSpec, inv_weight_values
 
-DEFAULT_WEIGHTS = (WeightSpec(exponent=1.0), WeightSpec(exponent=0.5))
-
 
 # ----------------------------------------------------------------------
 # Initial data profiles
@@ -229,16 +227,14 @@ def choose_dt(f: FieldState, p: float, theta: float, dt_max: float) -> float:
 class TimeSeries:
     """Diagnostics sampled along a run (times strictly increasing)."""
 
-    p: float
-    grid: GridSpec
-    weights: tuple[WeightSpec, ...]
+    weight: WeightSpec
     times: np.ndarray
     dts: np.ndarray
     mass: np.ndarray          # ||u||_2^2
     h1: np.ndarray            # ||u||_{H^1}
     lp1: np.ndarray           # ||u||_{p+1}^{p+1}
     sup: np.ndarray
-    momenta: dict             # weight label -> ||u/h||_2^2 samples
+    momentum: np.ndarray      # ||u/h||_2^2 for h = weight
 
 
 @dataclass(frozen=True)
@@ -254,10 +250,10 @@ class BlowupReport:
 
 
 class _Recorder:
-    def __init__(self, cfg: SimConfig, weights):
+    def __init__(self, cfg: SimConfig, weight: WeightSpec):
         self.cfg = cfg
-        self.weights = tuple(weights)
-        self.inv_sq = [inv_weight_values(w, cfg.grid) ** 2 for w in self.weights]
+        self.weight = weight
+        self.inv_sq = inv_weight_values(weight, cfg.grid) ** 2
         self.rows = []
 
     def record(self, t: float, dt: float, dens: np.ndarray, spec: np.ndarray):
@@ -268,28 +264,30 @@ class _Recorder:
         lp1 = dx * float(np.sum(dens ** ((self.cfg.p + 1.0) / 2.0)))
         h1 = h1_norm_from_spectrum(spec, self.cfg.grid)
         self.rows.append(
-            [t, dt, dx * float(np.sum(dens)), h1, lp1, math.sqrt(float(np.max(dens)))]
-            + [dx * float(np.sum(dens * inv_sq)) for inv_sq in self.inv_sq]
+            [t, dt, dx * float(np.sum(dens)), h1, lp1, math.sqrt(float(np.max(dens))),
+             dx * float(np.sum(dens * self.inv_sq))]
         )
 
     def freeze(self) -> TimeSeries:
-        t, dt, mass, h1, lp1, sup, *momenta = np.array(self.rows).T.copy()
+        t, dt, mass, h1, lp1, sup, q = np.array(self.rows).T.copy()
         return TimeSeries(
-            p=self.cfg.p,
-            grid=self.cfg.grid,
-            weights=self.weights,
+            weight=self.weight,
             times=t,
             dts=dt,
             mass=mass,
             h1=h1,
             lp1=lp1,
             sup=sup,
-            momenta={w.label: q for w, q in zip(self.weights, momenta)},
+            momentum=q,
         )
 
 
-def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
+def simulate(
+    cfg: SimConfig, weight: WeightSpec = WeightSpec()
+) -> tuple[TimeSeries, BlowupReport]:
     """Run the adaptive split-step integrator until t_max or blow-up.
+
+    The series records the weighted momentum ||u/h||_2^2 for h = weight.
 
     Detection policy, first signal wins:
       1. sup-norm threshold crossed     -> 'sup_threshold'
@@ -299,9 +297,7 @@ def simulate(cfg: SimConfig, weights=None) -> tuple[TimeSeries, BlowupReport]:
     NaN/Inf anywhere is a corrupt state and raises CorruptFieldError
     rather than being reported as blow-up.
     """
-    if weights is None:
-        weights = DEFAULT_WEIGHTS
-    rec = _Recorder(cfg, weights)
+    rec = _Recorder(cfg, weight)
     u = initial_field(cfg.profile, cfg.grid).values
     if not np.isfinite(u).all():
         raise CorruptFieldError("initial data contains NaN or Inf")

@@ -35,7 +35,6 @@ from .evolution import (
 from .grid import FieldState, GridSpec, l2_norm, make_grid
 from .ode import (
     BoundParams,
-    LifespanBound,
     comparison_ode,
     critical_initial_norm,
     lifespan_upper_bound,
@@ -52,8 +51,6 @@ from .weights import (
     inv_weight_values,
     norm_inv_h,
 )
-
-DEFAULT_WEIGHT = WeightSpec(exponent=1.0, scale=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -276,8 +273,7 @@ class ThresholdSearch:
     """Outcome of the dyadic weight-dilation search."""
 
     r0: float
-    bound: LifespanBound
-    bound_params: BoundParams
+    bound: float  # certified lifespan upper bound
     predicted_r0: float
     history: tuple
     stability: StabilityCheck
@@ -318,7 +314,7 @@ def predicted_threshold_scale(
 def subcritical_threshold(
     u0: FieldState,
     p: float,
-    weight: WeightSpec = DEFAULT_WEIGHT,
+    weight: WeightSpec = WeightSpec(),
     max_doublings: int = 8,
     tol: float = 1e-8,
     seed: int = 0,
@@ -384,7 +380,6 @@ def subcritical_threshold(
             return ThresholdSearch(
                 r0=r,
                 bound=lifespan_upper_bound(b, variant="conservative"),
-                bound_params=b,
                 predicted_r0=predicted_threshold_scale(
                     p, kappa_1, l2_norm(u0), weight),
                 history=tuple(history),
@@ -407,7 +402,7 @@ class BoundsAudit:
 
     bound_params: BoundParams
     threshold_value: float
-    bound: LifespanBound
+    bound: float  # certified lifespan upper bound
     report: BlowupReport
     series: TimeSeries
     lower_margins: MarginReport
@@ -417,7 +412,7 @@ class BoundsAudit:
 
 def bounds_consistency(
     cfg: SimConfig,
-    weight: WeightSpec = DEFAULT_WEIGHT,
+    weight: WeightSpec = WeightSpec(),
     required_margin: float = 1.1,
     margin_tol: float = 0.05,
     kappa_tol: float = 1e-8,
@@ -452,15 +447,10 @@ def bounds_consistency(
             f"= {required_margin * threshold:.6g}"
         )
 
-    weights = (weight,) if weight == DEFAULT_WEIGHT else (weight, DEFAULT_WEIGHT)
-    series, report = simulate(cfg, weights=weights)
+    series, report = simulate(cfg, weight=weight)
 
-    lower = check_weighted_lower_bound(
-        series, b, weight=weight, variant=variant, tol=margin_tol
-    )
-    growth = check_growth_inequality(
-        series, comparison_ode(b), weight=weight, tol=margin_tol
-    )
+    lower = check_weighted_lower_bound(series, b, variant=variant, tol=margin_tol)
+    growth = check_growth_inequality(series, comparison_ode(b), tol=margin_tol)
 
     return BoundsAudit(
         bound_params=b,

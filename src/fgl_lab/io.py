@@ -79,13 +79,10 @@ def write_json(path: str, payload) -> None:
 
 
 def timeseries_table(series: TimeSeries) -> tuple[list[str], zip]:
-    """Fixed column order: t, dt, mass, h1, lp1, sup, then one Q per weight."""
-    labels = [w.label for w in series.weights]
-    header = ["t", "dt", "mass", "h1", "lp1", "sup"] + [f"Q_{lab}" for lab in labels]
-    columns = [series.times, series.dts, series.mass, series.h1,
-               series.lp1, series.sup]
-    columns += [series.momenta[lab] for lab in labels]
-    return header, zip(*columns)
+    """Fixed column order: t, dt, mass, h1, lp1, sup, Q_<weight label>."""
+    header = ["t", "dt", "mass", "h1", "lp1", "sup", f"Q_{series.weight.label}"]
+    return header, zip(series.times, series.dts, series.mass, series.h1,
+                       series.lp1, series.sup, series.momentum)
 
 
 def write_rows_csv(path: str, header: Sequence[str], rows) -> None:

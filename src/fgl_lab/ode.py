@@ -161,18 +161,9 @@ def lower_bound_divergence_time(b: BoundParams) -> float:
     return blowup_time(comparison_ode(b))
 
 
-@dataclass(frozen=True)
-class LifespanBound:
-    """Upper bound on the lifespan; +inf when the threshold is not cleared."""
-
-    time: float
-    condition_met: bool
-
-
-def lifespan_upper_bound(
-    b: BoundParams, variant: str = "conservative"
-) -> LifespanBound:
-    """Lifespan upper bound from the diverging lower bound.
+def lifespan_upper_bound(b: BoundParams, variant: str = "conservative") -> float:
+    """Lifespan upper bound from the diverging lower bound (+inf when the
+    threshold is not cleared).
 
     The 'conservative' variant carries the factor-2 slack of the Gronwall
     step; the 'sharp' variant is the divergence time of the bracket
@@ -180,8 +171,5 @@ def lifespan_upper_bound(
     """
     if variant not in ("conservative", "sharp"):
         raise ValueError(f"unknown variant {variant!r}")
-    t_div = lower_bound_divergence_time(b)
-    if math.isinf(t_div):
-        return LifespanBound(time=math.inf, condition_met=False)
     factor = 2.0 if variant == "conservative" else 1.0
-    return LifespanBound(time=factor * t_div, condition_met=True)
+    return factor * lower_bound_divergence_time(b)

@@ -396,6 +396,29 @@ class TestMainCommands:
         assert summary["lower_margins_ok"] is True
         assert summary["growth_margins_ok"] is True
 
+    def test_bounds_runs_at_its_defaults(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["bounds", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        summary = _read_json(out / "summary.json")
+        assert summary["blew_up"] is True
+        assert summary["lower_margins_ok"] is True
+        assert summary["growth_margins_ok"] is True
+
+    def test_bounds_records_only_its_own_weight(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([
+            "bounds", "--out-dir", str(out), "--weights.exponent", "0.75",
+            "--evolution.amplitude", "4", "--grid.half_length", "100",
+            "--grid.points", "2048", "--evolution.dt_max", "0.01",
+        ]) == 0
+        capsys.readouterr()
+        with open(out / "series.csv") as fh:
+            header = fh.readline().strip().split(",")
+        assert [c for c in header if c.startswith("Q_")] == ["Q_bracket_s0.75_R1"]
+        assert [p.name for p in (out / "plots").glob("Q_*_vs_t.dat")] == [
+            "Q_bracket_s0.75_R1_vs_t.dat"]
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "from-env"
         monkeypatch.setenv("FGL_OUT_DIR", str(target))

@@ -12,7 +12,6 @@ from fgl_lab import (
     OdeParams,
     SimConfig,
     TimeSeries,
-    WeightNotRegisteredError,
     WeightSpec,
     check_growth_inequality,
     check_weighted_lower_bound,
@@ -39,11 +38,10 @@ def exact_comparison_series(b: BoundParams, n=2001, frac=0.9) -> TimeSeries:
     times = np.linspace(0.0, t_end, n)
     q = closed_form_eval(ode, times)
     dts = np.full(n, times[1] - times[0])
-    grid = make_grid(10.0, 16)
     return TimeSeries(
-        p=b.p, grid=grid, weights=(W,), times=times, dts=dts,
+        weight=W, times=times, dts=dts,
         mass=q.copy(), h1=np.sqrt(q), lp1=q.copy(), sup=np.sqrt(q),
-        momenta={W.label: q},
+        momentum=q,
     )
 
 
@@ -55,37 +53,36 @@ def ref_params() -> BoundParams:
     )
 
 
+GAUSSIAN_CFG = SimConfig(
+    grid=make_grid(20.0, 256), p=2.0,
+    profile=GaussianProfile(amplitude=1.5, width=1.0, center=0.0),
+    t_max=0.3, dt_max=2e-3,
+)
+
+
 @pytest.fixture(scope="module")
 def gaussian_run():
-    cfg = SimConfig(
-        grid=make_grid(20.0, 256), p=2.0,
-        profile=GaussianProfile(amplitude=1.5, width=1.0, center=0.0),
-        t_max=0.3, dt_max=2e-3,
-    )
-    return simulate(cfg, weights=(W,))
+    return simulate(GAUSSIAN_CFG, weight=W)
 
 
 class TestWeightedMomentum:
     def test_matches_direct_quadrature(self, gaussian_run):
         series, _ = gaussian_run
-        grid = series.grid
+        grid = GAUSSIAN_CFG.grid
         u0 = initial_field(
             GaussianProfile(amplitude=1.5, width=1.0, center=0.0), grid
         )
         v = FieldState(grid, u0.values * inv_weight_values(W, grid))
-        assert series.momenta[W.label][0] == pytest.approx(
+        assert series.momentum[0] == pytest.approx(
             l2_norm(v) ** 2, rel=1e-12
         )
 
-    def test_unregistered_weight_raises(self, gaussian_run):
-        series, _ = gaussian_run
-        with pytest.raises(WeightNotRegisteredError):
-            check_growth_inequality(series, UNIT_ODE, weight=WeightSpec(2.0, 3.0))
-
     def test_default_weight_is_first_registered(self, gaussian_run):
         series, _ = gaussian_run
-        default = check_growth_inequality(series, UNIT_ODE)
-        explicit = check_growth_inequality(series, UNIT_ODE, weight=W)
+        default_series, _ = simulate(GAUSSIAN_CFG)
+        assert default_series.weight == W
+        default = check_growth_inequality(default_series, UNIT_ODE)
+        explicit = check_growth_inequality(series, UNIT_ODE)
         assert np.array_equal(default.margins, explicit.margins)
 
 
@@ -112,11 +109,11 @@ class TestLowerBoundMargins:
 
     def test_deficient_data_is_flagged(self, ref_params):
         series = exact_comparison_series(ref_params)
-        shrunk = {W.label: 0.5 * series.momenta[W.label]}
         bad = TimeSeries(
-            p=series.p, grid=series.grid, weights=series.weights,
+            weight=series.weight,
             times=series.times, dts=series.dts, mass=series.mass,
-            h1=series.h1, lp1=series.lp1, sup=series.sup, momenta=shrunk,
+            h1=series.h1, lp1=series.lp1, sup=series.sup,
+            momentum=0.5 * series.momentum,
         )
         report = check_weighted_lower_bound(bad, ref_params, variant="sharp")
         assert report.violated

@@ -30,23 +30,22 @@ from fgl_lab import (
     strang_step,
     sup_norm,
 )
-from fgl_lab.evolution import DEFAULT_WEIGHTS
 
 
 def small_grid():
     return make_grid(10.0, 64)
 
 
-def reference_simulate(cfg, weights=DEFAULT_WEIGHTS):
+def reference_simulate(cfg, weight=WeightSpec()):
     """The split-step loop on FieldState, built from the public step operations.
 
     Each step runs strang_step (two FFT pairs), choose_dt and the sup
     check on the state itself, and every sample takes its own FFT for
     h1.  Returns the series as one row per sample (t, dt, mass, h1, lp1,
-    sup, then one momentum per weight) and the BlowupReport.
+    sup, momentum) and the BlowupReport.
     """
     grid = cfg.grid
-    inv_sq = [inv_weight_values(w, grid) ** 2 for w in weights]
+    inv_sq = inv_weight_values(weight, grid) ** 2
     rows = []
 
     def record(t, dt, u):
@@ -56,8 +55,8 @@ def reference_simulate(cfg, weights=DEFAULT_WEIGHTS):
         cv = grid.dx
         rows.append(
             [t, dt, cv * np.sum(dens), h1_norm(u),
-             cv * np.sum(dens ** ((cfg.p + 1.0) / 2.0)), np.sqrt(np.max(dens))]
-            + [cv * np.sum(dens * w) for w in inv_sq]
+             cv * np.sum(dens ** ((cfg.p + 1.0) / 2.0)), np.sqrt(np.max(dens)),
+             cv * np.sum(dens * inv_sq)]
         )
 
     def blowup(criterion, t_detected, sup, steps, bracket):
@@ -99,9 +98,8 @@ def reference_simulate(cfg, weights=DEFAULT_WEIGHTS):
 
 def series_rows(series):
     """The TimeSeries columns in reference_simulate's row layout."""
-    cols = [series.times, series.dts, series.mass, series.h1, series.lp1, series.sup]
-    cols += [series.momenta[w.label] for w in series.weights]
-    return np.column_stack(cols)
+    return np.column_stack([series.times, series.dts, series.mass, series.h1,
+                            series.lp1, series.sup, series.momentum])
 
 
 def report_rows(cfg):
@@ -284,10 +282,10 @@ class TestSimulate:
             profile=GaussianProfile(amplitude=1.0, width=1.0, center=0.0),
             t_max=0.3, dt_max=5e-3,
         )
-        series, _ = simulate(cfg, weights=(w,))
+        series, _ = simulate(cfg, weight=w)
         assert np.all(np.diff(series.times) > 0)
-        assert w.label in series.momenta
-        assert len(series.momenta[w.label]) == len(series.times)
+        assert series.weight == w
+        assert len(series.momentum) == len(series.times)
         assert np.all(series.mass > 0)
         assert np.all(series.sup > 0)
 
@@ -413,7 +411,7 @@ class TestLeanLoop:
             series, report = simulate(cfg)
             assert not report.blew_up
             assert np.all(series.dts[1:-1] == dt_max)
-            q = series.momenta[DEFAULT_WEIGHTS[0].label]
+            q = series.momentum
             finals.append([series.lp1[-1], series.h1[-1], series.sup[-1], q[-1]])
         diffs = np.abs(np.diff(np.array(finals), axis=0))
         orders = np.log2(diffs[:-1] / diffs[1:])
