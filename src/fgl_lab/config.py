@@ -26,15 +26,6 @@ __all__ = [
 ]
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in {"true", "1", "yes", "on"}:
-        return True
-    if low in {"false", "0", "no", "off"}:
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float_list(text: str) -> tuple:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
@@ -55,7 +46,6 @@ def _parse_choice(*choices: str):
 _PARSERS = {
     "float": float,
     "int": int,
-    "bool": _parse_bool,
     "floats": _parse_float_list,
 }
 
@@ -80,8 +70,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "dt_max": ("float", 0.05),
         "dt_min": ("float", 1e-12),
         "sup_threshold": ("float", 1e8),
-        "record_every": ("int", 1),
-        "linear_only": ("bool", False),
     },
     "ode": {
         "c1": ("float", 1.0),
@@ -114,9 +102,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "kappa_tol": ("float", 1e-8),
     },
     "bounds": {
-        "required_margin": ("float", 1.1),
-        "margin_tol": ("float", 0.05),
-        "variant": (_parse_choice("conservative", "sharp"), "conservative"),
         "kappa_tol": ("float", 1e-8),
     },
 }

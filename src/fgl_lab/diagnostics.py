@@ -20,27 +20,25 @@ from .ode import (
 )
 
 
+_MARGIN_TOL = 0.05
+
+
 @dataclass(frozen=True)
 class MarginReport:
     """Normalized margins of an inequality along a run.
 
     margins > 0 means the checked quantity clears its bound; the report
-    is 'violated' when the worst margin dips below -tol.
+    is 'violated' when the worst margin dips below -_MARGIN_TOL.
     """
 
     times: np.ndarray
     margins: np.ndarray
-    tol: float
     violated: bool
     worst: float
 
 
-def check_weighted_lower_bound(
-    series: TimeSeries,
-    b: BoundParams,
-    variant: str = "conservative",
-    tol: float = 0.05,
-) -> MarginReport:
+def check_weighted_lower_bound(series: TimeSeries,
+                               b: BoundParams) -> MarginReport:
     """Margins of ||u(t)/h||_2 against its blow-up lower bound.
 
     Samples at or past the bound's divergence time are excluded from the
@@ -49,23 +47,19 @@ def check_weighted_lower_bound(
     """
     mask = series.times < lower_bound_divergence_time(b) * (1.0 - 1e-9)
     times = series.times[mask]
-    bound = weighted_norm_lower_bound(b, times, variant=variant)
+    bound = weighted_norm_lower_bound(b, times)
     margins = (np.sqrt(series.momentum[mask]) - bound) / bound
     worst = float(np.min(margins)) if margins.size else math.nan
     return MarginReport(
         times=times,
         margins=margins,
-        tol=tol,
-        violated=bool(worst < -tol),
+        violated=bool(worst < -_MARGIN_TOL),
         worst=worst,
     )
 
 
-def check_growth_inequality(
-    series: TimeSeries,
-    ode: OdeParams,
-    tol: float = 0.05,
-) -> MarginReport:
+def check_growth_inequality(series: TimeSeries,
+                            ode: OdeParams) -> MarginReport:
     """Margins of Q' >= c2 Q^q - c1 Q on interior samples.
 
     ``ode`` is the comparison ODE (``comparison_ode``) whose coefficients
@@ -83,8 +77,7 @@ def check_growth_inequality(
     return MarginReport(
         times=series.times[1:-1],
         margins=margins,
-        tol=tol,
-        violated=bool(worst < -tol),
+        violated=bool(worst < -_MARGIN_TOL),
         worst=worst,
     )
 

@@ -379,7 +379,7 @@ def subcritical_threshold(
                                                   seed)
             return ThresholdSearch(
                 r0=r,
-                bound=lifespan_upper_bound(b, variant="conservative"),
+                bound=lifespan_upper_bound(b),
                 predicted_r0=predicted_threshold_scale(
                     p, kappa_1, l2_norm(u0), weight),
                 history=tuple(history),
@@ -394,6 +394,8 @@ def subcritical_threshold(
 
 # ----------------------------------------------------------------------
 # End-to-end bound consistency audit
+
+_REQUIRED_MARGIN = 1.1
 
 
 @dataclass(frozen=True)
@@ -413,16 +415,13 @@ class BoundsAudit:
 def bounds_consistency(
     cfg: SimConfig,
     weight: WeightSpec = WeightSpec(),
-    required_margin: float = 1.1,
-    margin_tol: float = 0.05,
     kappa_tol: float = 1e-8,
     seed: int = 0,
-    variant: str = "conservative",
 ) -> BoundsAudit:
     """Run one blow-up simulation and audit it against all three bounds.
 
     Refuses (ThresholdNotMetError) unless the initial data clears the
-    blow-up threshold by the required margin, and, before any kappa,
+    blow-up threshold by the factor _REQUIRED_MARGIN, and, before any kappa,
     (ValueError from norm_inv_h) weights whose ||1/h||_2 is infinite and
     (ValueError) zero initial data.  Choose cfg.dt_max
     so that kappa * dt stays below ~0.01, keeping the finite-difference
@@ -441,21 +440,21 @@ def bounds_consistency(
         p=cfg.p, kappa=kappa, inv_weight_norm=ninv, initial_weighted_norm=v0
     )
     threshold = critical_initial_norm(b)
-    if v0 < required_margin * threshold:
+    if v0 < _REQUIRED_MARGIN * threshold:
         raise ThresholdNotMetError(
-            f"||u0/h||_2 = {v0:.6g} is below {required_margin:g} x threshold "
-            f"= {required_margin * threshold:.6g}"
+            f"||u0/h||_2 = {v0:.6g} is below {_REQUIRED_MARGIN:g} x threshold "
+            f"= {_REQUIRED_MARGIN * threshold:.6g}"
         )
 
     series, report = simulate(cfg, weight=weight)
 
-    lower = check_weighted_lower_bound(series, b, variant=variant, tol=margin_tol)
-    growth = check_growth_inequality(series, comparison_ode(b), tol=margin_tol)
+    lower = check_weighted_lower_bound(series, b)
+    growth = check_growth_inequality(series, comparison_ode(b))
 
     return BoundsAudit(
         bound_params=b,
         threshold_value=threshold,
-        bound=lifespan_upper_bound(b, variant=variant),
+        bound=lifespan_upper_bound(b),
         report=report,
         series=series,
         lower_margins=lower,

@@ -109,13 +109,6 @@ def _require_finite(values: np.ndarray) -> None:
 # Fourier multipliers
 
 
-def fractional_symbol(grid: GridSpec, s: float) -> np.ndarray:
-    """Symbol of |D|^s, the fractional half-Laplacian power, s > 0."""
-    if s <= 0:
-        raise ValueError("fractional exponent s must be positive")
-    return grid.abs_wavenumber**s
-
-
 def half_wave_phase_symbol(grid: GridSpec, t: float) -> np.ndarray:
     """Unit-modulus symbol e^{-i|k|t} of the free half-wave propagator."""
     return np.exp(-1j * t * grid.abs_wavenumber)
@@ -138,11 +131,6 @@ def apply_multiplier(f: FieldState, symbol: np.ndarray) -> FieldState:
     _require_finite(f.values)
     spec = np.fft.fft(f.values)
     return FieldState(f.grid, np.fft.ifft(spec * symbol))
-
-
-def apply_fractional(f: FieldState, s: float) -> FieldState:
-    """Apply |D|^s."""
-    return apply_multiplier(f, fractional_symbol(f.grid, s))
 
 
 def apply_half_wave(f: FieldState, t: float) -> FieldState:

@@ -140,19 +140,14 @@ def comparison_ode(b: BoundParams) -> OdeParams:
     )
 
 
-def weighted_norm_lower_bound(b: BoundParams, t, variant: str = "conservative"):
+def weighted_norm_lower_bound(b: BoundParams, t):
     """Lower bound on ||u(t)/h||_2 for data above the blow-up threshold.
 
-    variant='sharp' is sqrt(Q) for the comparison ODE, with prefactor
-    e^{-kappa t}; variant='conservative' keeps the e^{-2 kappa t} that
-    the Gronwall step produces.  Both diverge at the blow-up time of the
-    comparison ODE, and raise BlowupExceededError at or past it.
+    sqrt(Q) for the comparison ODE carries a prefactor e^{-kappa t}; the
+    Gronwall step costs a second one.  Diverges at the blow-up time of
+    the comparison ODE, and raises BlowupExceededError at or past it.
     """
-    if variant not in ("conservative", "sharp"):
-        raise ValueError(f"unknown variant {variant!r}")
     root = np.sqrt(closed_form_eval(comparison_ode(b), t))
-    if variant == "sharp":
-        return root
     return np.exp(-b.kappa * np.asarray(t, dtype=float)) * root
 
 
@@ -161,15 +156,11 @@ def lower_bound_divergence_time(b: BoundParams) -> float:
     return blowup_time(comparison_ode(b))
 
 
-def lifespan_upper_bound(b: BoundParams, variant: str = "conservative") -> float:
+def lifespan_upper_bound(b: BoundParams) -> float:
     """Lifespan upper bound from the diverging lower bound (+inf when the
     threshold is not cleared).
 
-    The 'conservative' variant carries the factor-2 slack of the Gronwall
-    step; the 'sharp' variant is the divergence time of the bracket
-    itself, half the conservative value.
+    Twice the comparison ODE's blow-up time: the factor 2 is the slack
+    of the Gronwall step.
     """
-    if variant not in ("conservative", "sharp"):
-        raise ValueError(f"unknown variant {variant!r}")
-    factor = 2.0 if variant == "conservative" else 1.0
-    return factor * lower_bound_divergence_time(b)
+    return 2.0 * lower_bound_divergence_time(b)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import FieldState, GridSpec, _require_finite, apply_fractional
+from .grid import FieldState, GridSpec, _require_finite, apply_multiplier
 
 
 @dataclass(frozen=True)
@@ -127,18 +127,19 @@ def apply_commutator(
 
     A* g = h |D|(g/h) - |D| g, the exact adjoint of A in the discrete
     L2 inner product because |D| is self-adjoint and h is real.  Built
-    from apply_fractional on complex fields, independently of the packed
+    from apply_multiplier on complex fields, independently of the packed
     real closures that estimate_kappa runs, so tests can check one
     against the other.
     """
     if f.grid != grid:
         raise ValueError("field does not live on the supplied grid")
     h = weight_values(w, grid)
+    abs_k = grid.abs_wavenumber
     if adjoint:
-        weighted = h * apply_fractional(FieldState(grid, f.values / h), 1.0).values
+        weighted = h * apply_multiplier(FieldState(grid, f.values / h), abs_k).values
     else:
-        weighted = apply_fractional(FieldState(grid, h * f.values), 1.0).values / h
-    return FieldState(grid, weighted - apply_fractional(f, 1.0).values)
+        weighted = apply_multiplier(FieldState(grid, h * f.values), abs_k).values / h
+    return FieldState(grid, weighted - apply_multiplier(f, abs_k).values)
 
 
 def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,

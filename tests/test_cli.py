@@ -47,15 +47,12 @@ class TestCoerce:
     def test_scalar_types(self):
         assert coerce_value("grid", "half_length", "12.5") == 12.5
         assert coerce_value("grid", "points", "128") == 128
-        assert coerce_value("evolution", "linear_only", "yes") is True
-        assert coerce_value("evolution", "linear_only", "off") is False
 
     def test_float_lists(self):
         assert coerce_value("sweep", "r_values", "1, 2 4") == (1.0, 2.0, 4.0)
 
     def test_choices_are_normalized(self):
         assert coerce_value("evolution", "profile", "GAUSSIAN") == "gaussian"
-        assert coerce_value("bounds", "variant", "Sharp") == "sharp"
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -336,7 +333,7 @@ class TestMainCommands:
         self.assert_manifest_lists_tree(out)
         summary = _read_json(out / "summary.json")
         assert summary["r0"] == 2.0
-        assert summary["bound_condition_met"] is True
+        assert "bound_condition_met" not in summary
         assert summary["doublings_tried"] == 2
 
     def test_threshold_estimates_kappa_once_per_dilation(self, tmp_path,
@@ -475,9 +472,12 @@ class TestExitCodes:
         assert "not found" in capsys.readouterr().err
 
     def test_unknown_override_key(self, tmp_path, capsys):
-        # the second key is the removed [grid] dim
+        # [ode] volume never existed; the other keys were removed
         for argv in (["ode", "--ode.volume", "11"],
-                     ["simulate", "--grid.dim", "2"]):
+                     ["simulate", "--grid.dim", "2"],
+                     ["bounds", "--bounds.variant", "sharp"],
+                     ["bounds", "--bounds.required_margin", "2"],
+                     ["simulate", "--evolution.linear_only", "true"]):
             code = main(argv + ["--out-dir", str(tmp_path / "o")])
             assert code == 1
             assert "unknown config key" in capsys.readouterr().err

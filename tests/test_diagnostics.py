@@ -88,24 +88,21 @@ class TestWeightedMomentum:
 
 class TestLowerBoundMargins:
     def test_exact_solution_sits_on_sharp_bound(self, ref_params):
+        # the exact sqrt(Q) clears the bound by the Gronwall factor e^{kappa t}
         series = exact_comparison_series(ref_params)
-        report = check_weighted_lower_bound(series, ref_params, variant="sharp")
-        assert not report.violated
-        assert abs(report.worst) < 1e-10
+        report = check_weighted_lower_bound(series, ref_params)
+        np.testing.assert_allclose(
+            report.margins, np.expm1(ref_params.kappa * report.times),
+            rtol=0, atol=1e-10,
+        )
 
     def test_exact_solution_clears_conservative_bound(self, ref_params):
         series = exact_comparison_series(ref_params)
-        report = check_weighted_lower_bound(series, ref_params, variant="conservative")
+        report = check_weighted_lower_bound(series, ref_params)
         assert not report.violated
         assert report.worst >= -1e-12
-        # conservative bound is strictly weaker away from t = 0
+        # the bound sits strictly below the exact solution away from t = 0
         assert report.margins[-1] > 0.01
-
-    def test_sharp_margins_never_exceed_conservative_margins(self, ref_params):
-        series = exact_comparison_series(ref_params)
-        conservative = check_weighted_lower_bound(series, ref_params, variant="conservative")
-        sharp = check_weighted_lower_bound(series, ref_params, variant="sharp")
-        assert np.all(sharp.margins <= conservative.margins + 1e-12)
 
     def test_deficient_data_is_flagged(self, ref_params):
         series = exact_comparison_series(ref_params)
@@ -115,7 +112,7 @@ class TestLowerBoundMargins:
             h1=series.h1, lp1=series.lp1, sup=series.sup,
             momentum=0.5 * series.momentum,
         )
-        report = check_weighted_lower_bound(bad, ref_params, variant="sharp")
+        report = check_weighted_lower_bound(bad, ref_params)
         assert report.violated
         assert report.worst < -0.25
 

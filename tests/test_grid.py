@@ -9,7 +9,6 @@ from fgl_lab import (
     FieldState,
     apply_half_wave,
     apply_multiplier,
-    fractional_symbol,
     gradient_symbol,
     h1_norm,
     half_wave_phase_symbol,
@@ -17,7 +16,6 @@ from fgl_lab import (
     make_grid,
     sup_norm,
 )
-from fgl_lab.grid import apply_fractional
 
 
 def random_field(grid, seed):
@@ -72,7 +70,7 @@ class TestFieldState:
         corrupt = FieldState(grid, vals)
         assert not np.isfinite(corrupt.values).all()
         with pytest.raises(CorruptFieldError):
-            apply_fractional(corrupt, 1.0)
+            apply_multiplier(corrupt, grid.abs_wavenumber)
 
     def test_values_read_only(self):
         f = random_field(make_grid(5.0, 16), 0)
@@ -88,19 +86,7 @@ class TestFieldState:
 class TestSymbols:
     def test_fractional_symbol_is_abs_k(self):
         grid = make_grid(10.0, 32)
-        sym = fractional_symbol(grid, 1.0)
-        assert np.allclose(sym, np.abs(grid.axis_frequencies))
-
-    def test_fractional_symbol_power(self):
-        grid = make_grid(10.0, 32)
-        assert np.allclose(
-            fractional_symbol(grid, 2.0), fractional_symbol(grid, 1.0) ** 2
-        )
-
-    def test_fractional_requires_positive_order(self):
-        grid = make_grid(10.0, 32)
-        with pytest.raises(ValueError):
-            fractional_symbol(grid, 0.0)
+        assert np.allclose(grid.abs_wavenumber, np.abs(grid.axis_frequencies))
 
     def test_half_wave_phase_is_unimodular(self):
         grid = make_grid(10.0, 32)
@@ -125,7 +111,7 @@ class TestMultipliers:
     def test_fractional_on_plane_wave(self):
         grid = make_grid(np.pi, 64)
         f = FieldState(grid, np.exp(1j * 5 * grid.nodes))
-        out = apply_fractional(f, 1.0)
+        out = apply_multiplier(f, grid.abs_wavenumber)
         assert np.allclose(out.values, 5.0 * f.values)
 
     def test_half_wave_translates_analytic_wave(self):

@@ -144,59 +144,39 @@ class TestBounds:
         assert critical_initial_norm(b) == pytest.approx(2.0 * 0.5, rel=1e-14)
 
     def test_frozen_lower_bound_values(self):
-        assert weighted_norm_lower_bound(REF, 0.1, variant="conservative") == pytest.approx(
+        assert weighted_norm_lower_bound(REF, 0.1) == pytest.approx(
             1.7771254255147795, rel=1e-13
-        )
-        assert weighted_norm_lower_bound(REF, 0.1, variant="sharp") == pytest.approx(
-            1.8682405944786304, rel=1e-13
         )
 
     def test_frozen_lower_bound_at_doubled_data_norm(self):
-        # frozen by direct evaluation of the printed formula; the sharp
-        # value also matches adaptive integration of the comparison ODE
-        # for Q = ||v||^2 to 1e-12
+        # frozen by direct evaluation of the printed formula
         b = BoundParams(
             p=2.0, kappa=0.5, inv_weight_norm=math.sqrt(math.pi),
             initial_weighted_norm=2.0 * math.sqrt(math.pi),
         )
-        assert weighted_norm_lower_bound(b, 0.1, variant="conservative") == pytest.approx(
+        assert weighted_norm_lower_bound(b, 0.1) == pytest.approx(
             3.9849603755030123, rel=1e-13
-        )
-        assert weighted_norm_lower_bound(b, 0.1, variant="sharp") == pytest.approx(
-            4.189273662970065, rel=1e-13
         )
 
     def test_lower_bound_starts_at_v0(self):
-        for variant in ("conservative", "sharp"):
-            assert weighted_norm_lower_bound(REF, 0.0, variant=variant) == (
-                pytest.approx(REF.initial_weighted_norm, rel=1e-14)
-            )
-
-    def test_sharp_dominates_conservative(self):
-        t_div = lower_bound_divergence_time(REF)
-        for t in np.linspace(0.0, 0.9 * t_div, 20):
-            assert weighted_norm_lower_bound(
-                REF, t, variant="sharp"
-            ) >= weighted_norm_lower_bound(REF, t, variant="conservative")
+        assert weighted_norm_lower_bound(REF, 0.0) == (
+            pytest.approx(REF.initial_weighted_norm, rel=1e-14)
+        )
 
     def test_divergence_time_and_lifespans(self):
         t_div = lower_bound_divergence_time(REF)
         assert t_div == pytest.approx(2 * math.log(2.0), rel=1e-12)
-        conservative = lifespan_upper_bound(REF, variant="conservative")
-        sharp = lifespan_upper_bound(REF, variant="sharp")
-        assert math.isfinite(conservative) and math.isfinite(sharp)
-        assert conservative == pytest.approx(4 * math.log(2.0), rel=1e-12)
-        assert sharp == pytest.approx(2 * math.log(2.0), rel=1e-12)
-        assert conservative == pytest.approx(2 * sharp, rel=1e-12)
+        assert lifespan_upper_bound(REF) == pytest.approx(4 * math.log(2.0),
+                                                          rel=1e-12)
 
     def test_bound_diverges_and_raises_past_divergence(self):
         t_div = lower_bound_divergence_time(REF)
-        near = weighted_norm_lower_bound(REF, t_div * (1 - 1e-12), variant="conservative")
+        near = weighted_norm_lower_bound(REF, t_div * (1 - 1e-12))
         assert near > 1e5
         with pytest.raises(BlowupExceededError):
-            weighted_norm_lower_bound(REF, t_div, variant="conservative")
+            weighted_norm_lower_bound(REF, t_div)
         with pytest.raises(BlowupExceededError):
-            weighted_norm_lower_bound(REF, 2 * t_div, variant="conservative")
+            weighted_norm_lower_bound(REF, 2 * t_div)
 
     def test_below_threshold_no_lifespan_bound(self):
         b = BoundParams(
@@ -205,7 +185,7 @@ class TestBounds:
             inv_weight_norm=SQRT_PI,
             initial_weighted_norm=0.5 * 0.8862269254527579,
         )
-        res = lifespan_upper_bound(b, variant="conservative")
+        res = lifespan_upper_bound(b)
         assert not math.isfinite(res)
         assert res == math.inf
         assert lower_bound_divergence_time(b) == math.inf
@@ -218,8 +198,8 @@ class TestBounds:
         frac=st.floats(0.05, 0.9),
     )
     def test_sharp_bound_is_comparison_ode_solution(self, p, kappa, ninv, ratio, frac):
-        # Both variants against the bound written out for V = ||u/h||_2,
-        # independent of the comparison ODE the code reads them off.
+        # The bound written out for V = ||u/h||_2, independent of the
+        # comparison ODE the code reads it off.
         m = p - 1.0
         v0 = ratio * kappa ** (1.0 / m) * ninv
         b = BoundParams(
@@ -228,11 +208,10 @@ class TestBounds:
         t_div = -math.log1p(-kappa * ninv**m * v0 ** (-m)) / (kappa * m)
         t = frac * t_div
         bracket = v0 ** (-m) + (ninv ** (-m) / kappa) * math.expm1(-kappa * m * t)
-        for variant, rate in (("sharp", kappa), ("conservative", 2.0 * kappa)):
-            expected = math.exp(-rate * t) * bracket ** (-1.0 / m)
-            assert weighted_norm_lower_bound(b, t, variant=variant) == (
-                pytest.approx(expected, rel=1e-12)
-            )
+        expected = math.exp(-2.0 * kappa * t) * bracket ** (-1.0 / m)
+        assert weighted_norm_lower_bound(b, t) == (
+            pytest.approx(expected, rel=1e-12)
+        )
 
     @given(
         p=st.floats(1.5, 3.0),
@@ -248,9 +227,8 @@ class TestBounds:
             p=p, kappa=kappa, inv_weight_norm=ninv, initial_weighted_norm=v0
         )
         expected = -math.log1p(-kappa * ninv**m * v0 ** (-m)) / (kappa * m)
-        assert lifespan_upper_bound(b, variant="sharp") == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert lifespan_upper_bound(b) == pytest.approx(2.0 * expected,
+                                                        rel=1e-12)
         assert lower_bound_divergence_time(b) == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_kappa_limit_is_continuous(self):
@@ -261,8 +239,8 @@ class TestBounds:
             p=2.0, kappa=1e-7, inv_weight_norm=SQRT_PI, initial_weighted_norm=1.0
         )
         t = 0.3
-        a = weighted_norm_lower_bound(tiny, t, variant="conservative")
-        c = weighted_norm_lower_bound(small, t, variant="conservative")
+        a = weighted_norm_lower_bound(tiny, t)
+        c = weighted_norm_lower_bound(small, t)
         assert a == pytest.approx(c, rel=1e-5)
         assert lower_bound_divergence_time(tiny) == pytest.approx(
             lower_bound_divergence_time(small), rel=1e-5
@@ -273,7 +251,3 @@ class TestBounds:
         with pytest.raises(ValueError, match="kappa"):
             BoundParams(p=2.0, kappa=0.0, inv_weight_norm=SQRT_PI,
                         initial_weighted_norm=1.0)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_norm_lower_bound(REF, 0.1, variant="best")

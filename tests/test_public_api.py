@@ -42,10 +42,12 @@ def _references():
     """(names, reads) in the sources outside tests/.
 
     names: names read, attributes accessed and strings used; these make
-    an export called.  reads: attributes read (Load context) and strings
-    used; these make a field read, while a keyword argument that fills
-    a field is a write.  Definitions and imports are neither, and the
-    package __init__, which only re-exports, is skipped.
+    an export called (perfbench's tracer names functions by string).
+    reads: attributes read (Load context) only; these make a field read,
+    while a keyword argument that fills a field is a write and a string,
+    such as a config key, is neither.  Definitions and imports are
+    neither, and the package __init__, which only re-exports, is
+    skipped.
     """
     files = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
     files += list((ROOT / "perfbench").glob("*.py"))
@@ -60,7 +62,6 @@ def _references():
                     reads.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
-                reads.add(node.value)
     return names, reads
 
 
