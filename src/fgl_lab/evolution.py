@@ -121,7 +121,6 @@ class SimConfig:
     dt_min: float = 1e-12
     sup_threshold: float = 1e8
     record_every: int = 1
-    linear_only: bool = False
 
     def __post_init__(self):
         if self.p <= 1:
@@ -161,12 +160,11 @@ def _quiet_limit(cfg: SimConfig) -> float:
     """
     margin = 1.0 - 1e-6
     limit = margin * cfg.sup_threshold
-    if not cfg.linear_only:
-        rate = margin * cfg.theta / ((cfg.p - 1.0) * cfg.dt_max)
-        try:
-            limit = min(limit, rate ** (1.0 / (cfg.p - 1.0)))
-        except OverflowError:
-            pass
+    rate = margin * cfg.theta / ((cfg.p - 1.0) * cfg.dt_max)
+    try:
+        limit = min(limit, rate ** (1.0 / (cfg.p - 1.0)))
+    except OverflowError:
+        pass
     return limit
 
 
@@ -204,13 +202,9 @@ def nonlinear_substep(f: FieldState, dt: float, p: float) -> FieldState:
     return FieldState(f.grid, vals * _substep_gain(abs_squared(vals), dt, p - 1.0))
 
 
-def strang_step(
-    f: FieldState, dt: float, p: float, linear_only: bool = False
-) -> FieldState:
+def strang_step(f: FieldState, dt: float, p: float) -> FieldState:
     """One second-order split step of size dt (the reference for simulate)."""
-    half = apply_half_wave(f, 0.5 * dt)
-    if not linear_only:
-        half = nonlinear_substep(half, dt, p)
+    half = nonlinear_substep(apply_half_wave(f, 0.5 * dt), dt, p)
     return apply_half_wave(half, 0.5 * dt)
 
 
@@ -295,16 +289,23 @@ def simulate(
       3. singular nonlinear substep     -> 'nonlinear_substep_singular'
 
     NaN/Inf anywhere is a corrupt state and raises CorruptFieldError
-    rather than being reported as blow-up.
+    rather than being reported as blow-up.  Nonzero initial data whose
+    |u0|^2 underflows to 0 everywhere raises ValueError before the first
+    step: its sup, step size and diagnostics would all read 0.
     """
     rec = _Recorder(cfg, weight)
     u = initial_field(cfg.profile, cfg.grid).values
     if not np.isfinite(u).all():
         raise CorruptFieldError("initial data contains NaN or Inf")
+    dens = abs_squared(u)
+    if float(np.max(dens)) == 0.0 and np.any(u):
+        raise ValueError(
+            f"initial data too small to square: max|u0| = {np.max(np.abs(u)):.3e}, "
+            "but |u0|^2 underflows to 0"
+        )
     # The loop carries u, its density and its spectrum at time t; each
     # step ends on the spectrum it needs for the next first half-step.
     spec = np.fft.fft(u)
-    dens = abs_squared(u)
     # A step may end without forming u: when it is not recorded and the
     # Wiener norm sum|spec|/N of its spectrum is below _quiet_limit, it
     # carries dens = None ("quiet") instead.
@@ -327,7 +328,7 @@ def simulate(
         if cfg.t_max - t <= 1e-12 * cfg.t_max:
             break
 
-        if dens is None or cfg.linear_only:
+        if dens is None:
             dt_stab = cfg.dt_max
         else:
             dt_stab = _stable_dt(sup, cfg.p, cfg.theta, cfg.dt_max)
@@ -339,14 +340,13 @@ def simulate(
         if dt != phase_dt:
             phase_dt, phase = dt, half_wave_phase_symbol(cfg.grid, 0.5 * dt)
         half = np.fft.ifft(spec * phase)
-        if not cfg.linear_only:
-            try:
-                half *= _substep_gain(abs_squared(half), dt, cfg.p - 1.0)
-            except SingularSubstepError as err:
-                criterion = "nonlinear_substep_singular"
-                t_detected = t + err.dt_admissible
-                bracket = (t, t_detected)
-                break
+        try:
+            half *= _substep_gain(abs_squared(half), dt, cfg.p - 1.0)
+        except SingularSubstepError as err:
+            criterion = "nonlinear_substep_singular"
+            t_detected = t + err.dt_admissible
+            bracket = (t, t_detected)
+            break
         spec = np.fft.fft(half)
         spec *= phase
         steps += 1

@@ -8,8 +8,11 @@ x^{-2}.
 
 The symbol is even, so g is a cosine integral over [0, support_end]: a
 closed form on the plateau and Gauss-Legendre panels on the ramp, where
-the integrand is smooth.  The decay rate is read off a log-log fit
-through per-bin envelope maxima.
+the integrand is smooth.  The ramp panels share one width, so each
+node's phase x(mid_p + s_m) splits into a panel part and one of 32 node
+offsets: a sample needs the sines and cosines of panels + 32 angles, not
+a cosine per node, and two small matrix products sum the rule.  The
+decay rate is read off a log-log fit through per-bin envelope maxima.
 """
 from __future__ import annotations
 
@@ -58,6 +61,15 @@ def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.nd
     cancellation near x = 0.  Only the ramp [a, b] is integrated, by
     32-node Gauss-Legendre panels no wider than num_nodes makes them on
     [-b, b].  A scalar x_samples gives a float.
+
+    Every panel has the same half-width, so its nodes are mid_p + s_m
+    with the same 32 offsets s_m, and the phase splits:
+    cos(x(mid_p + s_m)) = cos(x mid_p) cos(x s_m) - sin(x mid_p) sin(x s_m).
+    With W the (panel, node) weight table, the ramp is
+    sum_p [cos(x mid_p) (cos(x s) W^T)_p - sin(x mid_p) (sin(x s) W^T)_p]:
+    each sample takes the sine and cosine of panels + 32 angles, not a
+    cosine per node.  The samples are taken in chunks, so peak memory
+    does not grow with their number.
     """
     if num_nodes < 256:
         raise ValueError("num_nodes too small to resolve the oscillation")
@@ -66,16 +78,24 @@ def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.nd
     g = a * a * (2.0 * np.sinc(a * x / np.pi) - np.sinc(a * x / (2 * np.pi)) ** 2)
     num_panels = math.ceil(max(4, math.ceil(num_nodes / 64)) * (b - a) / b)
     edges = np.linspace(a, b, num_panels + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (b - a) / num_panels
     base_x, base_w = np.polynomial.legendre.leggauss(32)
-    nodes = (mid + half * base_x).ravel()
-    weighted = 2.0 * (half * base_w).ravel() * bump_eval(spec, nodes) * nodes
-    # chunk the samples so one cosine block holds at most 2**22 reals
-    chunk = max(1, 2**22 // nodes.size)
+    offsets = half * base_x
+    nodes = mid[:, None] + offsets
+    weights = 2.0 * half * base_w * bump_eval(spec, nodes) * nodes
+    # chunk the samples so one block holds at most 2**20 reals
+    chunk = max(1, 2**20 // max(num_panels, offsets.size))
     for start in range(0, x.size, chunk):
-        phase = np.outer(x[start:start + chunk], nodes)
-        g[start:start + chunk] += np.cos(phase, out=phase) @ weighted
+        xc = x[start:start + chunk]
+        node_phase = np.outer(xc, offsets)
+        panel_phase = np.outer(xc, mid)
+        re = np.cos(node_phase) @ weights.T
+        im = np.sin(node_phase, out=node_phase) @ weights.T
+        re *= np.cos(panel_phase)
+        im *= np.sin(panel_phase, out=panel_phase)
+        re -= im
+        g[start:start + chunk] += re.sum(axis=1)
     if np.isscalar(x_samples):
         return float(g[0])
     return g

@@ -258,6 +258,17 @@ class TestMainCommands:
         assert _read_json(out / "summary.json")["blew_up"] is False
         capsys.readouterr()
 
+    def test_simulate_refuses_data_too_small_to_square(self, tmp_path, capsys):
+        # |u0|^2 underflows to 0 although u0 is nonzero
+        out = tmp_path / "run"
+        assert main(["simulate", "--out-dir", str(out),
+                     "--evolution.amplitude", "1e-200",
+                     "--evolution.t_max", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "max|u0| = 1.000e-200" in err
+        assert not (out / "series.csv").exists()
+
     def test_manifest_lists_every_output(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--out-dir", str(out), "--seed", "7"] + SIM_ARGS) == 0
@@ -431,29 +442,44 @@ class TestMainCommands:
         capsys.readouterr()
 
 
+def _run_twice(argv, out):
+    """Run argv twice into out; return the two output trees as {path: bytes}."""
+
+    def snapshot():
+        files = {}
+        for root, _, names in os.walk(out):
+            for name in names:
+                full = os.path.join(root, name)
+                with open(full, "rb") as fh:
+                    files[os.path.relpath(full, out)] = fh.read()
+        return files
+
+    assert main(argv) == 0
+    first = snapshot()
+    assert main(argv) == 0
+    return first, snapshot()
+
+
 class TestDeterminism:
     def test_repeat_run_is_byte_identical(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         out = tmp_path / "run"
         argv = ["simulate", "--out-dir", str(out), "--seed", "3"] + SIM_ARGS
-
-        def snapshot():
-            files = {}
-            for root, _, names in os.walk(out):
-                for name in names:
-                    full = os.path.join(root, name)
-                    with open(full, "rb") as fh:
-                        files[os.path.relpath(full, out)] = fh.read()
-            return files
-
-        assert main(argv) == 0
-        first = snapshot()
-        assert main(argv) == 0
-        second = snapshot()
+        first, second = _run_twice(argv, out)
         capsys.readouterr()
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], f"{rel} differs between runs"
+
+    def test_kernel_repeat_run_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # kernel.csv is fed by BLAS matrix products
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        out = tmp_path / "run"
+        argv = ["kernel", "--out-dir", str(out), "--kernel.num_samples", "400"]
+        first, second = _run_twice(argv, out)
+        capsys.readouterr()
+        assert "kernel.csv" in first
+        assert first == second
 
     def test_manifest_timestamp_honors_epoch(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")

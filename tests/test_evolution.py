@@ -22,7 +22,6 @@ from fgl_lab import (
     h1_norm,
     initial_field,
     inv_weight_values,
-    l2_norm,
     make_grid,
     nonlinear_substep,
     scaled_profile,
@@ -73,16 +72,13 @@ def reference_simulate(cfg, weight=WeightSpec()):
             return blowup("sup_threshold", t, sup, steps, (max(t - last_dt, 0.0), t))
         if cfg.t_max - t <= 1e-12 * cfg.t_max:
             break
-        if cfg.linear_only:
-            dt_stab = cfg.dt_max
-        else:
-            dt_stab = choose_dt(u, cfg.p, cfg.theta, cfg.dt_max)
+        dt_stab = choose_dt(u, cfg.p, cfg.theta, cfg.dt_max)
         if dt_stab < cfg.dt_min:
             record(t, last_dt, u)
             return blowup("dt_underflow", t, sup, steps, (t, t))
         dt = min(dt_stab, cfg.t_max - t)
         try:
-            u = strang_step(u, dt, cfg.p, linear_only=cfg.linear_only)
+            u = strang_step(u, dt, cfg.p)
         except SingularSubstepError as err:
             record(t, last_dt, u)
             t_hit = t + err.dt_admissible
@@ -181,13 +177,6 @@ class TestSubsteps:
         out = strang_step(f, 0.1, 2.0)
         # |D| annihilates constants, so the step is the pointwise ODE.
         assert np.allclose(out.values, 2.0 / (1.0 - 0.2))
-
-    def test_strang_linear_only_is_half_wave(self):
-        grid = small_grid()
-        rng = np.random.default_rng(0)
-        f = FieldState(grid, rng.standard_normal(grid.shape) + 0j)
-        out = strang_step(f, 0.3, 2.0, linear_only=True)
-        assert l2_norm(out) == pytest.approx(l2_norm(f), rel=1e-13)
 
     @given(amp=st.floats(0.5, 4.0), theta=st.floats(0.1, 0.9))
     def test_choose_dt_formula(self, amp, theta):
@@ -298,17 +287,6 @@ class TestSimulate:
         series, _ = simulate(cfg)
         assert series.mass[-1] > series.mass[0]
 
-    def test_linear_only_conserves_mass(self):
-        cfg = SimConfig(
-            grid=make_grid(20.0, 128), p=2.0,
-            profile=GaussianProfile(amplitude=1.0, width=1.0, center=0.0),
-            t_max=2.0, dt_max=0.05, linear_only=True,
-        )
-        series, report = simulate(cfg)
-        assert not report.blew_up
-        drift = np.max(np.abs(series.mass - series.mass[0])) / series.mass[0]
-        assert drift < 1e-12
-
     def test_scaling_family_halves_lifespan(self):
         results = {}
         for amp in (2.0, 4.0):
@@ -364,9 +342,6 @@ class TestLeanLoop:
             gaussian_config(25.0, 256, 3.0, 1.0, t_max=5.0, dt_max=0.01, dt_min=1e-6),
             "dt_underflow"),
         "singular_substep": (focusing_config(), "nonlinear_substep_singular"),
-        "linear_only": (
-            gaussian_config(25.0, 256, 2.0, 1.0, t_max=2.0, dt_max=0.05, linear_only=True),
-            None),
         "record_every_3": (
             gaussian_config(25.0, 256, 2.0, 2.0, t_max=5.0, dt_max=0.01, record_every=3),
             "sup_threshold"),

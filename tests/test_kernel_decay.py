@@ -1,6 +1,7 @@
 """Smooth-cutoff kernel: bump profile, oscillatory transform, tail fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,25 @@ def full_range_complex_transform(spec, x, num_nodes=12800):
     nodes, wts = np.concatenate(xs), np.concatenate(ws)
     weighted = wts * bump_eval(spec, nodes) * np.abs(nodes)
     return np.exp(1j * np.outer(np.asarray(x, dtype=float), nodes)) @ weighted
+
+
+def direct_panel_rule(spec, x, num_nodes=12800):
+    """The ramp rule with one cosine per sample and node, plus the plateau.
+
+    The same 32-node Gauss-Legendre panels on [a, b] that kernel_transform
+    uses, summed as cos(outer(x, nodes)) @ weights with no split of the
+    phase, so it checks the split on any x.
+    """
+    a, b = spec.plateau_end, spec.support_end
+    num_panels = math.ceil(max(4, math.ceil(num_nodes / 64)) * (b - a) / b)
+    edges = np.linspace(a, b, num_panels + 1)
+    half = 0.5 * (b - a) / num_panels
+    base_x, base_w = np.polynomial.legendre.leggauss(32)
+    nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * base_x).ravel()
+    weights = 2.0 * np.tile(half * base_w, num_panels) * bump_eval(spec, nodes) * nodes
+    x = np.asarray(x, dtype=float)
+    plateau = a * a * (2.0 * np.sinc(a * x / np.pi) - np.sinc(a * x / (2 * np.pi)) ** 2)
+    return plateau + np.cos(np.outer(x, nodes)) @ weights
 
 
 def cosine_quadrature(spec, x):
@@ -106,6 +126,31 @@ class TestTransform:
         z = full_range_complex_transform(SPEC, x)
         assert np.max(np.abs(kernel_transform(SPEC, x) - z.real)) <= 1e-13
         assert np.max(np.abs(z.imag)) < 1e-12 * np.max(np.abs(z.real))
+
+    def test_phase_split_matches_direct_rule(self):
+        # unsorted samples of both signs, far past the CLI range, and 0
+        x = np.random.default_rng(5).uniform(-1000.0, 1000.0, 3000)
+        x[1234] = 0.0
+        gap = np.max(np.abs(kernel_transform(SPEC, x) - direct_panel_rule(SPEC, x)))
+        assert gap <= 1e-13
+
+    def test_permuting_samples_permutes_output_exactly(self):
+        # enough samples to span several chunks
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-400.0, 400.0, 25000)
+        perm = rng.permutation(x.size)
+        assert np.array_equal(kernel_transform(SPEC, x[perm]),
+                              kernel_transform(SPEC, x)[perm])
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        x = np.linspace(0.0, 400.0, 10**5)
+        tracemalloc.start()
+        try:
+            kernel_transform(SPEC, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_node_count_converged(self):
         x = np.array([0.0, 5.0, 25.0, 50.0])
