@@ -126,10 +126,7 @@ def _sim_config(cfg: ResolvedConfig) -> SimConfig:
         p=e["p"],
         profile=_profile_from(cfg),
         t_max=e["t_max"],
-        theta=e["theta"],
         dt_max=e["dt_max"],
-        dt_min=e["dt_min"],
-        sup_threshold=e["sup_threshold"],
     )
 
 
@@ -202,6 +199,9 @@ def _cmd_sweep(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     )
 
 
+_ODE_SAMPLES = 200  # points of the closed-form curve on [0, horizon]
+
+
 def _cmd_ode(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     o = cfg["ode"]
     params = OdeParams(c1=o["c1"], c2=o["c2"], q=o["q"], f0=o["f0"])
@@ -210,7 +210,7 @@ def _cmd_ode(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     if not 0.0 < frac < 1.0:
         raise ConfigError("[ode] t_fraction must lie strictly between 0 and 1")
     horizon = frac * t_star if np.isfinite(t_star) else 5.0 / params.c1
-    times = np.linspace(0.0, horizon, o["num_samples"])
+    times = np.linspace(0.0, horizon, _ODE_SAMPLES)
     values = closed_form_eval(params, times)
     summary = {
         "blowup_time": t_star,
@@ -253,15 +253,22 @@ def _cmd_commutator(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     )
 
 
+# Criterion 08's fit: the envelope slope on (10, 100), checked against
+# the window shifted one octave, (20, 200), in 12 logarithmic bins each.
+_KERNEL_X_MIN = 5.0
+_KERNEL_WINDOW = (10.0, 100.0)
+_KERNEL_SHIFTED_WINDOW = (20.0, 200.0)
+_KERNEL_BINS = 12
+
+
 def _cmd_kernel(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     k = cfg["kernel"]
-    x = np.linspace(k["x_min"], k["x_max"], k["num_samples"])
+    x = np.linspace(_KERNEL_X_MIN, k["x_max"], k["num_samples"])
     g = kernel_transform(BumpSpec(), x, num_nodes=k["num_nodes"])
     envelope = np.abs(g) * (1.0 + x**2)
-    fit = fit_tail_decay(x, g, window=(k["window_lo"], k["window_hi"]),
-                         num_bins=k["num_bins"])
-    shifted = fit_tail_decay(x, g, window=(k["shifted_lo"], k["shifted_hi"]),
-                             num_bins=k["num_bins"])
+    fit = fit_tail_decay(x, g, window=_KERNEL_WINDOW, num_bins=_KERNEL_BINS)
+    shifted = fit_tail_decay(x, g, window=_KERNEL_SHIFTED_WINDOW,
+                             num_bins=_KERNEL_BINS)
     c_change = abs(shifted.constant - fit.constant) / fit.constant
     summary = {
         "slope": fit.slope,
@@ -287,11 +294,10 @@ def _cmd_kernel(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
 def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     grid = _grid_from(cfg)
     weight = _weight_from(cfg)
-    t = cfg["threshold"]
     u0 = initial_field(_profile_from(cfg), grid)
     result = subcritical_threshold(
         u0, cfg["evolution"]["p"], weight=weight,
-        max_doublings=t["max_doublings"], tol=t["kappa_tol"], seed=seed,
+        tol=cfg["threshold"]["kappa_tol"], seed=seed,
     )
     columns = ["R", "kappa", "inv_h_norm", "weighted_data_norm", "threshold", "met"]
     summary = {

@@ -66,10 +66,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "width": ("float", 1.0),
         "center": ("float", 0.0),
         "t_max": ("float", 5.0),
-        "theta": ("float", 0.5),
         "dt_max": ("float", 0.05),
-        "dt_min": ("float", 1e-12),
-        "sup_threshold": ("float", 1e8),
     },
     "ode": {
         "c1": ("float", 1.0),
@@ -77,28 +74,20 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "q": ("float", 2.0),
         "f0": ("float", 2.0),
         "t_fraction": ("float", 0.99),
-        "num_samples": ("int", 200),
     },
     "commutator": {
         "r_values": ("floats", (1.0, 2.0, 4.0, 8.0)),
         "tol": ("float", 1e-8),
     },
     "kernel": {
-        "x_min": ("float", 5.0),
         "x_max": ("float", 400.0),
         "num_samples": ("int", 4000),
         "num_nodes": ("int", 12800),
-        "window_lo": ("float", 10.0),
-        "window_hi": ("float", 100.0),
-        "shifted_lo": ("float", 20.0),
-        "shifted_hi": ("float", 200.0),
-        "num_bins": ("int", 12),
     },
     "sweep": {
         "r_values": ("floats", (1.0, 2.0, 4.0, 8.0)),
     },
     "threshold": {
-        "max_doublings": ("int", 8),
         "kappa_tol": ("float", 1e-8),
     },
     "bounds": {

@@ -94,8 +94,6 @@ def scaled_profile(profile, factor: float):
         )
     if isinstance(profile, ConstantProfile):
         return ConstantProfile(value=profile.value * factor)
-    if isinstance(profile, CustomProfile):
-        return CustomProfile(samples=np.asarray(profile.samples) * factor)
     raise TypeError(f"unknown profile type {type(profile).__name__}")
 
 
@@ -290,18 +288,18 @@ def simulate(
 
     NaN/Inf anywhere is a corrupt state and raises CorruptFieldError
     rather than being reported as blow-up.  Nonzero initial data whose
-    |u0|^2 underflows to 0 everywhere raises ValueError before the first
-    step: its sup, step size and diagnostics would all read 0.
+    max|u0|^2 is subnormal or 0 raises ValueError before the first step:
+    its sup, step size and diagnostics would lose their digits or read 0.
     """
     rec = _Recorder(cfg, weight)
     u = initial_field(cfg.profile, cfg.grid).values
     if not np.isfinite(u).all():
         raise CorruptFieldError("initial data contains NaN or Inf")
     dens = abs_squared(u)
-    if float(np.max(dens)) == 0.0 and np.any(u):
+    if float(np.max(dens)) < np.finfo(float).tiny and np.any(u):
         raise ValueError(
             f"initial data too small to square: max|u0| = {np.max(np.abs(u)):.3e}, "
-            "but |u0|^2 underflows to 0"
+            "but |u0|^2 underflows the normal float range"
         )
     # The loop carries u, its density and its spectrum at time t; each
     # step ends on the spectrum it needs for the next first half-step.

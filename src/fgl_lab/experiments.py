@@ -143,13 +143,17 @@ def lifespan_sweep(
 
     Members that do not blow up before base.t_max are excluded from the
     fit and flagged in ``included``.  The largest blowing-up member is
-    re-run on a domain-doubled grid as the stability check.
+    re-run on a domain-doubled grid as the stability check.  Refuses
+    (ValueError, before any run) factors that are not positive or not
+    distinct: a repeated factor adds no point to the fit.
     """
     if isinstance(profile, CustomProfile):
         raise ValueError("lifespan sweeps need an analytic profile (domain doubling)")
     r_arr = np.asarray(sorted(float(r) for r in r_values))
     if r_arr.size < 1 or np.any(r_arr <= 0):
         raise ValueError("amplitude factors must be positive")
+    if np.any(np.diff(r_arr) == 0):
+        raise ValueError(f"amplitude factors must be distinct, got {r_arr.tolist()}")
     configs = [
         replace(base, profile=scaled_profile(profile, r)) for r in r_arr
     ]
@@ -236,7 +240,8 @@ def commutator_scaling(
     base_grid, and checked there under domain doubling (5% budget) and
     under dx refinement, N -> 2N at fixed L (1e-3 budget).  Refuses
     (ValueError, before any kappa) the flat weight h == 1: it commutes
-    with |D|, so kappa is 0 at every R and there is no slope to fit.
+    with |D|, so kappa is 0 at every R and there is no slope to fit; and
+    fewer than two factors or a repeated one, which add no point to fit.
     """
     if w.exponent == 0:
         raise ValueError(
@@ -246,6 +251,9 @@ def commutator_scaling(
     r_arr = np.asarray(sorted(float(r) for r in r_values))
     if np.any(r_arr < 1):
         raise ValueError("dilation factors must be >= 1")
+    if r_arr.size < 2 or np.any(np.diff(r_arr) == 0):
+        raise ValueError(
+            f"dilation factors must be at least two and distinct, got {r_arr.tolist()}")
     kappa_1 = estimate_kappa(w, base_grid, tol=tol, seed=seed).kappa
     kappas = kappa_1 / r_arr
     slope, intercept = np.polyfit(np.log(r_arr), np.log(kappas), 1)
@@ -335,8 +343,8 @@ def subcritical_threshold(
     threshold no longer decays: that is where this dilation argument
     stops, not where the dynamics change (small data blow up at p >= 3
     too).  Refuses, before any kappa, weights whose ||1/h||_2 is
-    infinite (ValueError from norm_inv_h) and zero data (ValueError),
-    which no dilation lifts above a positive threshold.
+    infinite (ValueError from norm_inv_h) and data with ||u0/h||_2 = 0
+    (ValueError), which no dilation lifts above a positive threshold.
     """
     if p <= 1:
         raise ValueError("need p > 1")
@@ -348,7 +356,7 @@ def subcritical_threshold(
         )
     grid = u0.grid
     norm_inv_h(weight, grid)  # refuses an infinite ||1/h||_2 before any kappa
-    if not np.any(u0.values):
+    if _weighted_norm(u0, weight) == 0:
         raise ValueError(
             "the initial data is zero (||u0/h||_2 = 0), so no weight "
             "dilation clears the blow-up threshold"
@@ -361,20 +369,15 @@ def subcritical_threshold(
         w_r = weight.rescaled(r)
         ninv_r = norm_inv_h(w_r, make_grid(grid.half_length * r, grid.points))
         v0_r = _weighted_norm(u0, w_r)
-        kappa_r = kappa_1 / r
-        threshold = kappa_r ** (1.0 / (p - 1.0)) * ninv_r
+        b = BoundParams(p=p, kappa=kappa_1 / r, inv_weight_norm=ninv_r,
+                        initial_weighted_norm=v0_r)
+        threshold = critical_initial_norm(b)
         met = v0_r > threshold
         history.append(
-            {"R": r, "kappa": kappa_r, "inv_h_norm": ninv_r,
+            {"R": r, "kappa": b.kappa, "inv_h_norm": ninv_r,
              "weighted_data_norm": v0_r, "threshold": threshold, "met": met}
         )
         if met:
-            b = BoundParams(
-                p=p,
-                kappa=kappa_r,
-                inv_weight_norm=ninv_r,
-                initial_weighted_norm=v0_r,
-            )
             stability, refinement = _kappa_checks(weight, kappa_1, grid, tol,
                                                   seed)
             return ThresholdSearch(

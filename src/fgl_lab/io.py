@@ -129,7 +129,7 @@ class RunManifest:
     def to_dict(self) -> dict:
         return {
             "command": self.command,
-            "config": sanitize_json(self.config),
+            "config": self.config,
             "version": self.version,
             "seed": self.seed,
             "workers": self.workers,

@@ -137,7 +137,7 @@ class TestResolve:
         cfg = resolve("ode", {}, {})
         assert tuple(cfg.sections) == COMMAND_SECTIONS["ode"]
         assert cfg["ode"]["c1"] == 1.0
-        assert cfg["ode"]["num_samples"] == 200
+        assert cfg["ode"]["t_fraction"] == 0.99
 
     def test_file_beats_default_and_override_beats_file(self):
         cfg = resolve("ode", {"ode": {"f0": 4.0}}, {})
@@ -250,24 +250,30 @@ class TestMainCommands:
         assert sup[-1] >= 1e8
 
     def test_simulate_underflowing_rate_takes_dt_max(self, tmp_path, capsys):
-        # sup**(p-1) underflows to 0: no step limit and no singular substep
+        # |u0|^2 is normal, but sup**(p-1) underflows to 0: no step limit
+        # and no singular substep, so all 100 steps take dt_max
         out = tmp_path / "run"
         assert main(["simulate", "--out-dir", str(out),
-                     "--evolution.amplitude", "1e-160",
+                     "--evolution.amplitude", "1e-130",
                      "--evolution.p", "3.5"]) == 0
-        assert _read_json(out / "summary.json")["blew_up"] is False
+        summary = _read_json(out / "summary.json")
+        assert summary["blew_up"] is False
+        assert summary["steps"] == 100
         capsys.readouterr()
 
     def test_simulate_refuses_data_too_small_to_square(self, tmp_path, capsys):
-        # |u0|^2 underflows to 0 although u0 is nonzero
-        out = tmp_path / "run"
-        assert main(["simulate", "--out-dir", str(out),
-                     "--evolution.amplitude", "1e-200",
-                     "--evolution.t_max", "0.1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "max|u0| = 1.000e-200" in err
-        assert not (out / "series.csv").exists()
+        # |u0|^2 underflows to 0 (1e-200) or to a subnormal (1e-160), whose
+        # sup and mass would lose digits, although u0 is nonzero
+        for amplitude in ("1e-200", "1e-160"):
+            out = tmp_path / amplitude
+            assert main(["simulate", "--out-dir", str(out),
+                         "--evolution.amplitude", amplitude,
+                         "--evolution.p", "3.5",
+                         "--evolution.t_max", "0.1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"max|u0| = {float(amplitude):.3e}" in err
+            assert not (out / "series.csv").exists()
 
     def test_manifest_lists_every_output(self, tmp_path):
         out = tmp_path / "run"
@@ -499,11 +505,20 @@ class TestExitCodes:
 
     def test_unknown_override_key(self, tmp_path, capsys):
         # [ode] volume never existed; the other keys were removed
-        for argv in (["ode", "--ode.volume", "11"],
-                     ["simulate", "--grid.dim", "2"],
-                     ["bounds", "--bounds.variant", "sharp"],
-                     ["bounds", "--bounds.required_margin", "2"],
-                     ["simulate", "--evolution.linear_only", "true"]):
+        removed = [("simulate", "evolution", key)
+                   for key in ("theta", "dt_min", "sup_threshold")]
+        removed += [("ode", "ode", "num_samples"),
+                    ("threshold", "threshold", "max_doublings")]
+        removed += [("kernel", "kernel", key)
+                    for key in ("x_min", "window_lo", "window_hi", "shifted_lo",
+                                "shifted_hi", "num_bins")]
+        for argv in ([["ode", "--ode.volume", "11"],
+                      ["simulate", "--grid.dim", "2"],
+                      ["bounds", "--bounds.variant", "sharp"],
+                      ["bounds", "--bounds.required_margin", "2"],
+                      ["simulate", "--evolution.linear_only", "true"]]
+                     + [[cmd, f"--{section}.{key}", "1"]
+                        for cmd, section, key in removed]):
             code = main(argv + ["--out-dir", str(tmp_path / "o")])
             assert code == 1
             assert "unknown config key" in capsys.readouterr().err
@@ -577,15 +592,41 @@ class TestExitCodes:
         assert "weight exponent 0" in capsys.readouterr().err
         assert kappa_calls == []
 
+    def test_degenerate_ladders_are_refused_before_any_run(
+            self, tmp_path, kappa_calls, monkeypatch, capsys):
+        # a single factor, or only equal ones, leaves no line to fit (the
+        # least-squares fit fails in LAPACK); a repeated factor adds no point
+        from fgl_lab import experiments
+
+        def no_run(cfg):
+            raise AssertionError("a sweep member ran")
+
+        monkeypatch.setattr(experiments, "_run_report", no_run)
+        common = ["--grid.points", "256", "--grid.half_length", "12.5",
+                  "--workers", "1", "--out-dir", str(tmp_path / "o")]
+        for argv, words in (
+                (["sweep", "--sweep.r_values", "1,1,1"], "distinct"),
+                (["sweep", "--sweep.r_values", "1,2,2,4"], "distinct"),
+                (["commutator", "--commutator.r_values", "1"], "at least two"),
+                (["commutator", "--commutator.r_values", "2,2"], "distinct"),
+                (["commutator", "--commutator.r_values", "1,2,2"], "distinct")):
+            code = main(argv + common)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and words in err
+        assert kappa_calls == []
+
     def test_zero_data_is_refused_before_any_kappa(self, tmp_path, kappa_calls,
                                                    capsys):
-        # zero data never clears the threshold; no bound is built for it
+        # zero data never clears the threshold; no bound is built for it.
+        # Data too small to square have ||u0/h||_2 = 0 as well.
         for command, extra in (("bounds", []),
                                ("threshold", ["--evolution.p", "1.5"])):
-            code = main([command, "--out-dir", str(tmp_path / command),
-                         "--evolution.amplitude", "0"] + extra)
-            assert code == 1
-            assert "initial data is zero" in capsys.readouterr().err
+            for amplitude in ("0", "1e-200"):
+                code = main([command, "--out-dir", str(tmp_path / command),
+                             "--evolution.amplitude", amplitude] + extra)
+                assert code == 1
+                assert "initial data is zero" in capsys.readouterr().err
         assert kappa_calls == []
 
 
