@@ -32,7 +32,6 @@ from .errors import (
     CorruptFieldError,
     GridStabilityError,
     SingularSubstepError,
-    SupercriticalError,
     ThresholdNotMetError,
 )
 from .evolution import (
@@ -228,9 +227,8 @@ def _cmd_ode(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
 
 
 def _cmd_commutator(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
-    c = cfg["commutator"]
-    result = commutator_scaling(_weight_from(cfg), c["r_values"],
-                                _grid_from(cfg), tol=c["tol"], seed=seed)
+    result = commutator_scaling(_weight_from(cfg), cfg["commutator"]["r_values"],
+                                _grid_from(cfg), seed=seed)
     products = result.parameter_values * result.measured
     spread = float(products.max() / products.min() - 1.0)
     summary = {
@@ -263,6 +261,10 @@ _KERNEL_BINS = 12
 
 def _cmd_kernel(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     k = cfg["kernel"]
+    if k["x_max"] < _KERNEL_SHIFTED_WINDOW[1]:
+        raise ConfigError(f"[kernel] x_max = {k['x_max']:g} is below "
+                          f"{_KERNEL_SHIFTED_WINDOW[1]:g}, the end of the "
+                          "shifted fit window")
     x = np.linspace(_KERNEL_X_MIN, k["x_max"], k["num_samples"])
     g = kernel_transform(BumpSpec(), x, num_nodes=k["num_nodes"])
     envelope = np.abs(g) * (1.0 + x**2)
@@ -295,10 +297,8 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     grid = _grid_from(cfg)
     weight = _weight_from(cfg)
     u0 = initial_field(_profile_from(cfg), grid)
-    result = subcritical_threshold(
-        u0, cfg["evolution"]["p"], weight=weight,
-        tol=cfg["threshold"]["kappa_tol"], seed=seed,
-    )
+    result = subcritical_threshold(u0, cfg["evolution"]["p"], weight=weight,
+                                   seed=seed)
     columns = ["R", "kappa", "inv_h_norm", "weighted_data_norm", "threshold", "met"]
     summary = {
         "r0": result.r0,
@@ -323,10 +323,8 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
 
 
 def _cmd_bounds(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
-    audit = bounds_consistency(
-        _sim_config(cfg), weight=_weight_from(cfg),
-        kappa_tol=cfg["bounds"]["kappa_tol"], seed=seed,
-    )
+    audit = bounds_consistency(_sim_config(cfg), weight=_weight_from(cfg),
+                               seed=seed)
     lower = audit.lower_margins
     bound_curve = weighted_norm_lower_bound(audit.bound_params, lower.times)
     report = audit.report
@@ -430,6 +428,9 @@ def run(argv) -> int:
     args, extra = parser.parse_known_args(argv)
     overrides = parse_overrides(extra)
     cfg = resolve(args.command, load_config(args.config), overrides)
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0 (0 = all cores), "
+                          f"got {args.workers}")
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     out_dir = args.out_dir
     if out_dir is None:
@@ -453,9 +454,6 @@ def run(argv) -> int:
 def main(argv=None) -> int:
     try:
         return run(sys.argv[1:] if argv is None else argv)
-    except (ConfigError, SupercriticalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

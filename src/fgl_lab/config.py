@@ -9,6 +9,7 @@ use dotted keys (``--grid.points 2048``) and win over file values.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -26,11 +27,18 @@ __all__ = [
 ]
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_choice(*choices: str):
@@ -44,7 +52,7 @@ def _parse_choice(*choices: str):
 
 
 _PARSERS = {
-    "float": float,
+    "float": _parse_float,
     "int": int,
     "floats": _parse_float_list,
 }
@@ -77,7 +85,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "commutator": {
         "r_values": ("floats", (1.0, 2.0, 4.0, 8.0)),
-        "tol": ("float", 1e-8),
     },
     "kernel": {
         "x_max": ("float", 400.0),
@@ -86,12 +93,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "sweep": {
         "r_values": ("floats", (1.0, 2.0, 4.0, 8.0)),
-    },
-    "threshold": {
-        "kappa_tol": ("float", 1e-8),
-    },
-    "bounds": {
-        "kappa_tol": ("float", 1e-8),
     },
 }
 
@@ -102,8 +103,8 @@ COMMAND_SECTIONS: dict[str, tuple[str, ...]] = {
     "ode": ("ode",),
     "commutator": ("grid", "weights", "commutator"),
     "kernel": ("kernel",),
-    "threshold": ("grid", "weights", "evolution", "threshold"),
-    "bounds": ("grid", "weights", "evolution", "bounds"),
+    "threshold": ("grid", "weights", "evolution"),
+    "bounds": ("grid", "weights", "evolution"),
 }
 
 

@@ -123,12 +123,12 @@ class SimConfig:
     def __post_init__(self):
         if self.p <= 1:
             raise ValueError("nonlinearity power p must exceed 1")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("step-safety factor theta must lie in (0, 1)")
-        if self.dt_max <= 0 or self.dt_min <= 0 or self.dt_min > self.dt_max:
-            raise ValueError("require 0 < dt_min <= dt_max")
+        if not 0 < self.dt_min <= self.dt_max < math.inf:
+            raise ValueError("require 0 < dt_min <= dt_max < inf")
         if self.sup_threshold <= 0:
             raise ValueError("sup_threshold must be positive")
         if self.record_every < 1:

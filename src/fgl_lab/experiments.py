@@ -203,22 +203,23 @@ def lifespan_sweep(
 # ----------------------------------------------------------------------
 # Commutator-norm scaling
 
+_KAPPA_DX_BUDGET = 1e-3
 
-def _kappa_checks(w: WeightSpec, kappa_1: float, grid: GridSpec, tol: float,
-                  seed: int, dx_budget: float = 1e-3):
+
+def _kappa_checks(w: WeightSpec, kappa_1: float, grid: GridSpec, seed: int):
     """(domain doubling, dx refinement) checks of kappa at R = 1 on grid.
 
     A dilation ladder reads every rung off kappa_1, so these two checks
-    at R = 1 stand for the checks at every rung.  dx_budget sits above
-    the largest move the test grids show, 7.1e-4 at (6.25, 128).
+    at R = 1 stand for the checks at every rung.  _KAPPA_DX_BUDGET sits
+    above the largest move the test grids show, 7.1e-4 at (6.25, 128).
     """
     def kappa_on(g: GridSpec) -> float:
-        return estimate_kappa(w, g, tol=tol, seed=seed).kappa
+        return estimate_kappa(w, g, seed=seed).kappa
 
     return (
         domain_doubling_check(kappa_1, kappa_on, grid, label="kappa(R=1)"),
         domain_doubling_check(kappa_1, kappa_on, grid, label="kappa(R=1)",
-                              budget=dx_budget, refine=True),
+                              budget=_KAPPA_DX_BUDGET, refine=True),
     )
 
 
@@ -226,7 +227,6 @@ def commutator_scaling(
     w: WeightSpec,
     r_values,
     base_grid: GridSpec,
-    tol: float = 1e-8,
     seed: int = 0,
 ) -> SweepResult:
     """kappa across dilations of the weight, from one kappa solve.
@@ -254,11 +254,11 @@ def commutator_scaling(
     if r_arr.size < 2 or np.any(np.diff(r_arr) == 0):
         raise ValueError(
             f"dilation factors must be at least two and distinct, got {r_arr.tolist()}")
-    kappa_1 = estimate_kappa(w, base_grid, tol=tol, seed=seed).kappa
+    kappa_1 = estimate_kappa(w, base_grid, seed=seed).kappa
     kappas = kappa_1 / r_arr
     slope, intercept = np.polyfit(np.log(r_arr), np.log(kappas), 1)
     resid = np.log(kappas) - (slope * np.log(r_arr) + intercept)
-    stability, refinement = _kappa_checks(w, kappa_1, base_grid, tol, seed)
+    stability, refinement = _kappa_checks(w, kappa_1, base_grid, seed)
     return SweepResult(
         parameter="R",
         parameter_values=r_arr,
@@ -293,6 +293,20 @@ def _weighted_norm(u: FieldState, w: WeightSpec) -> float:
     return math.sqrt(u.grid.dx * float(np.sum(dens)))
 
 
+def _certificate_norms(u0: FieldState, w: WeightSpec) -> tuple[float, float]:
+    """(||1/h||_2, ||u0/h||_2) on u0's grid, the inputs beside kappa.
+
+    Refuses a weight whose ||1/h||_2 is infinite (ValueError from
+    norm_inv_h) and zero data (ValueError), which clear no threshold.
+    """
+    ninv = norm_inv_h(w, u0.grid)
+    v0 = _weighted_norm(u0, w)
+    if v0 == 0:
+        raise ValueError("the initial data is zero (||u0/h||_2 = 0), so it "
+                         "clears no blow-up threshold")
+    return ninv, v0
+
+
 def predicted_threshold_scale(
     p: float, kappa_base: float, data_norm: float, weight: WeightSpec
 ) -> float:
@@ -319,32 +333,30 @@ def predicted_threshold_scale(
     return (data_norm / base) ** (1.0 / expo)
 
 
+_MAX_DOUBLINGS = 8
+
+
 def subcritical_threshold(
     u0: FieldState,
     p: float,
     weight: WeightSpec = WeightSpec(),
-    max_doublings: int = 8,
-    tol: float = 1e-8,
     seed: int = 0,
 ) -> ThresholdSearch:
     """Find the first dyadic weight dilation certifying blow-up of small data.
 
-    Walks R = 1, 2, 4, ... computing the (tail-corrected) norm of 1/h_R
-    on the dilated grid (R L, N), the commutator norm kappa_1 / R and
-    the weighted data norm on the data's own grid, until the data
-    strictly clears the threshold.  kappa_1 is one Lanczos solve at
-    R = 1 on u0's grid; rung R's kappa is exact by the grid identity
-    A(h_R; R L, N) = A(h_1; L, N) / R (see commutator_scaling).  kappa_1
-    is checked under domain doubling and under dx refinement, which
-    stand for the same checks at every rung.  The continuum
-    prediction of the dilation starts from kappa_1.
+    Walks R = 1, 2, 4, ... until the data strictly clears the threshold.
+    Rung R puts h_R on the grid (R L, N): its kappa is kappa_1 / R by the
+    grid identity of commutator_scaling, and the same dilation of nodes
+    and tail gives ||1/h_R||_2^2 = R ||1/h_1||_2^2, so both are read off
+    R = 1 on u0's grid, with one Lanczos solve.  The weighted data norm
+    is computed on u0's grid.  kappa_1 is checked under domain doubling
+    and under dx refinement, which stand for the same checks at every
+    rung.  The continuum prediction of the dilation starts from kappa_1.
 
     Refuses at or above the Fujita power p_F = 3, where the dilated
     threshold no longer decays: that is where this dilation argument
     stops, not where the dynamics change (small data blow up at p >= 3
-    too).  Refuses, before any kappa, weights whose ||1/h||_2 is
-    infinite (ValueError from norm_inv_h) and data with ||u0/h||_2 = 0
-    (ValueError), which no dilation lifts above a positive threshold.
+    too), and, before any kappa, what _certificate_norms refuses.
     """
     if p <= 1:
         raise ValueError("need p > 1")
@@ -354,21 +366,14 @@ def subcritical_threshold(
             f"p = {p:g} is at or above the Fujita power {p_fujita:g}; "
             "the dilation threshold does not decay"
         )
-    grid = u0.grid
-    norm_inv_h(weight, grid)  # refuses an infinite ||1/h||_2 before any kappa
-    if _weighted_norm(u0, weight) == 0:
-        raise ValueError(
-            "the initial data is zero (||u0/h||_2 = 0), so no weight "
-            "dilation clears the blow-up threshold"
-        )
-    kappa_1 = estimate_kappa(weight, grid, tol=tol, seed=seed).kappa
+    ninv, _ = _certificate_norms(u0, weight)
+    kappa_1 = estimate_kappa(weight, u0.grid, seed=seed).kappa
 
     history = []
     r = 1.0
-    for _ in range(max_doublings + 1):
-        w_r = weight.rescaled(r)
-        ninv_r = norm_inv_h(w_r, make_grid(grid.half_length * r, grid.points))
-        v0_r = _weighted_norm(u0, w_r)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        ninv_r = math.sqrt(r * ninv**2)
+        v0_r = _weighted_norm(u0, weight.rescaled(r))
         b = BoundParams(p=p, kappa=kappa_1 / r, inv_weight_norm=ninv_r,
                         initial_weighted_norm=v0_r)
         threshold = critical_initial_norm(b)
@@ -378,7 +383,7 @@ def subcritical_threshold(
              "weighted_data_norm": v0_r, "threshold": threshold, "met": met}
         )
         if met:
-            stability, refinement = _kappa_checks(weight, kappa_1, grid, tol,
+            stability, refinement = _kappa_checks(weight, kappa_1, u0.grid,
                                                   seed)
             return ThresholdSearch(
                 r0=r,
@@ -391,7 +396,7 @@ def subcritical_threshold(
             )
         r *= 2.0
     raise ConvergenceError(
-        f"threshold not met within {max_doublings} doublings (last R = {r / 2:g})"
+        f"threshold not met within {_MAX_DOUBLINGS} doublings (last R = {r / 2:g})"
     )
 
 
@@ -418,27 +423,18 @@ class BoundsAudit:
 def bounds_consistency(
     cfg: SimConfig,
     weight: WeightSpec = WeightSpec(),
-    kappa_tol: float = 1e-8,
     seed: int = 0,
 ) -> BoundsAudit:
     """Run one blow-up simulation and audit it against all three bounds.
 
     Refuses (ThresholdNotMetError) unless the initial data clears the
-    blow-up threshold by the factor _REQUIRED_MARGIN, and, before any kappa,
-    (ValueError from norm_inv_h) weights whose ||1/h||_2 is infinite and
-    (ValueError) zero initial data.  Choose cfg.dt_max
-    so that kappa * dt stays below ~0.01, keeping the finite-difference
-    checks honest.
+    blow-up threshold by the factor _REQUIRED_MARGIN, and, before any
+    kappa, what _certificate_norms refuses.  Choose cfg.dt_max so that
+    kappa * dt stays below ~0.01, keeping the finite-difference checks
+    honest.
     """
-    u0 = initial_field(cfg.profile, cfg.grid)
-    ninv = norm_inv_h(weight, cfg.grid)
-    v0 = _weighted_norm(u0, weight)
-    if v0 == 0:
-        raise ValueError(
-            "the initial data is zero (||u0/h||_2 = 0): there is no "
-            "blow-up to bound"
-        )
-    kappa = estimate_kappa(weight, cfg.grid, tol=kappa_tol, seed=seed).kappa
+    ninv, v0 = _certificate_norms(initial_field(cfg.profile, cfg.grid), weight)
+    kappa = estimate_kappa(weight, cfg.grid, seed=seed).kappa
     b = BoundParams(
         p=cfg.p, kappa=kappa, inv_weight_norm=ninv, initial_weighted_norm=v0
     )
@@ -466,7 +462,7 @@ def bounds_consistency(
             domain_doubling_check(value, fn, cfg.grid, label)
             for value, fn, label in (
                 (kappa,
-                 lambda g: estimate_kappa(weight, g, tol=kappa_tol, seed=seed).kappa,
+                 lambda g: estimate_kappa(weight, g, seed=seed).kappa,
                  "kappa"),
                 (ninv, lambda g: norm_inv_h(weight, g), "inv_h_norm"),
                 (v0,

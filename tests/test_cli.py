@@ -63,6 +63,13 @@ class TestCoerce:
             coerce_value("grid", "points", "many")
         with pytest.raises(ConfigError, match="bad value"):
             coerce_value("evolution", "profile", "sombrero")
+        for section, key, text in (("evolution", "t_max", "inf"),
+                                   ("evolution", "amplitude", "nan"),
+                                   ("grid", "half_length", "-inf"),
+                                   ("sweep", "r_values", "1,nan,4")):
+            with pytest.raises(ConfigError,
+                               match=rf"bad value for \[{section}\] {key}"):
+                coerce_value(section, key, text)
 
 
 class TestLoadConfig:
@@ -314,7 +321,7 @@ class TestMainCommands:
         assert main([
             "commutator", "--out-dir", str(out),
             "--grid.half_length", "6.25", "--grid.points", "128",
-            "--commutator.r_values", "1,2", "--commutator.tol", "1e-6",
+            "--commutator.r_values", "1,2",
         ]) == 0
         assert "commutator: slope=" in capsys.readouterr().out
         self.assert_manifest_lists_tree(out)
@@ -344,7 +351,7 @@ class TestMainCommands:
         assert main([
             "threshold", "--out-dir", str(out),
             "--grid.half_length", "12.5", "--grid.points", "256",
-            "--evolution.amplitude", "0.9", "--threshold.kappa_tol", "1e-6",
+            "--evolution.amplitude", "0.9",
         ]) == 0
         assert "threshold: R0=" in capsys.readouterr().out
         self.assert_manifest_lists_tree(out)
@@ -382,7 +389,7 @@ class TestMainCommands:
         assert main([
             "commutator", "--out-dir", str(out),
             "--grid.half_length", "12.5", "--grid.points", "256",
-            "--commutator.r_values", r_values, "--commutator.tol", "1e-6",
+            "--commutator.r_values", r_values,
         ]) == 0
         capsys.readouterr()
         # kappa at R = 1, its dx refinement and its domain doubling, however
@@ -400,7 +407,7 @@ class TestMainCommands:
             "bounds", "--out-dir", str(out),
             "--grid.half_length", "25", "--grid.points", "512",
             "--evolution.amplitude", "3", "--evolution.dt_max", "0.01",
-            "--evolution.t_max", "2", "--bounds.kappa_tol", "1e-6",
+            "--evolution.t_max", "2",
         ]) == 0
         assert "bounds: t_detected=" in capsys.readouterr().out
         self.assert_manifest_lists_tree(out)
@@ -508,20 +515,30 @@ class TestExitCodes:
         removed = [("simulate", "evolution", key)
                    for key in ("theta", "dt_min", "sup_threshold")]
         removed += [("ode", "ode", "num_samples"),
-                    ("threshold", "threshold", "max_doublings")]
+                    ("commutator", "commutator", "tol")]
         removed += [("kernel", "kernel", key)
                     for key in ("x_min", "window_lo", "window_hi", "shifted_lo",
                                 "shifted_hi", "num_bins")]
         for argv in ([["ode", "--ode.volume", "11"],
                       ["simulate", "--grid.dim", "2"],
-                      ["bounds", "--bounds.variant", "sharp"],
-                      ["bounds", "--bounds.required_margin", "2"],
                       ["simulate", "--evolution.linear_only", "true"]]
                      + [[cmd, f"--{section}.{key}", "1"]
                         for cmd, section, key in removed]):
             code = main(argv + ["--out-dir", str(tmp_path / "o")])
             assert code == 1
             assert "unknown config key" in capsys.readouterr().err
+        # the [threshold] and [bounds] sections are gone with their keys
+        for argv in (["threshold", "--threshold.max_doublings", "1"],
+                     ["threshold", "--threshold.kappa_tol", "1e-6"],
+                     ["bounds", "--bounds.kappa_tol", "1e-6"],
+                     ["bounds", "--bounds.variant", "sharp"],
+                     ["bounds", "--bounds.required_margin", "2"]):
+            code = main(argv + ["--out-dir", str(tmp_path / "o")])
+            assert code == 1
+            section = argv[1][2:].partition(".")[0]
+            assert (f"unknown config section [{section}]"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 1
@@ -548,7 +565,6 @@ class TestExitCodes:
             "bounds", "--out-dir", str(tmp_path / "o"),
             "--grid.half_length", "20", "--grid.points", "256",
             "--evolution.amplitude", "0.2", "--evolution.t_max", "0.5",
-            "--bounds.kappa_tol", "1e-6",
         ])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
@@ -619,15 +635,52 @@ class TestExitCodes:
     def test_zero_data_is_refused_before_any_kappa(self, tmp_path, kappa_calls,
                                                    capsys):
         # zero data never clears the threshold; no bound is built for it.
-        # Data too small to square have ||u0/h||_2 = 0 as well.
+        # Data too small to square have ||u0/h||_2 = 0 as well.  Both
+        # commands refuse with the same message.
+        errors = set()
         for command, extra in (("bounds", []),
                                ("threshold", ["--evolution.p", "1.5"])):
             for amplitude in ("0", "1e-200"):
                 code = main([command, "--out-dir", str(tmp_path / command),
                              "--evolution.amplitude", amplitude] + extra)
                 assert code == 1
-                assert "initial data is zero" in capsys.readouterr().err
+                errors.add(capsys.readouterr().err)
+        assert len(errors) == 1
+        assert "initial data is zero" in errors.pop()
         assert kappa_calls == []
+
+    def test_non_finite_value_is_refused(self, tmp_path, capsys):
+        # t_max inf used to run 0 steps and report "no blow-up by t=inf"
+        for argv in (["simulate", "--evolution.t_max", "inf"],
+                     ["simulate", "--evolution.amplitude", "nan"]):
+            code = main(argv + ["--out-dir", str(tmp_path / "o")])
+            assert code == 1
+            key = argv[1][2:].replace(".", "] ")
+            assert f"error: bad value for [{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_kernel_refuses_x_max_short_of_the_shifted_window(self, tmp_path,
+                                                             monkeypatch, capsys):
+        # the shifted fit window is (20, 200); x_max 150 used to fit (20, 150)
+        from fgl_lab import cli
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("the kernel transform ran")
+
+        monkeypatch.setattr(cli, "kernel_transform", no_transform)
+        for x_max in ("150", "4"):
+            code = main(["kernel", "--kernel.x_max", x_max,
+                         "--out-dir", str(tmp_path / "o")])
+            assert code == 1
+            assert "[kernel] x_max" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_workers_are_refused(self, tmp_path, capsys):
+        # "0 = all cores"; a negative count used to mean all cores as well
+        code = main(["ode", "--workers", "-3", "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "--workers must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():

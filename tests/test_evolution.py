@@ -1,5 +1,6 @@
 """Strang splitting, adaptive stepping, and blow-up detection."""
 
+import math
 import sys
 from dataclasses import replace
 
@@ -312,6 +313,12 @@ class TestSimulate:
             SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, dt_max=0.0)
         with pytest.raises(ValueError):
             SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, record_every=0)
+        # t_max inf ran 0 steps; t_max nan never returned
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_max must be positive and finite"):
+                SimConfig(grid=grid, p=2.0, profile=prof, t_max=bad)
+            with pytest.raises(ValueError, match="dt_max < inf"):
+                SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, dt_max=bad)
 
 
 def focusing_config():
