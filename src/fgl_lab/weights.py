@@ -67,25 +67,60 @@ def inv_h_tail_integrable(w: WeightSpec) -> bool:
     return 2.0 * w.exponent > 1
 
 
+def _gauss_series(a: float, b: float, c: float, z: float) -> float:
+    """2F1(a, b; c; z) by Gauss's series, for a, b, c > 0 and 0 <= z <= 1/2.
+
+    Every term is positive and the term ratio tends to z, so the sum
+    stops once a term no longer changes it.
+    """
+    term = total = 1.0
+    k = 0
+    while total + term != total:
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+        k += 1
+    return total
+
+
+def _tail_integral(s: float, a: float, length: float) -> float:
+    """int_L^inf (1 + (x/a)^2)^{-s} dx in closed form, for s > 1/2.
+
+    x = a cot(phi) turns it into a int_0^phi0 sin^{2s-2}(phi) dphi with
+    phi0 = atan2(a, L), which is a phi0 at s = 1.  Otherwise, with
+    y = L/a and z = sin^2(phi0) = 1/(1 + y^2), the integral is
+    z^{s-1/2}/(2s-1) 2F1(1/2, s-1/2; s+1/2; z) when z <= 1/2, and else
+    the full integral sqrt(pi) Gamma(s-1/2)/(2 Gamma(s)) minus
+    cos(phi0) z^{s-1/2} 2F1(s, 1; 3/2; 1 - z).  That subtraction loses
+    relative digits only when the tail is a small part of the whole (large
+    s with L near a), where it hardly moves ||1/h||_2.
+    """
+    if s == 1:
+        return a * math.atan2(a, length)
+    y2 = (length / a) ** 2
+    z = 1.0 / (1.0 + y2)
+    head = (1.0 + y2) ** (0.5 - s)
+    if z <= 0.5:
+        return a * head / (2 * s - 1) * _gauss_series(0.5, s - 0.5, s + 0.5, z)
+    ratio = (math.gamma(s - 0.5) / math.gamma(s) if s < 171  # Gamma overflows
+             else math.exp(math.lgamma(s - 0.5) - math.lgamma(s)))
+    full = math.sqrt(math.pi) / 2 * ratio
+    return a * (full - math.sqrt(y2 * z) * head * _gauss_series(s, 1.0, 1.5, y2 * z))
+
+
 def norm_inv_h(w: WeightSpec, grid: GridSpec) -> float:
     """L2 norm of 1/h: grid quadrature plus the analytic tail.
 
     The grid only sees [-L, L); for slowly decaying weights the tail
     int_{|x|>L} h^{-2} dx is a visible fraction of the total, so it is
-    added by adaptive quadrature.  Raises ValueError when 2s <= 1: then
-    1/h^2 is not integrable and ||1/h||_2 is infinite.
+    added in closed form (_tail_integral).  Raises ValueError when
+    2s <= 1: then 1/h^2 is not integrable and ||1/h||_2 is infinite.
     """
     if not inv_h_tail_integrable(w):
         raise ValueError(
             f"||1/h||_2 is infinite for weight exponent {w.exponent:g}: "
             "1/h^2 is integrable only for exponent > 1/2"
         )
-    from scipy.integrate import quad
-
-    s, r = w.exponent, w.scale
-    tail, _ = quad(
-        lambda x: (1.0 + (x / r) ** 2) ** (-s), grid.half_length, np.inf
-    )
+    tail = _tail_integral(w.exponent, w.scale, grid.half_length)
     vals = inv_weight_values(w, grid)
     return math.sqrt(grid.dx * float(np.sum(vals**2)) + 2.0 * tail)
 
@@ -146,29 +181,44 @@ def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
                    seed: int) -> tuple[float, int]:
     """(||A||, applications of A^T A) for a real operator A on R^n.
 
-    ARPACK's Lanczos (eigsh, k=1, which='LA') finds the top eigenvalue
-    lambda of A^T A from a start vector drawn from ``seed``.  ``tol`` is
-    ARPACK's relative tolerance on lambda and ``max_iter`` the number of
-    ARPACK restarts allowed.
+    Three-term Lanczos on A^T A from the start vector drawn from ``seed``.
+    Only the last two Krylov vectors are kept: without reorthogonalization
+    the extreme Ritz value still converges (C. C. Paige, Linear Algebra
+    Appl. 34, 1980).  It stops as ARPACK does, once the top Ritz pair
+    (theta, s) of the tridiagonal T_j has residual beta_j |s_j| <=
+    tol theta, which holds at once when the Krylov space runs out
+    (beta_j = 0).  ``max_iter`` caps the applications of A^T A.  The dense
+    eigensolve of T_j costs O(j^3), so after the first 64 applications it
+    runs only every 1 + j // 64 of them: a run of J applications spends
+    O(J^3) on it in all, not O(J^4).
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    # einsum, not a BLAS dot: OpenBLAS runs a dot of N = 16384 on two
+    # threads, whose spin-waiting doubled the CPU time of the solve there
+    # (2 vCPUs) and gained no wall time.
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.einsum("i,i->", x, y))
 
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    applications = 0
-
-    def normal(v: np.ndarray) -> np.ndarray:
-        nonlocal applications
-        applications += 1
-        return apply_adjoint(apply_op(v))
-
-    op = LinearOperator((n, n), matvec=normal, dtype=np.float64)
-    try:
-        lam = eigsh(op, k=1, which="LA", v0=v0, tol=tol, maxiter=max_iter,
-                    return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"Lanczos did not converge in {max_iter} "
-                               f"restarts (n = {n}, tol = {tol:g})") from exc
-    return math.sqrt(max(float(lam[0]), 0.0)), applications
+    v = np.random.default_rng(seed).standard_normal(n)
+    v /= math.sqrt(dot(v, v))
+    v_prev = np.zeros(n)
+    alphas, betas = [], []
+    beta, next_test, residual, top = 0.0, 1, math.inf, math.nan
+    for j in range(1, max_iter + 1):
+        w = apply_adjoint(apply_op(v)) - beta * v_prev
+        alphas.append(dot(v, w))
+        w -= alphas[-1] * v
+        beta = math.sqrt(dot(w, w))
+        if j >= next_test or j == max_iter or beta == 0.0:
+            theta, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+            top, residual = float(theta[-1]), beta * abs(float(vecs[-1, -1]))
+            if residual <= tol * top:
+                return math.sqrt(max(top, 0.0)), j
+            next_test = j + 1 + j // 64
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    raise ConvergenceError(
+        f"Lanczos did not converge in {max_iter} applications of A^T A "
+        f"(n = {n}, residual {residual:.3g} > tol {tol:g} x {top:.6g})")
 
 
 @dataclass(frozen=True)
@@ -183,15 +233,17 @@ def estimate_kappa(
     w: WeightSpec,
     grid: GridSpec,
     tol: float = 1e-8,
-    max_iter: int = 10000,
+    max_iter: int = 1000,
     seed: int = 0,
 ) -> CommutatorEstimate:
     """Estimate kappa = ||(1/h)[|D|, h]|| by Lanczos on A*A.
 
-    ``tol`` is the relative tolerance on kappa^2, ``max_iter`` the number
-    of Lanczos restarts allowed.  A maps real data to real data (h real,
-    |k| even), so the Krylov vectors stay real.  The flat weight h == 1
-    commutes with |D|, so exponent 0 gives kappa = 0 without a solve.
+    ``tol`` bounds the residual of the top Ritz pair of A*A relative to
+    kappa^2, and ``max_iter`` the applications of A*A (no grid of the
+    tests or the benchmark needs more than about 50).  A maps real data
+    to real data (h real, |k| even), so the Krylov vectors stay real.
+    The flat weight h == 1 commutes with |D|, so exponent 0 gives
+    kappa = 0 without a solve.
     """
     if w.exponent == 0:
         return CommutatorEstimate(0.0, 0)
@@ -254,7 +306,7 @@ def estimate_weighted_kernel_norm(
     w: WeightSpec,
     grid: GridSpec,
     tol: float = 1e-8,
-    max_iter: int = 10000,
+    max_iter: int = 1000,
     seed: int = 0,
 ) -> float:
     """||K|| by Lanczos on K^T K; ``tol`` and ``max_iter`` as in estimate_kappa."""

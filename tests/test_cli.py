@@ -683,11 +683,29 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only where a solver needs it, so `fgl` starts fast.
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # The certificate path is numpy-only, so `fgl` starts fast: neither the
+    # import nor a bounds, commutator, threshold or kernel run loads scipy.
     src = os.path.dirname(os.path.dirname(os.path.abspath(fgl_lab.__file__)))
-    code = "import sys, fgl_lab.cli; print('scipy' in sys.modules)"
+    runs = [
+        ["bounds", "--grid.half_length", "25", "--grid.points", "512",
+         "--evolution.amplitude", "3", "--evolution.dt_max", "0.01",
+         "--evolution.t_max", "2"],
+        ["commutator", "--grid.half_length", "6.25", "--grid.points", "128",
+         "--commutator.r_values", "1,2"],
+        ["threshold", "--grid.half_length", "12.5", "--grid.points", "256",
+         "--evolution.amplitude", "0.9"],
+        ["kernel", "--kernel.x_max", "250", "--kernel.num_samples", "400",
+         "--kernel.num_nodes", "800"],
+    ]
+    code = ("import contextlib, io, sys, fgl_lab.cli\n"
+            "seen = ['scipy' in sys.modules]\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = fgl_lab.cli.main(argv + ['--out-dir', f'run{i}'])\n"
+            "    seen.append((code, 'scipy' in sys.modules))\n"
+            "print(seen)\n")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == str([False] + [(0, False)] * len(runs))

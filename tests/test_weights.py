@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import svdvals
+from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.special import hyp2f1
 
 from fgl_lab import (
     ConvergenceError,
@@ -22,7 +24,7 @@ from fgl_lab import (
     weight_values,
     weighted_kernel_matrix,
 )
-from fgl_lab.weights import _commutator_closures, _kernel_closures
+from fgl_lab.weights import _commutator_closures, _kernel_closures, _tail_integral
 
 
 def random_field(grid, seed):
@@ -99,6 +101,53 @@ class TestNormInvH:
         assert inv_h_tail_integrable(WeightSpec(1.0, 1.0))
         assert not inv_h_tail_integrable(WeightSpec(0.4, 1.0))
         assert not inv_h_tail_integrable(WeightSpec(0.0, 1.0))
+
+    @staticmethod
+    def hypergeometric_tail(s, a, length):
+        # int_L^inf (1 + (x/a)^2)^{-s} dx
+        #   = a y^{1-2s}/(2s-1) 2F1(s, s-1/2; s+1/2; -1/y^2),  y = L/a
+        y = length / a
+        return (a * y ** (1 - 2 * s) / (2 * s - 1)
+                * hyp2f1(s, s - 0.5, s + 0.5, -1.0 / y**2))
+
+    @pytest.mark.parametrize("s", [0.55, 0.6, 0.75, 0.9, 1.0, 1.25, 1.5, 2.0,
+                                   2.5, 3.0, 4.0, 6.0])
+    def test_tail_matches_hypergeometric_closed_form(self, s):
+        # L from 6.25 to 51200 beyond the weight scale: the sine series.
+        # scipy's hyp2f1 is itself off by up to 7e-16 on this grid.
+        for a in (0.5, 1.0, 4.0, 256.0):
+            for length in (6.25 * 2.0**k for k in range(14)):
+                if length > a:
+                    assert _tail_integral(s, a, length) == pytest.approx(
+                        self.hypergeometric_tail(s, a, length), rel=2e-15)
+        # L at or inside the weight scale: the full integral minus the
+        # cosine series, which cancels more as s grows.
+        for length in (6.25, 25.0, 100.0, 200.0, 256.0):
+            assert _tail_integral(s, 256.0, length) == pytest.approx(
+                self.hypergeometric_tail(s, 256.0, length), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [171.1, 200.0])
+    def test_tail_where_gamma_overflows(self, s):
+        # Gamma(s) overflows above s ~ 171.6; the ratio of the full
+        # integral goes through lgamma there
+        from scipy.integrate import quad
+
+        want = quad(lambda x: (1.0 + (x / 1000.0) ** 2) ** -s, 10.0, np.inf,
+                    epsabs=0.0, epsrel=1e-13)[0]
+        assert _tail_integral(s, 1000.0, 10.0) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("s, a, half_length", [(0.75, 256.0, 51200.0),
+                                                   (2.0, 4.0, 1600.0)])
+    def test_tail_at_large_scales(self, s, a, half_length):
+        # adaptive quadrature read 34.740 instead of 36.204 for the first
+        # (4% low) and warned on both
+        want = self.hypergeometric_tail(s, a, half_length)
+        assert _tail_integral(s, a, half_length) == pytest.approx(want, rel=1e-15)
+        grid = make_grid(half_length, 4096)
+        w = WeightSpec(s, a)
+        on_grid = grid.dx * float(np.sum(inv_weight_values(w, grid) ** 2))
+        assert norm_inv_h(w, grid) == pytest.approx(
+            math.sqrt(on_grid + 2.0 * want), rel=1e-15)
 
 
 class TestCommutator:
@@ -197,8 +246,59 @@ class TestCommutator:
 
     def test_iteration_budget_raises(self):
         grid = make_grid(10.0, 128)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="in 1 applications"):
             estimate_kappa(WeightSpec(1.0, 1.0), grid, tol=1e-14, max_iter=1)
+
+    @pytest.mark.parametrize("half_length, points",
+                             [(10.0, 128), (50.0, 1024), (100.0, 2048)])
+    def test_lanczos_matches_dense_svd_for_every_seed(self, half_length, points):
+        # (100, 2048) has a near-degenerate top pair, the hardest case
+        grid = make_grid(half_length, points)
+        apply_a, _ = _commutator_closures(WeightSpec(1.0, 1.0), grid)
+        mat = np.column_stack([apply_a(e) for e in np.eye(points)])
+        sigma = math.sqrt(np.linalg.eigvalsh(mat.T @ mat)[-1])
+        for seed in (0, 1, 7, 42):
+            est = estimate_kappa(WeightSpec(1.0, 1.0), grid, seed=seed)
+            assert est.kappa == pytest.approx(sigma, rel=1e-8)
+
+    @pytest.mark.parametrize("half_length, points", [(1.0, 4), (2.0, 8), (10.0, 8)])
+    def test_lanczos_when_the_krylov_space_runs_out(self, half_length, points):
+        # the recurrence meets beta = 0 (to rounding) within N applications
+        grid = make_grid(half_length, points)
+        for w in (WeightSpec(1.0, 1.0), WeightSpec(2.0, 0.5)):
+            apply_a, _ = _commutator_closures(w, grid)
+            mat = np.column_stack([apply_a(e) for e in np.eye(points)])
+            est = estimate_kappa(w, grid)
+            assert est.kappa == pytest.approx(svdvals(mat)[0], rel=1e-12)
+            assert est.iterations <= points
+            kernel = svdvals(weighted_kernel_matrix(w, grid))[0]
+            assert estimate_weighted_kernel_norm(w, grid) == pytest.approx(
+                kernel, rel=1e-12)
+
+    @pytest.mark.parametrize("half_length, points", [
+        (50.0, 1024), (100.0, 2048), (100.0, 4096), (100.0, 8192),
+        (200.0, 16384)])
+    def test_lanczos_needs_no_more_applications_than_arpack(self, half_length,
+                                                             points):
+        # the grids the benchmark's certify workload solves kappa on; ARPACK
+        # (eigsh, the same start vector and stopping test) is the oracle
+        grid = make_grid(half_length, points)
+        apply_a, apply_a_star = _commutator_closures(WeightSpec(1.0, 1.0), grid)
+        for seed in (0, 42):
+            count = 0
+
+            def normal(v):
+                nonlocal count
+                count += 1
+                return apply_a_star(apply_a(v))
+
+            v0 = np.random.default_rng(seed).standard_normal(points)
+            op = LinearOperator((points, points), matvec=normal, dtype=float)
+            lam = eigsh(op, k=1, which="LA", v0=v0, tol=1e-8,
+                        return_eigenvectors=False)[0]
+            est = estimate_kappa(WeightSpec(1.0, 1.0), grid, seed=seed)
+            assert est.iterations <= count
+            assert est.kappa == pytest.approx(math.sqrt(lam), rel=1e-8)
 
 
 class TestWeightedKernel:
