@@ -47,9 +47,8 @@ from .io import (
     fmt,
     run_timestamp,
     timeseries_table,
+    write_columns,
     write_json,
-    write_plot_curve,
-    write_rows_csv,
 )
 from .kernel_decay import BumpSpec, fit_tail_decay, kernel_transform
 from .ode import OdeParams, blowup_time, closed_form_eval, weighted_norm_lower_bound
@@ -85,8 +84,9 @@ class _Parser(argparse.ArgumentParser):
 class _Result:
     """What a command produced; ``_write_tree`` turns it into files.
 
-    tables: (file name, header, rows) entries.
-    curves: (stem under plots/, x label, y label, title, x, y) entries.
+    tables: (file name, header, columns) entries.
+    curves: (stem under plots/, x label, y label, title, x, y) entries;
+    x and y are written as floats.
     """
 
     line: str
@@ -191,7 +191,7 @@ def _cmd_sweep(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     return _Result(
         line, summary,
         [("sweep.csv", ["R", "t_detected", "included"],
-          zip(result.parameter_values, result.measured, mask))],
+          (result.parameter_values, result.measured, mask))],
         [("t_detected_vs_R", "R", "t_detected",
           "lifespan vs amplitude scale (log-log)",
           result.parameter_values[mask], result.measured[mask])],
@@ -221,7 +221,7 @@ def _cmd_ode(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     line = f"ode: blowup_time={fmt(t_star)} equilibrium={fmt(params.equilibrium)}"
     return _Result(
         line, summary,
-        [("ode.csv", ["t", "f"], zip(times, values))],
+        [("ode.csv", ["t", "f"], (times, values))],
         [("f_vs_t", "t", "f", "closed-form Bernoulli solution", times, values)],
     )
 
@@ -244,7 +244,7 @@ def _cmd_commutator(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     return _Result(
         line, summary,
         [("commutator.csv", ["R", "kappa", "kappa_times_R"],
-          zip(result.parameter_values, result.measured, products))],
+          (result.parameter_values, result.measured, products))],
         [("kappa_vs_R", "R", "kappa",
           "commutator norm vs weight scale (log-log)",
           result.parameter_values, result.measured)],
@@ -285,7 +285,7 @@ def _cmd_kernel(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
             f"C shift={fmt(c_change)}")
     return _Result(
         line, summary,
-        [("kernel.csv", ["x", "g", "envelope"], zip(x, g, envelope))],
+        [("kernel.csv", ["x", "g", "envelope"], (x, g, envelope))],
         [("g_vs_x", "x", "g", "kernel", x, g),
          ("envelope_vs_x", "x", "|g|(1+x^2)", "decay envelope", x, envelope),
          ("bin_maxima", "x", "bin max |g|", "envelope bin maxima",
@@ -315,7 +315,7 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     return _Result(
         line, summary,
         [("threshold.csv", columns,
-          [[h[c] for c in columns] for h in result.history])],
+          [[h[c] for h in result.history] for c in columns])],
         [("threshold_vs_R", "R", "threshold", "critical norm vs weight dilation",
           [h["R"] for h in result.history],
           [h["threshold"] for h in result.history])],
@@ -406,14 +406,18 @@ def _write_tree(out_dir: str, result: _Result) -> list[str]:
     Returns the files written, relative to out_dir: the manifest's list.
     """
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
+    formatted = {}  # each distinct column object is formatted once
     written = []
-    for name, header, rows in result.tables:
-        write_rows_csv(os.path.join(out_dir, name), header, rows)
+    for name, header, columns in result.tables:
+        write_columns(os.path.join(out_dir, name), columns, header,
+                      formatted=formatted)
         written.append(name)
     index = []
     for stem, x_label, y_label, title, x, y in result.curves:
         rel = os.path.join("plots", f"{stem}.dat")
-        write_plot_curve(os.path.join(out_dir, rel), x, y)
+        write_columns(os.path.join(out_dir, rel),
+                      (np.asarray(x, dtype=float), np.asarray(y, dtype=float)),
+                      sep=" ", formatted=formatted)
         index.append({"file": rel, "x": x_label, "y": y_label, "title": title})
         written.append(rel)
     for rel, payload in ((os.path.join("plots", "index.json"), {"curves": index}),

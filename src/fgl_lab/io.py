@@ -1,7 +1,9 @@
 """Deterministic result persistence: CSV, JSON, plot data, run manifest.
 
 The CLI's output tree is laid out in one place, ``cli._write_tree``,
-from these writers.  Every writer produces byte-identical output for
+from these writers.  CSV tables and plot curves share one column-wise
+writer, ``write_columns``; a column that several files of one tree hold
+is formatted once.  Every writer produces byte-identical output for
 identical inputs: floats are rendered with ``repr`` (shortest round-trip
 form), JSON keys are sorted, and the manifest timestamp honors the
 ``SOURCE_DATE_EPOCH`` reproducible-build convention when that variable
@@ -27,9 +29,8 @@ __all__ = [
     "run_timestamp",
     "sanitize_json",
     "timeseries_table",
+    "write_columns",
     "write_json",
-    "write_plot_curve",
-    "write_rows_csv",
 ]
 
 
@@ -78,39 +79,60 @@ def write_json(path: str, payload) -> None:
         fh.write(text + "\n")
 
 
-def timeseries_table(series: TimeSeries) -> tuple[list[str], zip]:
+def timeseries_table(series: TimeSeries) -> tuple[list[str], tuple]:
     """Fixed column order: t, dt, mass, h1, lp1, sup, Q_<weight label>."""
     header = ["t", "dt", "mass", "h1", "lp1", "sup", f"Q_{series.weight.label}"]
-    return header, zip(series.times, series.dts, series.mass, series.h1,
-                       series.lp1, series.sup, series.momentum)
+    return header, (series.times, series.dts, series.mass, series.h1,
+                    series.lp1, series.sup, series.momentum)
 
 
-def write_rows_csv(path: str, header: Sequence[str], rows) -> None:
-    """The one CSV writer; cells are floats, ints, bools, or strings."""
-    def cell(v) -> str:
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return fmt(v)
-        return str(v)
+def _cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return fmt(v)
+    return str(v)
 
+
+def _format_column(column) -> list[str]:
+    """A column's cells as text: floats, ints, bools, or strings."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.astype(float, copy=False).tolist()))
+        column = column.tolist()
+    return [_cell(v) for v in column]
+
+
+def write_columns(path: str, columns: Sequence,
+                  header: Sequence[str] | None = None, sep: str = ",",
+                  formatted: dict | None = None) -> None:
+    """The one table writer: CSV tables and plot curves, column by column.
+
+    A header line is written when given.  ``formatted`` caches each
+    column's text by object identity across the calls that share it, so a
+    column written to several files is formatted once; the cache holds the
+    column too, so no id is reused while it lives.
+    """
+    if header is not None and len(header) != len(columns):
+        raise ValueError(f"{path}: {len(header)} header names for "
+                         f"{len(columns)} columns")
+    if formatted is None:
+        formatted = {}
+    cells = []
+    for column in columns:
+        if id(column) not in formatted:
+            formatted[id(column)] = (column, _format_column(column))
+        cells.append(formatted[id(column)][1])
+    lengths = [len(c) for c in cells]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns of unequal length {lengths}")
+    lines = [sep.join(header)] if header is not None else []
+    lines += map(sep.join, zip(*cells))
+    lines.append("")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
-
-
-def write_plot_curve(path: str, x, y) -> None:
-    """Two-column plain-text curve data (rendering is left to external tools)."""
-    xs = np.asarray(x, dtype=float).ravel()
-    ys = np.asarray(y, dtype=float).ravel()
-    if xs.shape != ys.shape:
-        raise ValueError("curve columns must have equal length")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for xv, yv in zip(xs, ys):
-            fh.write(f"{fmt(xv)} {fmt(yv)}\n")
+        fh.write("\n".join(lines))
 
 
 @dataclass(frozen=True)
