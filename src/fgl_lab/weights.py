@@ -14,6 +14,7 @@ normal operator A^T A (A itself is not self-adjoint, A^T A is).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,100 @@ def apply_commutator(
     return FieldState(grid, weighted - apply_multiplier(f, abs_k).values)
 
 
+def _newton_sum(alphas: list, beta_sq: list, x: float) -> float:
+    """p'(x)/p(x) for p(x) = det(T - xI), or 0.0 if x is not above T's spectrum.
+
+    T is the symmetric tridiagonal with diagonal ``alphas`` and squared
+    off-diagonals ``beta_sq``.  The LDL^T pivots of T - xI are
+    d_i = a_i - x - b_{i-1}^2 / d_{i-1}, with derivatives
+    d_i' = -1 + b_{i-1}^2 d_{i-1}' / d_{i-1}^2, and p = prod d_i, so
+    p'/p = sum d_i'/d_i.  By Sylvester's inertia x lies above the spectrum
+    exactly when every pivot is negative; the first pivot that is not
+    (0.0 or nan included) ends the pass, so no division meets a zero.
+    """
+    d = alphas[0] - x
+    if not d < 0.0:
+        return 0.0
+    dd = -1.0
+    total = dd / d
+    for a, b2 in zip(alphas[1:], beta_sq):
+        q = b2 / d
+        dd = q * dd / d - 1.0
+        d = a - x - q
+        if not d < 0.0:
+            return 0.0
+        total += dd / d
+    return total
+
+
+def _top_ritz_pair(alphas: list, betas: list, guess: float = math.nan
+                   ) -> tuple[float, float]:
+    """(theta, |s|): the top eigenvalue of the symmetric tridiagonal T and
+    the last component of its unit eigenvector, with no LAPACK call.
+
+    T has diagonal ``alphas`` and off-diagonals ``betas``.  theta comes
+    from Newton on det(T - xI) from above (_newton_sum): every root is
+    real, so each step x - p/p' = x - 1/sum_k 1/(x - lambda_k) stays at or
+    above the top root and the iterates fall monotonically onto it.  The
+    start is ``guess`` when its pivots show it above the spectrum, else
+    the Gershgorin bound.  Newton stops once a step no longer lowers x, or
+    lands on a point whose pivots are not all negative: an exact step
+    cannot pass the top root, so that point is the root to rounding.
+
+    s comes from a twisted factorization of T - theta I (K. V. Fernando,
+    SIAM J. Matrix Anal. Appl. 18, 1997; I. S. Dhillon and B. N. Parlett,
+    Linear Algebra Appl. 387, 2004).  Forward pivots d+ and backward
+    pivots d- meet at the twist r = argmin |gamma_r|, gamma_r =
+    d+_r + d-_r - (a_r - theta), where the eigenvector is large.  With
+    z_r = 1 the other components are products of pivot ratios,
+    z_i = -b_i z_{i+1} / d+_i above r and z_i = -b_{i-1} z_{i-1} / d-_i
+    below it, so s = z_m / ||z|| keeps its relative accuracy even when it
+    is tiny.  A pivot smaller in size than pivmin, the bound LAPACK's
+    Sturm counts use (0 included), is replaced by -pivmin, which keeps
+    every ratio finite.
+    """
+    m = len(alphas)
+    beta_sq = [b * b for b in betas]
+    total = _newton_sum(alphas, beta_sq, guess)
+    if total > 0.0:
+        x = guess
+    else:
+        radii = [abs(b) for b in betas]
+        x = max(a + lo + hi
+                for a, lo, hi in zip(alphas, [0.0] + radii, radii + [0.0]))
+        total = _newton_sum(alphas, beta_sq, x)
+    while total > 0.0:
+        lower = x - 1.0 / total
+        if not lower < x:
+            break
+        x = lower
+        total = _newton_sum(alphas, beta_sq, x)
+
+    pivmin = sys.float_info.min * max([1.0] + beta_sq)
+
+    def pivot(d: float) -> float:
+        return d if abs(d) > pivmin else -pivmin
+
+    shifted = [a - x for a in alphas]
+    fwd, bwd = shifted[:], shifted[:]
+    fwd[0], bwd[-1] = pivot(shifted[0]), pivot(shifted[-1])
+    for i in range(1, m):
+        fwd[i] = pivot(shifted[i] - beta_sq[i - 1] / fwd[i - 1])
+    for i in range(m - 2, -1, -1):
+        bwd[i] = pivot(shifted[i] - beta_sq[i] / bwd[i + 1])
+    gammas = [abs(f + b - s) for f, b, s in zip(fwd, bwd, shifted)]
+    r = gammas.index(min(gammas))
+    z, norm_sq = 1.0, 1.0
+    for i in range(r - 1, -1, -1):
+        z *= betas[i] / fwd[i]
+        norm_sq += z * z
+    z = 1.0
+    for i in range(r + 1, m):
+        z *= betas[i - 1] / bwd[i]
+        norm_sq += z * z
+    return x, abs(z) / math.sqrt(norm_sq)
+
+
 def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
                    seed: int) -> tuple[float, int]:
     """(||A||, applications of A^T A) for a real operator A on R^n.
@@ -187,14 +282,16 @@ def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
     Appl. 34, 1980).  It stops as ARPACK does, once the top Ritz pair
     (theta, s) of the tridiagonal T_j has residual beta_j |s_j| <=
     tol theta, which holds at once when the Krylov space runs out
-    (beta_j = 0).  ``max_iter`` caps the applications of A^T A.  The dense
-    eigensolve of T_j costs O(j^3), so after the first 64 applications it
-    runs only every 1 + j // 64 of them: a run of J applications spends
-    O(J^3) on it in all, not O(J^4).
+    (beta_j = 0).  ``max_iter`` caps the applications of A^T A.  The
+    Ritz pair comes from _top_ritz_pair in O(j) pure-Python work per
+    Newton step, started at the last test's theta + rho (rho its
+    residual), which lies just above the new top Ritz value whenever
+    that value moved by less than rho.  The test runs after each of the
+    first 64 applications, then after every 1 + j // 64 of them.
     """
-    # einsum, not a BLAS dot: OpenBLAS runs a dot of N = 16384 on two
-    # threads, whose spin-waiting doubled the CPU time of the solve there
-    # (2 vCPUs) and gained no wall time.
+    # einsum, not a BLAS dot: OpenBLAS splits a dot of N = 16384 over two
+    # threads, and the Ritz test calls no LAPACK routine, so a solve wakes
+    # no BLAS thread and its CPU time stays at its wall time.
     def dot(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.einsum("i,i->", x, y))
 
@@ -209,8 +306,8 @@ def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
         w -= alphas[-1] * v
         beta = math.sqrt(dot(w, w))
         if j >= next_test or j == max_iter or beta == 0.0:
-            theta, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
-            top, residual = float(theta[-1]), beta * abs(float(vecs[-1, -1]))
+            top, last = _top_ritz_pair(alphas, betas, top + residual)
+            residual = beta * last
             if residual <= tol * top:
                 return math.sqrt(max(top, 0.0)), j
             next_test = j + 1 + j // 64

@@ -1,5 +1,6 @@
 """Config parsing and the command-line entry point, end to end."""
 
+import inspect
 import json
 import math
 import os
@@ -26,14 +27,17 @@ from fgl_lab.config import (
 
 @pytest.fixture
 def kappa_calls(monkeypatch):
-    """Arguments of every estimate_kappa call made through fgl_lab."""
+    """(weight, grid, tol) of every estimate_kappa call made through fgl_lab."""
     from fgl_lab import weights
 
     original = weights.estimate_kappa
+    signature = inspect.signature(original)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple(bound.arguments[k] for k in ("w", "grid", "tol")))
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -372,10 +376,12 @@ class TestMainCommands:
         summary = _read_json(out / "summary.json")
         assert summary["r0"] == 2.0
         # kappa at R = 1 on (50, 1024), its domain doubling on (100, 2048)
-        # and its dx refinement on (50, 2048); the R = 2 row is kappa_1 / 2
+        # and its dx refinement on (50, 2048); the R = 2 row is kappa_1 / 2.
+        # The checks solve at budget / 100: 5% / 100 and 1e-3 / 100.
         assert len(kappa_calls) == 3
-        assert sorted((g.half_length, g.points) for _, g in kappa_calls) == [
-            (50.0, 1024), (50.0, 2048), (100.0, 2048)]
+        assert sorted((g.half_length, g.points, tol)
+                      for _, g, tol in kappa_calls) == [
+            (50.0, 1024, 1e-8), (50.0, 2048, 1e-5), (100.0, 2048, 5e-4)]
         assert summary["stability"]["label"] == "kappa(R=1)"
         assert summary["refinement"]["stable"] is True
         kappas = np.loadtxt(out / "threshold.csv", delimiter=",", skiprows=1,
@@ -394,14 +400,15 @@ class TestMainCommands:
         capsys.readouterr()
         # kappa at R = 1, its dx refinement and its domain doubling, however
         # many rungs: rung R is kappa_1 / R, and no solve runs above 2N
-        assert sorted((g.half_length, g.points) for _, g in kappa_calls) == [
-            (12.5, 256), (12.5, 512), (25.0, 512)]
+        assert sorted((g.half_length, g.points, tol)
+                      for _, g, tol in kappa_calls) == [
+            (12.5, 256, 1e-8), (12.5, 512, 1e-5), (25.0, 512, 5e-4)]
         summary = _read_json(out / "summary.json")
         assert summary["kappa_times_r_spread"] == 0.0
         assert summary["stability"]["stable"] is True
         assert summary["refinement"]["stable"] is True
 
-    def test_bounds_command(self, tmp_path, capsys):
+    def test_bounds_command(self, tmp_path, kappa_calls, capsys):
         out = tmp_path / "run"
         assert main([
             "bounds", "--out-dir", str(out),
@@ -409,6 +416,9 @@ class TestMainCommands:
             "--evolution.amplitude", "3", "--evolution.dt_max", "0.01",
             "--evolution.t_max", "2",
         ]) == 0
+        # kappa at the default tolerance, then its domain doubling at 5% / 100
+        assert [(g.half_length, g.points, tol) for _, g, tol in kappa_calls] == [
+            (25.0, 512, 1e-8), (50.0, 1024, 5e-4)]
         assert "bounds: t_detected=" in capsys.readouterr().out
         self.assert_manifest_lists_tree(out)
         summary = _read_json(out / "summary.json")

@@ -24,7 +24,13 @@ from fgl_lab import (
     weight_values,
     weighted_kernel_matrix,
 )
-from fgl_lab.weights import _commutator_closures, _kernel_closures, _tail_integral
+from fgl_lab.weights import (
+    _commutator_closures,
+    _kernel_closures,
+    _operator_norm,
+    _tail_integral,
+    _top_ritz_pair,
+)
 
 
 def random_field(grid, seed):
@@ -299,6 +305,131 @@ class TestCommutator:
             est = estimate_kappa(WeightSpec(1.0, 1.0), grid, seed=seed)
             assert est.iterations <= count
             assert est.kappa == pytest.approx(math.sqrt(lam), rel=1e-8)
+
+
+def eigh_operator_norm(apply_op, apply_adjoint, n, tol, max_iter, seed):
+    """_operator_norm's Lanczos loop with a dense eigh of T_j as its Ritz
+    test: the oracle for where _operator_norm stops and what it returns."""
+    def dot(x, y):
+        return float(np.einsum("i,i->", x, y))
+
+    v = np.random.default_rng(seed).standard_normal(n)
+    v /= math.sqrt(dot(v, v))
+    v_prev = np.zeros(n)
+    alphas, betas = [], []
+    beta, next_test = 0.0, 1
+    for j in range(1, max_iter + 1):
+        w = apply_adjoint(apply_op(v)) - beta * v_prev
+        alphas.append(dot(v, w))
+        w -= alphas[-1] * v
+        beta = math.sqrt(dot(w, w))
+        if j >= next_test or j == max_iter or beta == 0.0:
+            theta, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+            top, residual = float(theta[-1]), beta * abs(float(vecs[-1, -1]))
+            if residual <= tol * top:
+                return math.sqrt(max(top, 0.0)), j
+            next_test = j + 1 + j // 64
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    raise ConvergenceError("oracle did not converge")
+
+
+# The grids the benchmark's certify workload solves kappa on: the base
+# grids and their domain-doubled and dx-refined check grids.
+CERTIFY_GRIDS = [(50.0, 1024), (50.0, 2048), (100.0, 2048), (100.0, 4096),
+                 (200.0, 4096), (100.0, 8192), (200.0, 8192), (200.0, 16384)]
+
+
+class TestLanczosRitzTest:
+    @pytest.mark.parametrize("half_length, points", CERTIFY_GRIDS)
+    def test_stops_where_the_eigh_loop_stops(self, half_length, points):
+        grid = make_grid(half_length, points)
+        apply_a, apply_a_star = _commutator_closures(WeightSpec(1.0, 1.0), grid)
+        for seed in (0, 1, 7, 42):
+            for tol in (1e-8, 1e-5, 5e-4):
+                want, stop = eigh_operator_norm(apply_a, apply_a_star, points,
+                                                tol, 1000, seed)
+                got, applications = _operator_norm(apply_a, apply_a_star,
+                                                   points, tol, 1000, seed)
+                assert applications == stop
+                assert got == pytest.approx(want, rel=2e-15, abs=0)
+
+    def test_needs_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("eigh", "eigvalsh", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        grid = make_grid(20.0, 256)
+        w = WeightSpec(1.0, 1.0)
+        assert estimate_kappa(w, grid).kappa > 0
+        assert estimate_weighted_kernel_norm(w, grid) > 0
+
+    @pytest.mark.parametrize("budget, grids", [
+        (0.05, [(100.0, 2048), (200.0, 4096), (200.0, 8192), (200.0, 16384)]),
+        (1e-3, [(50.0, 2048), (100.0, 4096), (100.0, 8192)]),
+    ])
+    def test_check_solves_are_as_precise_as_their_budget(self, budget, grids):
+        # a grid check re-solves kappa at tol = budget / 100 (domain
+        # doubling 5%, dx refinement 1e-3): its Ritz value must sit within
+        # budget / 200 of kappa, relative
+        w = WeightSpec(1.0, 1.0)
+        for half_length, points in grids:
+            grid = make_grid(half_length, points)
+            for seed in (0, 1, 7, 42):
+                sharp = estimate_kappa(w, grid, tol=1e-12, seed=seed).kappa
+                check = estimate_kappa(w, grid, tol=budget / 100, seed=seed).kappa
+                assert abs(check - sharp) <= budget / 200 * sharp
+
+
+def random_tridiagonals(rng, kind, count):
+    """(diagonal, off-diagonal) lists of orders 1 to 70."""
+    for _ in range(count):
+        m = int(rng.integers(1, 71))
+        diag = rng.standard_normal(m)
+        off = np.abs(rng.standard_normal(m - 1)) * 10.0 ** rng.uniform(-8, 0)
+        if kind == "mirrored":  # persymmetric: near-degenerate top pairs
+            diag = diag + diag[::-1]
+        elif kind == "split" and m > 1:
+            off[rng.integers(0, m - 1)] = 0.0
+        elif kind == "integer":  # exact eigenvalues, exactly zero pivots
+            diag = rng.integers(0, 3, m).astype(float)
+            off = rng.integers(0, 2, m - 1).astype(float)
+        yield diag.tolist(), off.tolist()
+
+
+class TestTopRitzPair:
+    @pytest.mark.parametrize("seed, kind", [
+        (0, "random"), (1, "mirrored"), (2, "split"), (3, "integer")])
+    def test_matches_eigh(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        eps = np.finfo(float).eps
+        for diag, off in random_tridiagonals(rng, kind, 400):
+            lam, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+            norm = max(abs(lam[0]), abs(lam[-1]))
+            # no start, a start at the top eigenvalue, and one at the first
+            # diagonal entry, which makes the first pivot exactly 0
+            for guess in (math.nan, float(lam[-1]), diag[0]):
+                theta, s = _top_ritz_pair(diag, off, guess)
+                assert abs(theta - lam[-1]) <= 8 * eps * norm
+                assert 0.0 <= s <= 1.0
+            gap = lam[-1] - lam[-2] if len(diag) > 1 else math.inf
+            if gap > 1e-3 * norm:
+                assert abs(s - abs(vecs[-1, -1])) <= 64 * eps * norm / gap
+
+    @pytest.mark.parametrize("diag, off, theta, s", [
+        ([3.0], [], 3.0, 1.0),
+        ([2.0, 1.0, 0.0], [0.0, 0.0], 2.0, 0.0),
+        ([5.0, 1.0, 2.0], [0.0, 0.5], 5.0, 0.0),
+        ([1.0, 1.0], [1.0], 2.0, math.sqrt(0.5)),
+        ([1.0, 1.0, 0.0], [1.0, 0.0], 2.0, 0.0),
+        ([0.0, 1.0, 1.0], [0.0, 1.0], 2.0, math.sqrt(0.5)),
+    ])
+    def test_exact_pairs_with_zero_pivots(self, diag, off, theta, s):
+        # each T - theta I has a pivot that is exactly 0
+        got_theta, got_s = _top_ritz_pair(diag, off)
+        assert got_theta == theta
+        assert got_s == pytest.approx(s, rel=1e-15)
 
 
 class TestWeightedKernel:
