@@ -17,14 +17,17 @@ norm crossing its threshold, the adaptive dt underflowing, or the
 nonlinear substep turning singular inside a step.
 
 simulate runs this step on raw arrays: it keeps the spectrum that ends
-each step, caches the phase symbol while dt repeats, and takes sup, dt
-and every recorded column from one density |u|^2 and that spectrum.  A
-recorded or non-quiet step costs three FFTs, a quiet one two.  A step is
-quiet when it is not recorded and the Wiener norm sum|fft(u)|/N, which
-bounds sup|u|, proves that the sup stays below every threshold and the
-next dt is dt_max; such a step never forms u = ifft(spec).  The
-FieldState functions strang_step, nonlinear_substep and choose_dt are
-its tested reference.
+each step, caches the phase symbol (N/2 + 1 exponentials, mirrored)
+while dt repeats, and takes sup, dt and every recorded column from one
+density |u|^2 and that spectrum.  The phase product, both densities,
+the substep gain, |fft(u)| and the finiteness mask go into buffers
+allocated once per run: besides its FFT outputs, an unrecorded step
+allocates one temporary, Im^2 in abs_squared.  A recorded or non-quiet
+step costs three FFTs, a quiet one two.  A step is quiet when it is not
+recorded and the Wiener norm sum|fft(u)|/N, which bounds sup|u|, proves
+that the sup stays below every threshold and the next dt is dt_max; such
+a step never forms u = ifft(spec).  The FieldState functions
+strang_step, nonlinear_substep and choose_dt are its tested reference.
 """
 from __future__ import annotations
 
@@ -167,12 +170,14 @@ def _quiet_limit(cfg: SimConfig) -> float:
 
 
 def _substep_gain(dens: np.ndarray, dt: float, m: float) -> np.ndarray:
-    """Modulus factor (1 - m dt |w|^m)^{-1/m} from dens = |w|^2.
+    """Modulus factor (1 - m dt |w|^m)^{-1/m} from dens = |w|^2, in place.
 
-    Raises SingularSubstepError as nonlinear_substep does.  A rate
-    m sup^m of 0 (zero data, or a power that underflows) is never singular.
+    Overwrites dens with the gain and returns it.  Raises
+    SingularSubstepError as nonlinear_substep does, with dens untouched.
+    A rate m sup^m of 0 (zero data, or a power that underflows) is never
+    singular.
     """
-    rate = m * math.sqrt(float(np.max(dens))) ** m
+    rate = m * math.sqrt(float(dens.max())) ** m
     if rate > 0:
         dt_adm = 1.0 / rate
         if dt >= dt_adm:
@@ -180,7 +185,12 @@ def _substep_gain(dens: np.ndarray, dt: float, m: float) -> np.ndarray:
                 f"nonlinear substep singular: dt = {dt:.3e} >= {dt_adm:.3e}",
                 dt_admissible=dt_adm,
             )
-    return (1.0 - m * dt * dens ** (0.5 * m)) ** (-1.0 / m)
+    gain = dens
+    gain **= 0.5 * m
+    gain *= m * dt
+    np.subtract(1.0, gain, out=gain)
+    gain **= -1.0 / m
+    return gain
 
 
 def nonlinear_substep(f: FieldState, dt: float, p: float) -> FieldState:
@@ -308,6 +318,15 @@ def simulate(
     # Wiener norm sum|spec|/N of its spectrum is below _quiet_limit, it
     # carries dens = None ("quiet") instead.
     quiet_sum = cfg.grid.points * _quiet_limit(cfg)
+    # Step buffers: the phase product, the half-step density that becomes
+    # the substep gain, |spec| for the Wiener test, the finiteness mask
+    # of u and the density of the state.
+    n = cfg.grid.points
+    phased = np.empty(n, dtype=complex)
+    gain = np.empty(n)
+    modulus = np.empty(n)
+    finite = np.empty(n, dtype=bool)
+    state_dens = np.empty(n)
     t = 0.0
     steps = 0
     last_dt = 0.0
@@ -318,7 +337,7 @@ def simulate(
     while True:
         # A quiet state (dens None) crosses no threshold and takes dt_max.
         if dens is not None:
-            sup = math.sqrt(float(np.max(dens)))
+            sup = math.sqrt(float(dens.max()))
             if sup >= cfg.sup_threshold:
                 criterion, t_detected = "sup_threshold", t
                 bracket = (max(t - last_dt, 0.0), t)
@@ -337,9 +356,11 @@ def simulate(
 
         if dt != phase_dt:
             phase_dt, phase = dt, half_wave_phase_symbol(cfg.grid, 0.5 * dt)
-        half = np.fft.ifft(spec * phase)
+        # spec stays the state's spectrum until the step commits: the
+        # singular-substep exit records it.
+        half = np.fft.ifft(np.multiply(spec, phase, out=phased))
         try:
-            half *= _substep_gain(abs_squared(half), dt, cfg.p - 1.0)
+            half *= _substep_gain(abs_squared(half, out=gain), dt, cfg.p - 1.0)
         except SingularSubstepError as err:
             criterion = "nonlinear_substep_singular"
             t_detected = t + err.dt_admissible
@@ -350,13 +371,13 @@ def simulate(
         steps += 1
         record = steps % cfg.record_every == 0
         # NaN or Inf in spec makes the Wiener norm fail the test.
-        if not record and float(np.sum(np.abs(spec))) < quiet_sum:
+        if not record and float(np.abs(spec, out=modulus).sum()) < quiet_sum:
             dens = None
         else:
             u = np.fft.ifft(spec)
-            if not np.isfinite(u).all():
+            if not np.isfinite(u, out=finite).all():
                 raise CorruptFieldError(f"state corrupt (NaN/Inf) after step at t = {t}")
-            dens = abs_squared(u)
+            dens = abs_squared(u, out=state_dens)
         t += dt
         last_dt = dt
         if record:

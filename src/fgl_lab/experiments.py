@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,6 +162,9 @@ def lifespan_sweep(
         replace(base, profile=scaled_profile(profile, r)) for r in r_arr
     ]
     if workers > 1:
+        # Imported here: it loads multiprocessing, which no other run needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_report, configs))
     else:

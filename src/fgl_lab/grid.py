@@ -95,9 +95,14 @@ class FieldState:
         object.__setattr__(self, "values", vals)
 
 
-def abs_squared(values: np.ndarray) -> np.ndarray:
-    """|values|^2 as re^2 + im^2, without the square root np.abs takes."""
-    return np.square(values.real) + np.square(values.imag)
+def abs_squared(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|values|^2 as re^2 + im^2, without the square root np.abs takes.
+
+    Written into ``out`` (a real array of the same shape) when it is given.
+    """
+    out = np.square(values.real, out=out)
+    out += np.square(values.imag)
+    return out
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -110,8 +115,15 @@ def _require_finite(values: np.ndarray) -> None:
 
 
 def half_wave_phase_symbol(grid: GridSpec, t: float) -> np.ndarray:
-    """Unit-modulus symbol e^{-i|k|t} of the free half-wave propagator."""
-    return np.exp(-1j * t * grid.abs_wavenumber)
+    """Unit-modulus symbol e^{-i|k|t} of the free half-wave propagator.
+
+    Takes N/2 + 1 exponentials, not N, and mirrors them.  The mirror is
+    exact: fftfreq scales the integers j and -j by one factor, so |k| at
+    lattice entries j and N - j is the same float, and so is its
+    exponential.
+    """
+    half = np.exp(-1j * t * grid.abs_wavenumber[: grid.points // 2 + 1])
+    return np.concatenate((half, half[-2:0:-1]))
 
 
 def gradient_symbol(grid: GridSpec) -> np.ndarray:

@@ -719,3 +719,22 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == str([False] + [(0, False)] * len(runs))
+
+
+def test_serial_sweep_leaves_multiprocessing_unloaded(tmp_path):
+    # Only a sweep with --workers > 1 starts a process pool.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fgl_lab.__file__)))
+    argv = ["sweep", "--workers", "1", "--grid.half_length", "10",
+            "--grid.points", "64", "--evolution.profile", "constant",
+            "--evolution.amplitude", "2", "--evolution.dt_max", "1e-3",
+            "--evolution.t_max", "1", "--sweep.r_values", "1,2,4",
+            "--out-dir", "run"]
+    code = ("import contextlib, io, sys, fgl_lab.cli\n"
+            "seen = ['multiprocessing' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = fgl_lab.cli.main({argv!r})\n"
+            "print(seen + [code, 'multiprocessing' in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == str([False, 0, False])

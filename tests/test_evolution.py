@@ -30,6 +30,7 @@ from fgl_lab import (
     strang_step,
     sup_norm,
 )
+from fgl_lab.evolution import _substep_gain
 
 
 def small_grid():
@@ -171,6 +172,31 @@ class TestSubsteps:
         with pytest.raises(SingularSubstepError) as err:
             nonlinear_substep(f, 0.6, 2.0)
         assert err.value.dt_admissible == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_in_place_gain_is_the_closed_form(self, m):
+        # A density with zeros whose max sits just below the singular
+        # level (m dt)^{-2/m}; the gain overwrites it and is returned.
+        dt = 0.01
+        singular = (m * dt) ** (-2.0 / m)
+        rng = np.random.default_rng(7)
+        dens = singular * rng.uniform(0.0, 1.0, 257)
+        dens[::16] = 0.0
+        dens[100] = singular * (1.0 - 1e-9)
+        want = (1.0 - m * dt * dens ** (m / 2)) ** (-1 / m)
+        got = _substep_gain(dens, dt, m)
+        assert got is dens
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_singular_gain_leaves_its_input_unchanged(self, m):
+        dens = np.linspace(0.0, 4.0, 33)
+        before = dens.copy()
+        dt_adm = 1.0 / (m * 2.0 ** m)
+        with pytest.raises(SingularSubstepError) as err:
+            _substep_gain(dens, 1.5 * dt_adm, m)
+        assert err.value.dt_admissible == dt_adm
+        assert dens.tobytes() == before.tobytes()
 
     def test_strang_step_on_constant_data_is_exact(self):
         grid = small_grid()
@@ -355,6 +381,10 @@ class TestLeanLoop:
         "reaches_t_max": (
             gaussian_config(25.0, 256, 2.0, 1.0, t_max=0.4, dt_max=0.01),
             None),
+        # Even but not a power of two: the mirrored phase symbol in the loop.
+        "n384_sup_threshold": (
+            gaussian_config(25.0, 384, 2.0, 2.0, t_max=5.0, dt_max=0.01),
+            "sup_threshold"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

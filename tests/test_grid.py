@@ -93,6 +93,18 @@ class TestSymbols:
         phase = half_wave_phase_symbol(grid, 0.37)
         assert np.allclose(np.abs(phase), 1.0)
 
+    @pytest.mark.parametrize("points", [4, 6, 10, 256, 3000, 4096])
+    def test_half_wave_phase_is_the_full_exponential_bit_for_bit(self, points):
+        # The symbol mirrors N/2 + 1 exponentials; |k| is mirror-symmetric
+        # to the bit on every even N, so the mirror is the full exponential.
+        grid = make_grid(10.0, points)
+        k = grid.abs_wavenumber
+        j = np.arange(1, points)
+        assert np.array_equal(k[j], k[points - j])
+        for t in (0.0, 0.0025, 0.37, 1e3):
+            want = np.exp(-1j * t * k)
+            assert half_wave_phase_symbol(grid, t).tobytes() == want.tobytes(), t
+
     def test_gradient_symbol_drops_unpaired_mode(self):
         grid = make_grid(10.0, 32)
         sym = gradient_symbol(grid)
