@@ -2,7 +2,8 @@
 
 
 class CorruptFieldError(ValueError):
-    """A field contains NaN or Inf where a finite state is required."""
+    """A field contains NaN or Inf where a finite state is required, or a
+    recorded state has underflowed: its max|u|^2 is nonzero but subnormal."""
 
 
 class BlowupExceededError(ValueError):

@@ -48,6 +48,9 @@ from .grid import (
 )
 from .weights import WeightSpec, inv_weight_values
 
+# The smallest normal float: a density below it has lost digits.
+_TINY = float(np.finfo(float).tiny)
+
 
 # ----------------------------------------------------------------------
 # Initial data profiles
@@ -262,11 +265,17 @@ class _Recorder:
         """Sample the state with density |u|^2 = dens and spectrum fft(u) = spec."""
         if self.rows and t <= self.rows[-1][0]:
             return
+        sup_sq = float(np.max(dens))
+        if 0.0 < sup_sq < _TINY:
+            raise CorruptFieldError(
+                f"state underflows at t = {t:.6g}: max|u| = {math.sqrt(sup_sq):.3e}, "
+                "but max|u|^2 is subnormal, so the recorded diagnostics lose their digits"
+            )
         dx = self.cfg.grid.dx
         lp1 = dx * float(np.sum(dens ** ((self.cfg.p + 1.0) / 2.0)))
         h1 = h1_norm_from_spectrum(spec, self.cfg.grid)
         self.rows.append(
-            [t, dt, dx * float(np.sum(dens)), h1, lp1, math.sqrt(float(np.max(dens))),
+            [t, dt, dx * float(np.sum(dens)), h1, lp1, math.sqrt(sup_sq),
              dx * float(np.sum(dens * self.inv_sq))]
         )
 
@@ -300,13 +309,15 @@ def simulate(
     rather than being reported as blow-up.  Nonzero initial data whose
     max|u0|^2 is subnormal or 0 raises ValueError before the first step:
     its sup, step size and diagnostics would lose their digits or read 0.
+    A recorded state whose max|u|^2 is nonzero but subnormal raises
+    CorruptFieldError for the same reason.
     """
     rec = _Recorder(cfg, weight)
     u = initial_field(cfg.profile, cfg.grid).values
     if not np.isfinite(u).all():
         raise CorruptFieldError("initial data contains NaN or Inf")
     dens = abs_squared(u)
-    if float(np.max(dens)) < np.finfo(float).tiny and np.any(u):
+    if float(np.max(dens)) < _TINY and np.any(u):
         raise ValueError(
             f"initial data too small to square: max|u0| = {np.max(np.abs(u)):.3e}, "
             "but |u0|^2 underflows the normal float range"

@@ -272,6 +272,20 @@ class TestMainCommands:
         assert summary["steps"] == 100
         capsys.readouterr()
 
+    def test_simulate_refuses_a_state_that_disperses_below_normal(
+            self, tmp_path, capsys):
+        # |u0|^2 is normal, but the data disperse until max|u|^2 turns
+        # subnormal at t = 0.95: a numerical failure, not a series
+        out = tmp_path / "run"
+        assert main(["simulate", "--out-dir", str(out),
+                     "--evolution.amplitude", "2e-154",
+                     "--evolution.p", "3.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "t = 0.95:" in err
+        assert re.search(r"max\|u\| = 1\.\d{3}e-154", err)
+        assert not (out / "series.csv").exists()
+
     def test_simulate_refuses_data_too_small_to_square(self, tmp_path, capsys):
         # |u0|^2 underflows to 0 (1e-200) or to a subnormal (1e-160), whose
         # sup and mass would lose digits, although u0 is nonzero

@@ -238,6 +238,55 @@ class TestCommutator:
         assert flat.iterations == 0
         assert calls == []
 
+    @pytest.mark.parametrize("points", [8, 1024, 8192, 16384])
+    def test_buffered_closures_match_fresh_arrays_bitwise(self, points):
+        # the reference stacks its inputs and lets every FFT allocate
+        grid = make_grid(points / 80.0, points)
+        w = WeightSpec(1.0, 1.0)
+        h = weight_values(w, grid)
+        absk = grid.abs_wavenumber[: points // 2 + 1]
+
+        def abs_d_pair(a, b):
+            return np.fft.irfft(np.fft.rfft(np.stack((a, b))) * absk, points)
+
+        def ref_a(f):
+            df, dhf = abs_d_pair(f, h * f)
+            return 1.0 / h * dhf - df
+
+        def ref_a_star(g):
+            dg, dg_over_h = abs_d_pair(g, 1.0 / h * g)
+            return h * dg_over_h - dg
+
+        apply_a, apply_a_star = _commutator_closures(w, grid)
+        rng = np.random.default_rng(points)
+        kept = []
+        for _ in range(3):
+            for closure, ref in ((apply_a, ref_a), (apply_a_star, ref_a_star)):
+                v = rng.standard_normal(points)
+                out = closure(v)
+                assert np.array_equal(out, ref(v))
+                kept.append((out, out.copy()))
+        # no returned array shares a buffer with a later application
+        for out, snapshot in kept:
+            assert np.array_equal(out, snapshot)
+
+    def test_applications_reuse_their_fft_buffers(self, monkeypatch):
+        # every rfft/irfft of a solve writes into one array per function, so
+        # no application allocates its FFT pair afresh
+        outs = {"rfft": [], "irfft": []}
+        for name, seen in outs.items():
+            def recorded(*args, _original=getattr(np.fft, name), _seen=seen,
+                         **kwargs):
+                _seen.append(kwargs.get("out"))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        est = estimate_kappa(WeightSpec(1.0, 1.0), make_grid(100.0, 1024))
+        for seen in outs.values():
+            assert len(seen) == 2 * est.iterations
+            assert seen[0] is not None
+            assert all(out is seen[0] for out in seen)
+
     def test_estimate_flat_weight_is_zero(self):
         grid = make_grid(10.0, 64)
         est = estimate_kappa(WeightSpec(0.0, 1.0), grid, tol=1e-10, seed=0)
