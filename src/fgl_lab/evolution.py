@@ -269,7 +269,7 @@ class _Recorder:
         if 0.0 < sup_sq < _TINY:
             raise CorruptFieldError(
                 f"state underflows at t = {t:.6g}: max|u| = {math.sqrt(sup_sq):.3e}, "
-                "but max|u|^2 is subnormal, so the recorded diagnostics lose their digits"
+                "but max|u|^2 is subnormal, so the recorded sup and mass lose their digits"
             )
         dx = self.cfg.grid.dx
         lp1 = dx * float(np.sum(dens ** ((self.cfg.p + 1.0) / 2.0)))
@@ -308,9 +308,11 @@ def simulate(
     NaN/Inf anywhere is a corrupt state and raises CorruptFieldError
     rather than being reported as blow-up.  Nonzero initial data whose
     max|u0|^2 is subnormal or 0 raises ValueError before the first step:
-    its sup, step size and diagnostics would lose their digits or read 0.
+    its sup, mass and step size would lose their digits or read 0.
     A recorded state whose max|u|^2 is nonzero but subnormal raises
-    CorruptFieldError for the same reason.
+    CorruptFieldError, since its sup and mass would lose their digits.
+    Neither check covers lp1 = ||u||_{p+1}^{p+1}, which leaves the double
+    range sooner and then reads 0 (at amplitude 1e-130 and p = 3.5).
     """
     rec = _Recorder(cfg, weight)
     u = initial_field(cfg.profile, cfg.grid).values
