@@ -147,7 +147,9 @@ def lifespan_sweep(
 
     Members that do not blow up before base.t_max are excluded from the
     fit and flagged in ``included``.  The largest blowing-up member is
-    re-run on a domain-doubled grid as the stability check.  Refuses
+    re-run on a domain-doubled grid as the stability check.  The runs
+    share a process pool of min(workers, members) processes, or run in
+    this process when that is 1.  Refuses
     (ValueError, before any run) factors that are not positive or not
     distinct: a repeated factor adds no point to the fit.
     """
@@ -161,6 +163,9 @@ def lifespan_sweep(
     configs = [
         replace(base, profile=scaled_profile(profile, r)) for r in r_arr
     ]
+    # No more processes than members: a pool forks all of its workers
+    # at the first submit, busy or not.
+    workers = min(workers, len(configs))
     if workers > 1:
         # Imported here: it loads multiprocessing, which no other run needs.
         from concurrent.futures import ProcessPoolExecutor

@@ -12,6 +12,9 @@ the integrand is smooth.  The ramp panels share one width, so each
 node's phase x(mid_p + s_m) splits into a panel part and one of 32 node
 offsets: a sample needs the sines and cosines of panels + 32 angles, not
 a cosine per node, and two small matrix products sum the rule.  The
+samples go through in blocks of at most 2**14 reals per (samples x
+panels) work array, written into arrays allocated once per call, so the
+transform's working set stays in L2 cache whatever the number of samples.  The
 decay rate is read off a log-log fit through per-bin envelope maxima.
 """
 from __future__ import annotations
@@ -20,6 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Most reals in one (samples x panels) work array of kernel_transform.
+# 2**13 to 2**17 time the same on 4,000 samples; 2**14 keeps the default
+# (163, 100) arrays under glibc's 128 KiB mmap threshold, and takes the
+# fewest page faults.
+_BLOCK_REALS = 2**14
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,21 @@ def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.nd
     With W the (panel, node) weight table, the ramp is
     sum_p [cos(x mid_p) (cos(x s) W^T)_p - sin(x mid_p) (sin(x s) W^T)_p]:
     each sample takes the sine and cosine of panels + 32 angles, not a
-    cosine per node.  The samples are taken in chunks, so peak memory
-    does not grow with their number.
+    cosine per node.
+
+    The samples go through in blocks whose (block, panels) arrays hold
+    at most _BLOCK_REALS = 2**14 reals: 163 samples at the default 100
+    panels (the two (block, 32) node arrays are no larger from 32 panels,
+    num_nodes > 3,968, on).  The six work arrays are allocated once per
+    call and every block is written into them with out=, so the working
+    set does not grow with the number of samples: on the 4,000 samples
+    of `fgl kernel` a call peaks at 0.78 MiB traced and takes about 80
+    minor page faults, where one 4,000-sample block took 13.3 MiB and
+    about 2,700 faults.  The blocks are equal to within one sample, so
+    that with several blocks each product takes at least 2**13 x 32
+    multiply-adds.  A short last block would go to OpenBLAS's small-matrix
+    kernel (under about 4e4 multiply-adds), which rounds differently; past
+    that size g does not depend on the block size.
     """
     if num_nodes < 256:
         raise ValueError("num_nodes too small to resolve the oscillation")
@@ -84,18 +106,23 @@ def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.nd
     offsets = half * base_x
     nodes = mid[:, None] + offsets
     weights = 2.0 * half * base_w * bump_eval(spec, nodes) * nodes
-    # chunk the samples so one block holds at most 2**20 reals
-    chunk = max(1, 2**20 // max(num_panels, offsets.size))
-    for start in range(0, x.size, chunk):
-        xc = x[start:start + chunk]
-        node_phase = np.outer(xc, offsets)
-        panel_phase = np.outer(xc, mid)
-        re = np.cos(node_phase) @ weights.T
-        im = np.sin(node_phase, out=node_phase) @ weights.T
-        re *= np.cos(panel_phase)
+    per_block = max(1, _BLOCK_REALS // num_panels)
+    num_blocks = max(1, -(-x.size // per_block))
+    cuts = [i * x.size // num_blocks for i in range(num_blocks + 1)]
+    rows = -(-x.size // num_blocks)
+    work = [np.empty((rows, k)) for k in (offsets.size,) * 2 + (num_panels,) * 4]
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        xc = x[start:stop, None]
+        node_phase, node_trig, panel_phase, panel_cos, re, im = (
+            w[:stop - start] for w in work)
+        np.multiply(xc, offsets, out=node_phase)
+        np.multiply(xc, mid, out=panel_phase)
+        np.matmul(np.cos(node_phase, out=node_trig), weights.T, out=re)
+        np.matmul(np.sin(node_phase, out=node_trig), weights.T, out=im)
+        re *= np.cos(panel_phase, out=panel_cos)
         im *= np.sin(panel_phase, out=panel_phase)
         re -= im
-        g[start:start + chunk] += re.sum(axis=1)
+        g[start:stop] += re.sum(axis=1)
     if np.isscalar(x_samples):
         return float(g[0])
     return g

@@ -402,11 +402,13 @@ def _kernel_closures(w: WeightSpec, grid: GridSpec):
     t = 1.0 / (1.0 + (np.arange(n) * grid.dx) ** 2)
     symbol = np.fft.rfft(np.concatenate((t, [0.0], t[:0:-1])))
 
+    dx_over_h, dx_times_h = grid.dx / h, grid.dx * h
+
     def toeplitz(vec: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(vec, 2 * n) * symbol, 2 * n)[:n]
 
-    return (lambda v: grid.dx / h * toeplitz(h * v),
-            lambda v: grid.dx * h * toeplitz(v / h))
+    return (lambda v: dx_over_h * toeplitz(h * v),
+            lambda v: dx_times_h * toeplitz(v / h))
 
 
 def apply_weighted_kernel(w: WeightSpec, grid: GridSpec, f: FieldState) -> FieldState:

@@ -112,6 +112,43 @@ class TestLifespanSweep:
         assert np.array_equal(serial.measured, parallel.measured)
         assert serial.slope == parallel.slope
 
+    @pytest.mark.parametrize("workers, pool_size", [(64, 3), (2, 2)])
+    def test_pool_is_capped_at_the_member_count(self, sweep_base, monkeypatch,
+                                                 workers, pool_size):
+        import concurrent.futures
+
+        pools = []
+
+        class StubPool:
+            # records the requested size and runs the members in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        res = lifespan_sweep(sweep_base, ConstantProfile(2.0), [1, 2, 4],
+                             workers=workers)
+        assert pools == [pool_size]
+        assert res.slope == pytest.approx(-1.0, abs=1e-6)
+
+    def test_single_member_sweep_starts_no_pool(self, sweep_base, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-member sweep started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        with pytest.raises(ValueError, match="need >= 3"):
+            lifespan_sweep(sweep_base, ConstantProfile(2.0), [2], workers=8)
+
 
 def _dense_commutator(w, grid):
     cols = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fgl_lab import BumpSpec, bump_eval, fit_tail_decay, kernel_transform
+from fgl_lab import BumpSpec, bump_eval, fit_tail_decay, kernel_decay, kernel_transform
 
 SPEC = BumpSpec()
 
@@ -142,15 +142,43 @@ class TestTransform:
         assert np.array_equal(kernel_transform(SPEC, x[perm]),
                               kernel_transform(SPEC, x)[perm])
 
-    def test_peak_memory_does_not_grow_with_samples(self):
-        x = np.linspace(0.0, 400.0, 10**5)
+    # the 4,000 `fgl kernel` samples in 26, 109 or 236 blocks of two
+    # sizes (25 blocks of 160 at the default budget)
+    @pytest.mark.parametrize("budget", [100 * 154, 100 * 37, 100 * 17])
+    def test_block_size_does_not_change_bits(self, monkeypatch, budget):
+        x = np.linspace(5.0, 400.0, 4000)
+        g = kernel_transform(SPEC, x)
+        monkeypatch.setattr(kernel_decay, "_BLOCK_REALS", budget)
+        assert np.array_equal(kernel_transform(SPEC, x), g)
+
+    # fewer samples than a block holds (163 at the default 100 panels), a
+    # full block, and one sample more, which must not leave a one-sample
+    # last block: BLAS sums a product that small with another kernel, and
+    # its last bits differ
+    @pytest.mark.parametrize("count", [1, 40, kernel_decay._BLOCK_REALS // 100,
+                                       kernel_decay._BLOCK_REALS // 100 + 1])
+    def test_blocks_match_one_block(self, monkeypatch, count):
+        x = np.random.default_rng(7).uniform(-400.0, 400.0, count)
+        g = kernel_transform(SPEC, x)
+        monkeypatch.setattr(kernel_decay, "_BLOCK_REALS", 2**20)
+        assert np.array_equal(kernel_transform(SPEC, x), g)
+
+    @staticmethod
+    def traced_peak(x):
         tracemalloc.start()
         try:
             kernel_transform(SPEC, x)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # the block arrays take 0.6 MiB; the rest is a few arrays of x's size
+        assert self.traced_peak(np.linspace(0.0, 400.0, 10**5)) < 8 * 2**20
+
+    def test_peak_memory_of_the_cli_default(self):
+        # the 4,000 samples on [5, 400] of `fgl kernel`
+        assert self.traced_peak(np.linspace(5.0, 400.0, 4000)) < 2 * 2**20
 
     def test_node_count_converged(self):
         x = np.array([0.0, 5.0, 25.0, 50.0])
