@@ -44,7 +44,6 @@ from .weights import (
     apply_weighted_kernel,
     estimate_kappa,
     estimate_weighted_kernel_norm,
-    inv_h_tail_integrable,
     inv_weight_values,
     norm_inv_h,
     weight_values,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import ResolvedConfig, load_config, parse_overrides, resolve
+from .config import load_config, parse_overrides, resolve
 from .errors import (
     BlowupExceededError,
     ConfigError,
@@ -70,6 +70,7 @@ _NUMERICAL_ERRORS = (
     SingularSubstepError,
     ThresholdNotMetError,
     FloatingPointError,
+    OverflowError,
 )
 
 
@@ -99,17 +100,17 @@ class _Result:
 # Config -> domain objects
 
 
-def _grid_from(cfg: ResolvedConfig) -> GridSpec:
+def _grid_from(cfg: dict) -> GridSpec:
     g = cfg["grid"]
     return make_grid(g["half_length"], g["points"])
 
 
-def _weight_from(cfg: ResolvedConfig) -> WeightSpec:
+def _weight_from(cfg: dict) -> WeightSpec:
     w = cfg["weights"]
     return WeightSpec(exponent=w["exponent"], scale=w["scale"])
 
 
-def _profile_from(cfg: ResolvedConfig):
+def _profile_from(cfg: dict):
     e = cfg["evolution"]
     if e["profile"] == "constant":
         return ConstantProfile(value=e["amplitude"])
@@ -118,7 +119,7 @@ def _profile_from(cfg: ResolvedConfig):
     )
 
 
-def _sim_config(cfg: ResolvedConfig) -> SimConfig:
+def _sim_config(cfg: dict) -> SimConfig:
     e = cfg["evolution"]
     return SimConfig(
         grid=_grid_from(cfg),
@@ -151,7 +152,7 @@ def _series_curves(series) -> list:
 # Command handlers: each computes its results and returns a _Result
 
 
-def _cmd_simulate(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+def _cmd_simulate(cfg: dict, seed: int, workers: int) -> _Result:
     sim = _sim_config(cfg)
     series, report = simulate(sim, weight=_weight_from(cfg))
     summary = {
@@ -174,7 +175,7 @@ def _cmd_simulate(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
                    _series_curves(series))
 
 
-def _cmd_sweep(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+def _cmd_sweep(cfg: dict, seed: int, workers: int) -> _Result:
     result = lifespan_sweep(_sim_config(cfg), _profile_from(cfg),
                             cfg["sweep"]["r_values"], workers=workers)
     mask = result.included
@@ -201,7 +202,7 @@ def _cmd_sweep(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
 _ODE_SAMPLES = 200  # points of the closed-form curve on [0, horizon]
 
 
-def _cmd_ode(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+def _cmd_ode(cfg: dict, seed: int, workers: int) -> _Result:
     o = cfg["ode"]
     params = OdeParams(c1=o["c1"], c2=o["c2"], q=o["q"], f0=o["f0"])
     t_star = blowup_time(params)
@@ -226,7 +227,7 @@ def _cmd_ode(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     )
 
 
-def _cmd_commutator(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+def _cmd_commutator(cfg: dict, seed: int, workers: int) -> _Result:
     result = commutator_scaling(_weight_from(cfg), cfg["commutator"]["r_values"],
                                 _grid_from(cfg), seed=seed)
     products = result.parameter_values * result.measured
@@ -259,7 +260,7 @@ _KERNEL_SHIFTED_WINDOW = (20.0, 200.0)
 _KERNEL_BINS = 12
 
 
-def _cmd_kernel(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+def _cmd_kernel(cfg: dict, seed: int, workers: int) -> _Result:
     k = cfg["kernel"]
     if k["x_max"] < _KERNEL_SHIFTED_WINDOW[1]:
         raise ConfigError(f"[kernel] x_max = {k['x_max']:g} is below "
@@ -293,7 +294,7 @@ def _cmd_kernel(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     )
 
 
-def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+def _cmd_threshold(cfg: dict, seed: int, workers: int) -> _Result:
     grid = _grid_from(cfg)
     weight = _weight_from(cfg)
     u0 = initial_field(_profile_from(cfg), grid)
@@ -322,7 +323,7 @@ def _cmd_threshold(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
     )
 
 
-def _cmd_bounds(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
+def _cmd_bounds(cfg: dict, seed: int, workers: int) -> _Result:
     audit = bounds_consistency(_sim_config(cfg), weight=_weight_from(cfg),
                                seed=seed)
     lower = audit.lower_margins
@@ -344,8 +345,9 @@ def _cmd_bounds(cfg: ResolvedConfig, seed: int, workers: int) -> _Result:
         "growth_margins_ok": not audit.growth_margins.violated,
         "stability": [_stability_dict(c) for c in audit.stability],
     }
-    line = (f"bounds: t_detected={fmt(report.t_detected)} vs bound "
-            f"{fmt(audit.bound)}; worst margins "
+    outcome = (f"t_detected={fmt(report.t_detected)}" if report.blew_up
+               else f"no blow-up by t={fmt(cfg['evolution']['t_max'])}")
+    line = (f"bounds: {outcome} vs bound {fmt(audit.bound)}; worst margins "
             f"lower={fmt(lower.worst)} growth={fmt(audit.growth_margins.worst)}")
     return _Result(
         line, summary,
@@ -442,7 +444,7 @@ def run(argv) -> int:
     result = _HANDLERS[args.command](cfg, args.seed, workers)
     manifest = RunManifest(
         command=args.command,
-        config=cfg.sections,
+        config=cfg,
         version=__version__,
         seed=args.seed,
         workers=workers,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import ConfigError
@@ -19,7 +18,6 @@ from .errors import ConfigError
 __all__ = [
     "SCHEMA",
     "COMMAND_SECTIONS",
-    "ResolvedConfig",
     "coerce_value",
     "load_config",
     "parse_overrides",
@@ -51,48 +49,42 @@ def _parse_choice(*choices: str):
     return parse
 
 
-_PARSERS = {
-    "float": _parse_float,
-    "int": int,
-    "floats": _parse_float_list,
-}
-
-# section -> key -> (type name or callable, default)
+# section -> key -> (parser, default)
 SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     "grid": {
-        "half_length": ("float", 50.0),
-        "points": ("int", 1024),
+        "half_length": (_parse_float, 50.0),
+        "points": (int, 1024),
     },
     "weights": {
-        "exponent": ("float", 1.0),
-        "scale": ("float", 1.0),
+        "exponent": (_parse_float, 1.0),
+        "scale": (_parse_float, 1.0),
     },
     "evolution": {
-        "p": ("float", 2.0),
+        "p": (_parse_float, 2.0),
         "profile": (_parse_choice("gaussian", "constant"), "gaussian"),
-        "amplitude": ("float", 2.0),
-        "width": ("float", 1.0),
-        "center": ("float", 0.0),
-        "t_max": ("float", 5.0),
-        "dt_max": ("float", 0.05),
+        "amplitude": (_parse_float, 2.0),
+        "width": (_parse_float, 1.0),
+        "center": (_parse_float, 0.0),
+        "t_max": (_parse_float, 5.0),
+        "dt_max": (_parse_float, 0.05),
     },
     "ode": {
-        "c1": ("float", 1.0),
-        "c2": ("float", 1.0),
-        "q": ("float", 2.0),
-        "f0": ("float", 2.0),
-        "t_fraction": ("float", 0.99),
+        "c1": (_parse_float, 1.0),
+        "c2": (_parse_float, 1.0),
+        "q": (_parse_float, 2.0),
+        "f0": (_parse_float, 2.0),
+        "t_fraction": (_parse_float, 0.99),
     },
     "commutator": {
-        "r_values": ("floats", (1.0, 2.0, 4.0, 8.0)),
+        "r_values": (_parse_float_list, (1.0, 2.0, 4.0, 8.0)),
     },
     "kernel": {
-        "x_max": ("float", 400.0),
-        "num_samples": ("int", 4000),
-        "num_nodes": ("int", 12800),
+        "x_max": (_parse_float, 400.0),
+        "num_samples": (int, 4000),
+        "num_nodes": (int, 12800),
     },
     "sweep": {
-        "r_values": ("floats", (1.0, 2.0, 4.0, 8.0)),
+        "r_values": (_parse_float_list, (1.0, 2.0, 4.0, 8.0)),
     },
 }
 
@@ -108,24 +100,12 @@ COMMAND_SECTIONS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class ResolvedConfig:
-    """Fully materialized configuration for one command invocation."""
-
-    command: str
-    sections: Mapping[str, Mapping[str, Any]]
-
-    def __getitem__(self, section: str) -> Mapping[str, Any]:
-        return self.sections[section]
-
-
 def coerce_value(section: str, key: str, text: str):
     """Parse a raw string according to the schema, with a precise error."""
     try:
-        kind, _ = SCHEMA[section][key]
+        parser, _ = SCHEMA[section][key]
     except KeyError:
         raise ConfigError(f"unknown config key [{section}] {key}") from None
-    parser = _PARSERS.get(kind, kind)
     try:
         return parser(str(text).strip())
     except (ValueError, TypeError) as exc:
@@ -192,7 +172,7 @@ def resolve(
     command: str,
     file_values: Mapping[str, Mapping[str, Any]],
     overrides: Mapping[str, Mapping[str, Any]],
-) -> ResolvedConfig:
+) -> dict[str, dict[str, Any]]:
     """Merge defaults <- file <- overrides for the command's sections."""
     if command not in COMMAND_SECTIONS:
         raise ConfigError(f"unknown command {command!r}")
@@ -207,4 +187,4 @@ def resolve(
             raise ConfigError(
                 f"section [{section}] is not used by command {command!r}"
             )
-    return ResolvedConfig(command=command, sections=sections)
+    return sections

@@ -280,17 +280,8 @@ class _Recorder:
         )
 
     def freeze(self) -> TimeSeries:
-        t, dt, mass, h1, lp1, sup, q = np.array(self.rows).T.copy()
-        return TimeSeries(
-            weight=self.weight,
-            times=t,
-            dts=dt,
-            mass=mass,
-            h1=h1,
-            lp1=lp1,
-            sup=sup,
-            momentum=q,
-        )
+        # A row holds TimeSeries' columns in field order.
+        return TimeSeries(self.weight, *np.array(self.rows).T.copy())
 
 
 def simulate(

@@ -44,10 +44,12 @@ from .diagnostics import (
     check_growth_inequality,
     check_weighted_lower_bound,
 )
+from .kernel_decay import _loglog_fit
 from .weights import (
     WeightSpec,
+    _gamma_ratio,
+    _require_integrable,
     estimate_kappa,
-    inv_h_tail_integrable,
     inv_weight_values,
     norm_inv_h,
 )
@@ -183,10 +185,7 @@ def lifespan_sweep(
         raise ValueError(
             f"only {int(included.sum())} members blew up; need >= 3 for a fit"
         )
-    logs_r = np.log(r_arr[included])
-    logs_t = np.log(measured[included])
-    slope, intercept = np.polyfit(logs_r, logs_t, 1)
-    resid = logs_t - (slope * logs_r + intercept)
+    slope, intercept, residual = _loglog_fit(r_arr[included], measured[included])
 
     r_big = float(r_arr[included][-1])
     t_big = float(measured[included][-1])
@@ -203,9 +202,9 @@ def lifespan_sweep(
         parameter_values=r_arr,
         measured=measured,
         included=included,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=float(np.sqrt(np.mean(resid**2))),
+        slope=slope,
+        intercept=intercept,
+        residual=residual,
         stability=domain_doubling_check(
             t_big, t_detected_on, base.grid, label=f"t_detected(R={r_big:g})"
         ),
@@ -280,17 +279,16 @@ def commutator_scaling(
             f"dilation factors must be at least two and distinct, got {r_arr.tolist()}")
     kappa_1 = estimate_kappa(w, base_grid, seed=seed).kappa
     kappas = kappa_1 / r_arr
-    slope, intercept = np.polyfit(np.log(r_arr), np.log(kappas), 1)
-    resid = np.log(kappas) - (slope * np.log(r_arr) + intercept)
+    slope, intercept, residual = _loglog_fit(r_arr, kappas)
     stability, refinement = _kappa_checks(w, kappa_1, base_grid, seed)
     return SweepResult(
         parameter="R",
         parameter_values=r_arr,
         measured=kappas,
         included=np.ones_like(r_arr, dtype=bool),
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=float(np.sqrt(np.mean(resid**2))),
+        slope=slope,
+        intercept=intercept,
+        residual=residual,
         stability=stability,
         refinement=refinement,
     )
@@ -331,6 +329,13 @@ def _certificate_norms(u0: FieldState, w: WeightSpec) -> tuple[float, float]:
     return ninv, v0
 
 
+def _require_below_fujita(p: float) -> None:
+    """Refuse p >= 3, the Fujita power, where the dilated threshold stops decaying."""
+    if p >= 3.0:
+        raise SupercriticalError(f"p = {p:g} is at or above the Fujita power 3; "
+                                 "the dilation threshold does not decay")
+
+
 def predicted_threshold_scale(
     p: float, kappa_base: float, data_norm: float, weight: WeightSpec
 ) -> float:
@@ -339,22 +344,18 @@ def predicted_threshold_scale(
     Solves (kappa_base/R)^{1/(p-1)} ||1/h_R||_2 = data_norm for R, using
     the ambient-space identities kappa_R = kappa_base / R and, for
     h = <x/a>^s, ||1/h_R||_2^2 = a R C_s^2 with
-    C_s^2 = int (1+x^2)^{-s} dx = sqrt(pi) Gamma(s-1/2) / Gamma(s).
-    Raises ValueError, as norm_inv_h does, when 2s <= 1: then
-    ||1/h_R||_2 is infinite and no scale meets the data.
+    C_s^2 = int (1+x^2)^{-s} dx = sqrt(pi) Gamma(s-1/2) / Gamma(s), and
+    data_norm in place of ||u0/h_R||_2, its limit as R grows.  Refuses
+    p >= 3 (SupercriticalError) and, as norm_inv_h does, 2s <= 1
+    (ValueError): then ||1/h_R||_2 is infinite.
     """
-    expo = 0.5 - 1.0 / (p - 1.0)
-    if expo >= 0:
-        raise SupercriticalError("threshold scale prediction needs p < 3 in 1-d")
-    s = weight.exponent
-    if not inv_h_tail_integrable(weight):
-        raise ValueError(
-            f"no threshold scale for weight exponent {s:g}: ||1/h_R||_2 is "
-            "infinite, since 1/h^2 is integrable only for exponent > 1/2"
-        )
-    c_sq = math.sqrt(math.pi) * math.gamma(s - 0.5) / math.gamma(s)
-    base = kappa_base ** (1.0 / (p - 1.0)) * math.sqrt(c_sq * weight.scale)
-    return (data_norm / base) ** (1.0 / expo)
+    _require_below_fujita(p)
+    _require_integrable(weight)
+    c_sq = math.sqrt(math.pi) * _gamma_ratio(weight.exponent)
+    threshold = critical_initial_norm(BoundParams(
+        p=p, kappa=kappa_base, inv_weight_norm=math.sqrt(c_sq * weight.scale),
+        initial_weighted_norm=data_norm))
+    return (data_norm / threshold) ** (1.0 / (0.5 - 1.0 / (p - 1.0)))
 
 
 _MAX_DOUBLINGS = 8
@@ -384,12 +385,7 @@ def subcritical_threshold(
     """
     if p <= 1:
         raise ValueError("need p > 1")
-    p_fujita = 3.0
-    if p >= p_fujita:
-        raise SupercriticalError(
-            f"p = {p:g} is at or above the Fujita power {p_fujita:g}; "
-            "the dilation threshold does not decay"
-        )
+    _require_below_fujita(p)
     ninv, _ = _certificate_norms(u0, weight)
     kappa_1 = estimate_kappa(weight, u0.grid, seed=seed).kappa
 

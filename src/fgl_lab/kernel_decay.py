@@ -148,6 +148,15 @@ class TailFit:
     bin_values: np.ndarray
 
 
+def _loglog_fit(x, y) -> tuple[float, float, float]:
+    """(slope, intercept, rms residual) of the least-squares line through
+    (log x, log y)."""
+    log_x, log_y = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(log_x, log_y, 1)
+    resid = log_y - (slope * log_x + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
+
+
 def fit_tail_decay(
     x, g, window: tuple[float, float] = (10.0, 100.0), num_bins: int = 8
 ) -> TailFit:
@@ -187,13 +196,11 @@ def fit_tail_decay(
         )
     bx = np.asarray(bin_x)
     bv = np.asarray(bin_v)
-    slope, intercept = np.polyfit(np.log(bx), np.log(bv), 1)
-    resid = np.log(bv) - (slope * np.log(bx) + intercept)
-    constant = float(np.max(gw * (1.0 + xw**2)))
+    slope, _, residual = _loglog_fit(bx, bv)
     return TailFit(
-        slope=float(slope),
-        constant=constant,
-        residual=float(np.sqrt(np.mean(resid**2))),
+        slope=slope,
+        constant=float(np.max(gw * (1.0 + xw**2))),
+        residual=residual,
         bin_x=bx,
         bin_values=bv,
     )

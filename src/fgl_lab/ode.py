@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupExceededError
+from .errors import BlowupExceededError, ThresholdNotMetError
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,15 @@ def critical_initial_norm(b: BoundParams) -> float:
     """Weighted-norm threshold kappa^{1/(p-1)} ||1/h||_2.
 
     Initial data with ||u0/h||_2 strictly above this value is certified
-    to blow up in finite time.
+    to blow up in finite time.  Raises ThresholdNotMetError when the
+    power overflows, which no finite data clears.
     """
-    return b.kappa ** (1.0 / (b.p - 1.0)) * b.inv_weight_norm
+    try:
+        return b.kappa ** (1.0 / (b.p - 1.0)) * b.inv_weight_norm
+    except OverflowError:
+        raise ThresholdNotMetError(
+            f"the threshold kappa^(1/(p-1)) ||1/h||_2 overflows at kappa = "
+            f"{b.kappa:.6g}, p - 1 = {b.p - 1.0:.6g}") from None
 
 
 def comparison_ode(b: BoundParams) -> OdeParams:

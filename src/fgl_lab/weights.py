@@ -63,9 +63,21 @@ def inv_weight_values(w: WeightSpec, grid: GridSpec) -> np.ndarray:
     return 1.0 / weight_values(w, grid)
 
 
-def inv_h_tail_integrable(w: WeightSpec) -> bool:
-    """Whether 1/h^2 is integrable on the line."""
-    return 2.0 * w.exponent > 1
+def _require_integrable(w: WeightSpec) -> None:
+    """Refuse (ValueError) a weight with 2s <= 1: then 1/h^2 is not
+    integrable on the line and ||1/h||_2 is infinite."""
+    if not 2.0 * w.exponent > 1:
+        raise ValueError(
+            f"||1/h||_2 is infinite for weight exponent {w.exponent:g}: "
+            "1/h^2 is integrable only for exponent > 1/2"
+        )
+
+
+def _gamma_ratio(s: float) -> float:
+    """Gamma(s - 1/2) / Gamma(s) for s > 1/2: int (1 + x^2)^{-s} dx / sqrt(pi)."""
+    if s < 171:  # Gamma(s) overflows from s = 171.6 on
+        return math.gamma(s - 0.5) / math.gamma(s)
+    return math.exp(math.lgamma(s - 0.5) - math.lgamma(s))
 
 
 def _gauss_series(a: float, b: float, c: float, z: float) -> float:
@@ -102,9 +114,7 @@ def _tail_integral(s: float, a: float, length: float) -> float:
     head = (1.0 + y2) ** (0.5 - s)
     if z <= 0.5:
         return a * head / (2 * s - 1) * _gauss_series(0.5, s - 0.5, s + 0.5, z)
-    ratio = (math.gamma(s - 0.5) / math.gamma(s) if s < 171  # Gamma overflows
-             else math.exp(math.lgamma(s - 0.5) - math.lgamma(s)))
-    full = math.sqrt(math.pi) / 2 * ratio
+    full = math.sqrt(math.pi) / 2 * _gamma_ratio(s)
     return a * (full - math.sqrt(y2 * z) * head * _gauss_series(s, 1.0, 1.5, y2 * z))
 
 
@@ -116,11 +126,7 @@ def norm_inv_h(w: WeightSpec, grid: GridSpec) -> float:
     added in closed form (_tail_integral).  Raises ValueError when
     2s <= 1: then 1/h^2 is not integrable and ||1/h||_2 is infinite.
     """
-    if not inv_h_tail_integrable(w):
-        raise ValueError(
-            f"||1/h||_2 is infinite for weight exponent {w.exponent:g}: "
-            "1/h^2 is integrable only for exponent > 1/2"
-        )
+    _require_integrable(w)
     tail = _tail_integral(w.exponent, w.scale, grid.half_length)
     vals = inv_weight_values(w, grid)
     return math.sqrt(grid.dx * float(np.sum(vals**2)) + 2.0 * tail)

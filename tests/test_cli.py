@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -146,7 +147,7 @@ class TestOverrides:
 class TestResolve:
     def test_defaults_materialize_only_command_sections(self):
         cfg = resolve("ode", {}, {})
-        assert tuple(cfg.sections) == COMMAND_SECTIONS["ode"]
+        assert tuple(cfg) == COMMAND_SECTIONS["ode"]
         assert cfg["ode"]["c1"] == 1.0
         assert cfg["ode"]["t_fraction"] == 0.99
 
@@ -705,6 +706,62 @@ class TestExitCodes:
         assert code == 1
         assert "--workers must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# Edge values of config keys, at N <= 256.
+_FUZZ_EDGES = {
+    "grid.half_length": ("1e-3", "1", "12.5", "1e4"),
+    "grid.points": ("1", "3", "16", "64", "256"),
+    "weights.exponent": ("0", "0.5", "0.75", "3", "200"),
+    "weights.scale": ("0.01", "1", "1e3"),
+    "evolution.p": ("1.0000001", "1.5", "2.999999", "3", "7"),
+    "evolution.amplitude": ("0", "1e-300", "1e-3", "0.3", "3", "1e3"),
+    "evolution.t_max": ("1e-9", "0.3", "1"),
+    "evolution.dt_max": ("0.01", "1", "1e3"),
+    "ode.q": ("1.0000001", "2", "50"),
+    "ode.f0": ("1e-300", "1", "1e300"),
+    "ode.c2": ("1e-300", "1", "1e300"),
+    "commutator.r_values": ("1,2", "1,1e3", "1,1.0000001"),
+    "sweep.r_values": ("0.5,1,2", "1e-3,1,1e3"),
+    "kernel.x_max": ("200", "1e5"),
+    "kernel.num_nodes": ("1", "64"),
+}
+
+# Lines that used to end in a traceback, with the exit code they get now:
+# bounds runs that reach t_max undetected, and powers past the double range.
+_FUZZ_FIXED = (
+    ("bounds --evolution.amplitude 3 --evolution.t_max 0.3", 0),
+    ("bounds --evolution.p 1.0000001 --grid.points 64", 0),
+    ("threshold --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
+    ("bounds --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
+    ("ode --ode.q 50 --ode.f0 1e-300 --ode.c2 1e300", 2),
+)
+
+
+def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
+    # main maps every failure to exit 1 or 2; no exception escapes it
+    rng = random.Random(11)
+    lines = [(shlex.split(line), code) for line, code in _FUZZ_FIXED]
+    for _ in range(30):
+        command = rng.choice(sorted(COMMAND_SECTIONS))
+        keys = [k for k in _FUZZ_EDGES
+                if k.partition(".")[0] in COMMAND_SECTIONS[command]]
+        argv = [command]
+        if "grid" in COMMAND_SECTIONS[command]:
+            argv += ["--grid.points", "64"]
+        for key in rng.sample(keys, min(len(keys), 3)):
+            argv += [f"--{key}", rng.choice(_FUZZ_EDGES[key])]
+        lines.append((argv, None))
+    for i, (argv, want) in enumerate(lines):
+        out = tmp_path / str(i)
+        code = main(argv + ["--workers", "1", "--out-dir", str(out)])
+        assert code in (0, 1, 2) and want in (None, code), argv
+    err = capsys.readouterr().err
+    assert "overflows at kappa = 98.0833, p - 1 = 1e-07" in err
+    for i in (0, 1):
+        summary = _read_json(tmp_path / str(i) / "summary.json")
+        assert (summary["blew_up"], summary["t_detected"]) == (False, None)
+        assert summary["lower_margins_ok"] and summary["growth_margins_ok"]
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -242,13 +242,22 @@ class TestPredictedThresholdScale:
         threshold_at_r = (kappa1 / r) ** (1.0 / (p - 1.0)) * ninv
         assert threshold_at_r == pytest.approx(norm, rel=1e-6)
 
+    def test_steep_weight_past_the_gamma_range(self):
+        # Gamma(200) overflows a double; Gamma(s - 1/2) / Gamma(s) does not
+        w = WeightSpec(200.0)
+        p, kappa1, norm = 1.5, 0.5, 1.0
+        r = predicted_threshold_scale(p, kappa1, norm, w)
+        ninv = norm_inv_h(w.rescaled(r), make_grid(10.0, 2**14))
+        threshold_at_r = (kappa1 / r) ** (1.0 / (p - 1.0)) * ninv
+        assert threshold_at_r == pytest.approx(norm, rel=1e-9)
+
     def test_non_integrable_weight_has_no_prediction(self):
         w = WeightSpec(0.5, 1.0)
         with pytest.raises(ValueError, match="integrable only for exponent > 1/2"):
             predicted_threshold_scale(1.5, 0.4, 0.3, w)
 
     def test_needs_subcritical_power(self):
-        with pytest.raises(SupercriticalError):
+        with pytest.raises(SupercriticalError, match="Fujita"):
             predicted_threshold_scale(3.0, 0.5, 1.0, W)
 
 

@@ -17,7 +17,6 @@ from fgl_lab import (
     apply_weighted_kernel,
     estimate_kappa,
     estimate_weighted_kernel_norm,
-    inv_h_tail_integrable,
     inv_weight_values,
     make_grid,
     norm_inv_h,
@@ -99,14 +98,9 @@ class TestNormInvH:
     def test_non_integrable_weight_is_refused(self):
         # 1/h^2 is not integrable for 2s <= 1, so ||1/h||_2 is infinite
         grid = make_grid(50.0, 2048)
-        for s in (0.0, 0.25, 0.5):
+        for s in (0.0, 0.25, 0.4, 0.5):
             with pytest.raises(ValueError, match=f"exponent {s:g}"):
                 norm_inv_h(WeightSpec(s, 1.0), grid)
-
-    def test_tail_integrability_predicate(self):
-        assert inv_h_tail_integrable(WeightSpec(1.0, 1.0))
-        assert not inv_h_tail_integrable(WeightSpec(0.4, 1.0))
-        assert not inv_h_tail_integrable(WeightSpec(0.0, 1.0))
 
     @staticmethod
     def hypergeometric_tail(s, a, length):
