@@ -72,7 +72,6 @@ from .diagnostics import (
     mass_identity_residual,
 )
 from .kernel_decay import (
-    BumpSpec,
     TailFit,
     bump_eval,
     fit_tail_decay,

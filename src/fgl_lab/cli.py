@@ -7,8 +7,7 @@ Commands: simulate, sweep, ode, commutator, kernel, threshold, bounds.
 Each handler returns a ``_Result``; ``run`` alone writes it out as a
 summary JSON, command-specific CSV, two-column plot data under
 ``plots/``, and a run manifest listing exactly those files, all into the
-output directory (``--out-dir`` flag, else the ``FGL_OUT_DIR``
-environment variable, else ``fgl-out``).
+output directory (``--out-dir``, default ``fgl-out``).
 
 Exit codes: 0 on success (a detected blow-up is a successful result),
 1 on usage/config errors and refused requests, 2 on numerical failure.
@@ -50,7 +49,7 @@ from .io import (
     write_columns,
     write_json,
 )
-from .kernel_decay import BumpSpec, fit_tail_decay, kernel_transform
+from .kernel_decay import fit_tail_decay, kernel_transform
 from .ode import OdeParams, blowup_time, closed_form_eval, weighted_norm_lower_bound
 from .weights import WeightSpec
 from .experiments import (
@@ -176,11 +175,11 @@ def _cmd_simulate(cfg: dict, seed: int, workers: int) -> _Result:
 
 
 def _cmd_sweep(cfg: dict, seed: int, workers: int) -> _Result:
-    result = lifespan_sweep(_sim_config(cfg), _profile_from(cfg),
-                            cfg["sweep"]["r_values"], workers=workers)
+    result = lifespan_sweep(_sim_config(cfg), cfg["sweep"]["r_values"],
+                            workers=workers)
     mask = result.included
     summary = {
-        "parameter": result.parameter,
+        "parameter": "R",
         "slope": result.slope,
         "intercept": result.intercept,
         "residual": result.residual,
@@ -253,11 +252,10 @@ def _cmd_commutator(cfg: dict, seed: int, workers: int) -> _Result:
 
 
 # Criterion 08's fit: the envelope slope on (10, 100), checked against
-# the window shifted one octave, (20, 200), in 12 logarithmic bins each.
+# the window shifted one octave, (20, 200).
 _KERNEL_X_MIN = 5.0
 _KERNEL_WINDOW = (10.0, 100.0)
 _KERNEL_SHIFTED_WINDOW = (20.0, 200.0)
-_KERNEL_BINS = 12
 
 
 def _cmd_kernel(cfg: dict, seed: int, workers: int) -> _Result:
@@ -267,11 +265,10 @@ def _cmd_kernel(cfg: dict, seed: int, workers: int) -> _Result:
                           f"{_KERNEL_SHIFTED_WINDOW[1]:g}, the end of the "
                           "shifted fit window")
     x = np.linspace(_KERNEL_X_MIN, k["x_max"], k["num_samples"])
-    g = kernel_transform(BumpSpec(), x, num_nodes=k["num_nodes"])
+    g = kernel_transform(x, num_nodes=k["num_nodes"])
     envelope = np.abs(g) * (1.0 + x**2)
-    fit = fit_tail_decay(x, g, window=_KERNEL_WINDOW, num_bins=_KERNEL_BINS)
-    shifted = fit_tail_decay(x, g, window=_KERNEL_SHIFTED_WINDOW,
-                             num_bins=_KERNEL_BINS)
+    fit = fit_tail_decay(x, g, window=_KERNEL_WINDOW)
+    shifted = fit_tail_decay(x, g, window=_KERNEL_SHIFTED_WINDOW)
     c_change = abs(shifted.constant - fit.constant) / fit.constant
     summary = {
         "slope": fit.slope,
@@ -396,9 +393,8 @@ def build_parser() -> _Parser:
                          help="seed for randomized estimators (default 0)")
         cmd.add_argument("--workers", type=int, default=0,
                          help="parallel workers for sweeps (0 = all cores)")
-        cmd.add_argument("--out-dir", default=None,
-                         help="output directory (else $FGL_OUT_DIR, "
-                         "else ./fgl-out)")
+        cmd.add_argument("--out-dir", default="fgl-out",
+                         help="output directory (default ./fgl-out)")
     return parser
 
 
@@ -438,9 +434,6 @@ def run(argv) -> int:
         raise ConfigError(f"--workers must be >= 0 (0 = all cores), "
                           f"got {args.workers}")
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    out_dir = args.out_dir
-    if out_dir is None:
-        out_dir = os.environ.get("FGL_OUT_DIR", "fgl-out")
     result = _HANDLERS[args.command](cfg, args.seed, workers)
     manifest = RunManifest(
         command=args.command,
@@ -448,11 +441,11 @@ def run(argv) -> int:
         version=__version__,
         seed=args.seed,
         workers=workers,
-        out_dir=out_dir,
+        out_dir=args.out_dir,
         timestamp=run_timestamp(),
-        outputs=tuple(_write_tree(out_dir, result)) + ("manifest.json",),
+        outputs=tuple(_write_tree(args.out_dir, result)) + ("manifest.json",),
     )
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    manifest.write(os.path.join(args.out_dir, "manifest.json"))
     print(result.line)
     return 0
 

@@ -112,6 +112,11 @@ def homogeneous_blowup_time(amplitude: float, p: float) -> float:
 # Configuration and step operations
 
 
+# Most steps a run may ask for (t_max / dt_max): it bounds a run's steps
+# and recorded rows, at this many plus the few dozen of a blow-up.
+_MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one evolution run depends on."""
@@ -135,6 +140,10 @@ class SimConfig:
             raise ValueError("step-safety factor theta must lie in (0, 1)")
         if not 0 < self.dt_min <= self.dt_max < math.inf:
             raise ValueError("require 0 < dt_min <= dt_max < inf")
+        if self.t_max / self.dt_max > _MAX_STEPS:
+            raise ValueError(
+                f"t_max = {self.t_max:g} over dt_max = {self.dt_max:g} asks "
+                f"for more than {_MAX_STEPS:g} steps")
         if self.sup_threshold <= 0:
             raise ValueError("sup_threshold must be positive")
         if self.record_every < 1:

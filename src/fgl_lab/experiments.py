@@ -121,9 +121,8 @@ def domain_doubling_check(
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Power-law fit over a one-parameter family of runs."""
+    """Power-law fit over the factors R of a family of runs."""
 
-    parameter: str
     parameter_values: np.ndarray
     measured: np.ndarray
     included: np.ndarray
@@ -142,20 +141,19 @@ def _run_report(cfg: SimConfig) -> BlowupReport:
     return report
 
 
-def lifespan_sweep(
-    base: SimConfig, profile, r_values, workers: int = 1
-) -> SweepResult:
+def lifespan_sweep(base: SimConfig, r_values, workers: int = 1) -> SweepResult:
     """Detected blow-up time versus amplitude factor R, with log-log fit.
 
-    Members that do not blow up before base.t_max are excluded from the
-    fit and flagged in ``included``.  The largest blowing-up member is
-    re-run on a domain-doubled grid as the stability check.  The runs
-    share a process pool of min(workers, members) processes, or run in
-    this process when that is 1.  Refuses
-    (ValueError, before any run) factors that are not positive or not
-    distinct: a repeated factor adds no point to the fit.
+    Member R runs base with its profile scaled by R.  Members that do
+    not blow up before base.t_max are excluded from the fit and flagged
+    in ``included``.  The largest blowing-up member is re-run on a
+    domain-doubled grid as the stability check.  The runs share a
+    process pool of min(workers, members) processes, or run in this
+    process when that is 1.  Refuses (ValueError, before any run)
+    factors that are not positive or not distinct: a repeated factor
+    adds no point to the fit.
     """
-    if isinstance(profile, CustomProfile):
+    if isinstance(base.profile, CustomProfile):
         raise ValueError("lifespan sweeps need an analytic profile (domain doubling)")
     r_arr = np.asarray(sorted(float(r) for r in r_values))
     if r_arr.size < 1 or np.any(r_arr <= 0):
@@ -163,7 +161,7 @@ def lifespan_sweep(
     if np.any(np.diff(r_arr) == 0):
         raise ValueError(f"amplitude factors must be distinct, got {r_arr.tolist()}")
     configs = [
-        replace(base, profile=scaled_profile(profile, r)) for r in r_arr
+        replace(base, profile=scaled_profile(base.profile, r)) for r in r_arr
     ]
     # No more processes than members: a pool forks all of its workers
     # at the first submit, busy or not.
@@ -189,7 +187,7 @@ def lifespan_sweep(
 
     r_big = float(r_arr[included][-1])
     t_big = float(measured[included][-1])
-    cfg_big = replace(base, profile=scaled_profile(profile, r_big))
+    cfg_big = replace(base, profile=scaled_profile(base.profile, r_big))
 
     def t_detected_on(grid: GridSpec) -> float:
         rep = _run_report(replace(cfg_big, grid=grid))
@@ -198,7 +196,6 @@ def lifespan_sweep(
         return rep.t_detected
 
     return SweepResult(
-        parameter="R",
         parameter_values=r_arr,
         measured=measured,
         included=included,
@@ -282,7 +279,6 @@ def commutator_scaling(
     slope, intercept, residual = _loglog_fit(r_arr, kappas)
     stability, refinement = _kappa_checks(w, kappa_1, base_grid, seed)
     return SweepResult(
-        parameter="R",
         parameter_values=r_arr,
         measured=kappas,
         included=np.ones_like(r_arr, dtype=bool),

@@ -30,46 +30,37 @@ import numpy as np
 # fewest page faults.
 _BLOCK_REALS = 2**14
 
-
-@dataclass(frozen=True)
-class BumpSpec:
-    """Smooth cutoff: 1 on [0, plateau_end], 0 outside [0, support_end]."""
-
-    plateau_end: float = 1.0
-    support_end: float = 2.0
-
-    def __post_init__(self):
-        if not 0 < self.plateau_end < self.support_end:
-            raise ValueError("require 0 < plateau_end < support_end")
+# The bump phi is 1 on [0, _PLATEAU_END] and 0 beyond _SUPPORT_END; a
+# tail fit takes one envelope sample from each of _TAIL_BINS log bins.
+_PLATEAU_END, _SUPPORT_END = 1.0, 2.0
+_TAIL_BINS = 12
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """C-infinity step: 0 for t <= 0, 1 for t >= 1, strictly rising between."""
-    t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
         b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
     return a / (a + b)
 
 
-def bump_eval(spec: BumpSpec, rho):
+def bump_eval(rho) -> np.ndarray:
     """Evaluate phi at radii rho (negative inputs are mirrored)."""
     r = np.abs(np.asarray(rho, dtype=float))
-    arg = (spec.support_end - r) / (spec.support_end - spec.plateau_end)
+    arg = (_SUPPORT_END - r) / (_SUPPORT_END - _PLATEAU_END)
     out = _smooth_step(arg)
-    out = np.where(r <= spec.plateau_end, 1.0, out)
-    out = np.where(r >= spec.support_end, 0.0, out)
-    return float(out) if out.ndim == 0 else out
+    out = np.where(r <= _PLATEAU_END, 1.0, out)
+    return np.where(r >= _SUPPORT_END, 0.0, out)
 
 
-def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.ndarray:
-    """g(x) = 2 int_0^b phi(xi) xi cos(x xi) d xi on the samples (b = support_end).
+def kernel_transform(x_samples, num_nodes: int = 12800) -> np.ndarray:
+    """g(x) = 2 int_0^b phi(xi) xi cos(x xi) d xi on the 1-d array x_samples.
 
     On the plateau [0, a] phi = 1, giving the closed form
     a^2 (2 sinc(ax/pi) - sinc(ax/2pi)^2), free of the (cos ax - 1)/x^2
     cancellation near x = 0.  Only the ramp [a, b] is integrated, by
     32-node Gauss-Legendre panels no wider than num_nodes makes them on
-    [-b, b].  A scalar x_samples gives a float.
+    [-b, b].
 
     Every panel has the same half-width, so its nodes are mid_p + s_m
     with the same 32 offsets s_m, and the phase splits:
@@ -95,8 +86,8 @@ def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.nd
     """
     if num_nodes < 256:
         raise ValueError("num_nodes too small to resolve the oscillation")
-    x = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    a, b = spec.plateau_end, spec.support_end
+    x = np.asarray(x_samples, dtype=float)
+    a, b = _PLATEAU_END, _SUPPORT_END
     g = a * a * (2.0 * np.sinc(a * x / np.pi) - np.sinc(a * x / (2 * np.pi)) ** 2)
     num_panels = math.ceil(max(4, math.ceil(num_nodes / 64)) * (b - a) / b)
     edges = np.linspace(a, b, num_panels + 1)
@@ -105,7 +96,7 @@ def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.nd
     base_x, base_w = np.polynomial.legendre.leggauss(32)
     offsets = half * base_x
     nodes = mid[:, None] + offsets
-    weights = 2.0 * half * base_w * bump_eval(spec, nodes) * nodes
+    weights = 2.0 * half * base_w * bump_eval(nodes) * nodes
     per_block = max(1, _BLOCK_REALS // num_panels)
     num_blocks = max(1, -(-x.size // per_block))
     cuts = [i * x.size // num_blocks for i in range(num_blocks + 1)]
@@ -123,8 +114,6 @@ def kernel_transform(spec: BumpSpec, x_samples, num_nodes: int = 12800) -> np.nd
         im *= np.sin(panel_phase, out=panel_phase)
         re -= im
         g[start:stop] += re.sum(axis=1)
-    if np.isscalar(x_samples):
-        return float(g[0])
     return g
 
 
@@ -133,11 +122,11 @@ class TailFit:
     """Log-log envelope fit of |g| over a window.
 
     slope : fitted decay exponent (x^{-2} gives -2)
-    constant : max of |g(x)| <x>^2 over the window.  For the
-        kernel this max also sees the bump's transition-band term (for
-        the default bump it decays like exp(-1.2 sqrt(x))), so it depends
-        on the window whenever the window starts below x ~ 50; beyond
-        that it settles to the kink coefficient 2.
+    constant : max of |g(x)| <x>^2 over the window.  For the kernel
+        this max also sees the bump's transition-band term (it decays
+        like exp(-1.2 sqrt(x))), so it depends on the window whenever
+        the window starts below x ~ 50; beyond that it settles to the
+        kink coefficient 2.
     residual : rms residual of the log-log fit
     """
 
@@ -157,21 +146,18 @@ def _loglog_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
 
-def fit_tail_decay(
-    x, g, window: tuple[float, float] = (10.0, 100.0), num_bins: int = 8
-) -> TailFit:
+def fit_tail_decay(x, g, window: tuple[float, float] = (10.0, 100.0)) -> TailFit:
     """Fit the envelope decay rate of |g| on a window of x > 0.
 
-    The window is cut into logarithmic bins; each bin contributes the
-    sample of largest |g| (at its own abscissa), which rides the
-    envelope even when g oscillates through zero.  The returned
-    constant is the plain windowed max of |g| <x>^2, not a fitted
-    one: for the kernel it includes the transition-band term, so with
-    the default bump it is window-dependent for windows starting below
-    x ~ 50 (6.40 on (10, 100) against 3.39 on (20, 200)).
+    The window is cut into _TAIL_BINS logarithmic bins; each bin
+    contributes the sample of largest |g| (at its own abscissa), which
+    rides the envelope even when g oscillates through zero.  At least 8
+    bins must hold a sample.  The returned constant is the plain
+    windowed max of |g| <x>^2, not a fitted one: for the kernel it
+    includes the transition-band term, so it is window-dependent for
+    windows starting below x ~ 50 (6.40 on (10, 100) against 3.39 on
+    (20, 200)).
     """
-    if num_bins < 8:
-        raise ValueError("need at least 8 bins for a meaningful envelope fit")
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     lo, hi = window
@@ -179,7 +165,7 @@ def fit_tail_decay(
         raise ValueError("window must satisfy 0 < lo < hi")
     mask = (x >= lo) & (x <= hi)
     xw, gw = x[mask], np.abs(g[mask])
-    edges = np.geomspace(lo, hi, num_bins + 1)
+    edges = np.geomspace(lo, hi, _TAIL_BINS + 1)
     bin_x, bin_v = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (xw >= a) & (xw <= b)

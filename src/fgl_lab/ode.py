@@ -43,24 +43,33 @@ class OdeParams:
 
     @property
     def equilibrium(self) -> float:
-        """Stationary value (c1/c2)^{1/(q-1)} separating decay from blow-up."""
-        return (self.c1 / self.c2) ** (1.0 / (self.q - 1.0))
+        """Stationary value (c1/c2)^{1/(q-1)} separating decay from blow-up;
+        +inf past the double range."""
+        try:
+            return (self.c1 / self.c2) ** (1.0 / (self.q - 1.0))
+        except OverflowError:
+            return math.inf
 
 
 def blowup_time(params: OdeParams) -> float:
     """Exact blow-up time, or +inf when the solution is global.
 
     Finite iff f0 > (c1/c2)^{1/(q-1)}, in which case
-    T* = -log(1 - (c1/c2) f0^{1-q}) / (c1 (q-1)).
+    T* = -log(1 - (c1/c2) f0^{1-q}) / (c1 (q-1)).  Where f0^{1-q} passes
+    the double range, the argument is taken in logs, capped at 1.
     """
-    arg = (params.c1 / params.c2) * params.f0 ** (1.0 - params.q)
+    try:
+        arg = (params.c1 / params.c2) * params.f0 ** (1.0 - params.q)
+    except OverflowError:
+        arg = math.exp(min(0.0, math.log(params.c1) - math.log(params.c2)
+                           + (1.0 - params.q) * math.log(params.f0)))
     if arg >= 1.0:
         return math.inf
     return -math.log1p(-arg) / (params.c1 * (params.q - 1.0))
 
 
-def closed_form_eval(params: OdeParams, t):
-    """Evaluate the closed-form solution at time(s) t, strictly before blow-up.
+def closed_form_eval(params: OdeParams, t: np.ndarray) -> np.ndarray:
+    """Evaluate the closed-form solution at times t, strictly before blow-up.
 
     f(t) = e^{-c1 t} (f0^{1-q} + (c2/c1)(e^{-c1(q-1)t} - 1))^{-1/(q-1)}
 
@@ -68,21 +77,26 @@ def closed_form_eval(params: OdeParams, t):
     ------
     BlowupExceededError
         If any requested time is at or beyond the blow-up time.
+    OverflowError
+        If f0^{1-q} passes the double range, naming the coefficients.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if np.any(t < 0):
         raise ValueError("closed form is defined for t >= 0")
     m = params.q - 1.0
     t_star = blowup_time(params)
-    bracket = params.f0 ** (-m) + (params.c2 / params.c1) * np.expm1(
-        -params.c1 * m * t_arr
-    )
-    if np.any(t_arr >= t_star) or np.any(bracket <= 0):
+    try:
+        head = params.f0 ** (-m)
+    except OverflowError:
+        raise OverflowError(
+            f"the closed form's f0^(1-q) overflows at c1 = {params.c1:.6g}, "
+            f"c2 = {params.c2:.6g}, f0 = {params.f0:.6g}, q - 1 = {m:.6g}"
+        ) from None
+    bracket = head + (params.c2 / params.c1) * np.expm1(-params.c1 * m * t)
+    if np.any(t >= t_star) or np.any(bracket <= 0):
         raise BlowupExceededError(
             f"requested time at or beyond blow-up time T* = {t_star:.6g}"
         )
-    out = np.exp(-params.c1 * t_arr) * bracket ** (-1.0 / m)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return np.exp(-params.c1 * t) * bracket ** (-1.0 / m)
 
 
 # ----------------------------------------------------------------------

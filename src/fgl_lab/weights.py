@@ -40,11 +40,9 @@ class WeightSpec:
         if self.scale <= 0 or not math.isfinite(self.scale):
             raise ValueError("weight scale must be positive and finite")
 
-    def h(self, r):
-        """Evaluate h at coordinate values (scalar or array)."""
-        r = np.asarray(r, dtype=float)
-        out = (1.0 + (r / self.scale) ** 2) ** (self.exponent / 2.0)
-        return float(out) if out.ndim == 0 else out
+    def h(self, r: np.ndarray) -> np.ndarray:
+        """Evaluate h at an array of coordinate values."""
+        return (1.0 + (r / self.scale) ** 2) ** (self.exponent / 2.0)
 
     @property
     def label(self) -> str:
@@ -341,6 +339,10 @@ def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
         f"(n = {n}, residual {residual:.3g} > tol {tol:g} x {top:.6g})")
 
 
+# Most applications of A*A in one Lanczos solve (no grid needs 50).
+_MAX_APPLICATIONS = 1000
+
+
 @dataclass(frozen=True)
 class CommutatorEstimate:
     """Converged operator-norm estimate of the weighted commutator."""
@@ -353,15 +355,13 @@ def estimate_kappa(
     w: WeightSpec,
     grid: GridSpec,
     tol: float = 1e-8,
-    max_iter: int = 1000,
     seed: int = 0,
 ) -> CommutatorEstimate:
     """Estimate kappa = ||(1/h)[|D|, h]|| by Lanczos on A*A.
 
     ``tol`` bounds the residual of the top Ritz pair of A*A relative to
-    kappa^2, and ``max_iter`` the applications of A*A (no grid of the
-    tests or the benchmark needs more than about 50).  A maps real data
-    to real data (h real, |k| even), so the Krylov vectors stay real.
+    kappa^2, in at most _MAX_APPLICATIONS applications of A*A.  A maps
+    real data to real data (h real, |k| even), so the Krylov vectors stay real.
     The flat weight h == 1 commutes with |D|, so exponent 0 gives
     kappa = 0 without a solve.
     """
@@ -369,8 +369,8 @@ def estimate_kappa(
         return CommutatorEstimate(0.0, 0)
     apply_a, apply_a_star = _commutator_closures(w, grid)
     kappa, applications = _operator_norm(
-        apply_a, apply_a_star, grid.points, tol=tol, max_iter=max_iter,
-        seed=seed)
+        apply_a, apply_a_star, grid.points, tol=tol,
+        max_iter=_MAX_APPLICATIONS, seed=seed)
     return CommutatorEstimate(kappa, applications)
 
 
@@ -378,17 +378,19 @@ def estimate_kappa(
 # Smoothing kernel operator
 
 
-def weighted_kernel_matrix(
-    w: WeightSpec, grid: GridSpec, max_points: int = 4096
-) -> np.ndarray:
+_DENSE_KERNEL_POINTS = 4096  # most points of the dense kernel (128 MiB)
+
+
+def weighted_kernel_matrix(w: WeightSpec, grid: GridSpec) -> np.ndarray:
     """Dense matrix of K f(x) = (1/h(x)) sum_y <x-y>^{-2} h(y) f(y) dx.
 
     Uses the true line distance x - y on the truncated domain, not the
     torus distance, mirroring the ambient-space operator.
     """
-    if grid.points > max_points:
+    if grid.points > _DENSE_KERNEL_POINTS:
         raise ValueError(
-            f"grid has {grid.points} points, above the dense-kernel cap {max_points}"
+            f"grid has {grid.points} points, above the dense-kernel cap "
+            f"{_DENSE_KERNEL_POINTS}"
         )
     x = grid.nodes
     h = weight_values(w, grid)
@@ -428,10 +430,9 @@ def estimate_weighted_kernel_norm(
     w: WeightSpec,
     grid: GridSpec,
     tol: float = 1e-8,
-    max_iter: int = 1000,
     seed: int = 0,
 ) -> float:
-    """||K|| by Lanczos on K^T K; ``tol`` and ``max_iter`` as in estimate_kappa."""
+    """||K|| by Lanczos on K^T K; ``tol`` as in estimate_kappa."""
     apply_k, apply_k_t = _kernel_closures(w, grid)
     return _operator_norm(apply_k, apply_k_t, grid.points, tol=tol,
-                          max_iter=max_iter, seed=seed)[0]
+                          max_iter=_MAX_APPLICATIONS, seed=seed)[0]

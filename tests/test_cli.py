@@ -465,16 +465,8 @@ class TestMainCommands:
         assert [p.name for p in (out / "plots").glob("Q_*_vs_t.dat")] == [
             "Q_bracket_s0.75_R1_vs_t.dat"]
 
-    def test_out_dir_from_environment(self, tmp_path, monkeypatch, capsys):
-        target = tmp_path / "from-env"
-        monkeypatch.setenv("FGL_OUT_DIR", str(target))
-        assert main(["ode"]) == 0
-        assert (target / "summary.json").is_file()
-        capsys.readouterr()
-
     def test_default_out_dir_is_cwd_relative(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("FGL_OUT_DIR", raising=False)
         assert main(["ode"]) == 0
         assert (tmp_path / "fgl-out" / "summary.json").is_file()
         capsys.readouterr()
@@ -727,14 +719,19 @@ _FUZZ_EDGES = {
     "kernel.num_nodes": ("1", "64"),
 }
 
-# Lines that used to end in a traceback, with the exit code they get now:
-# bounds runs that reach t_max undetected, and powers past the double range.
+# Lines that used to end in a traceback or an unnamed overflow, or ran
+# without bound, with the exit code they get now: bounds runs that reach
+# t_max undetected, powers past the double range (an equilibrium past it
+# is +inf), and 3e8 steps.
 _FUZZ_FIXED = (
     ("bounds --evolution.amplitude 3 --evolution.t_max 0.3", 0),
     ("bounds --evolution.p 1.0000001 --grid.points 64", 0),
     ("threshold --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
     ("bounds --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
     ("ode --ode.q 50 --ode.f0 1e-300 --ode.c2 1e300", 2),
+    ("ode --ode.c1 1e300 --ode.q 1.0000001", 0),
+    ("simulate --grid.points 16 --grid.half_length 1e-3 "
+     "--evolution.t_max 0.3 --evolution.dt_max 1e-9", 1),
 )
 
 
@@ -758,6 +755,11 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
         assert code in (0, 1, 2) and want in (None, code), argv
     err = capsys.readouterr().err
     assert "overflows at kappa = 98.0833, p - 1 = 1e-07" in err
+    assert ("closed form's f0^(1-q) overflows at c1 = 1, c2 = 1e+300, "
+            "f0 = 1e-300, q - 1 = 49") in err
+    assert "t_max = 0.3 over dt_max = 1e-09" in err
+    summary = _read_json(tmp_path / "5" / "summary.json")
+    assert (summary["equilibrium"], summary["blowup_time"]) == ("inf", "inf")
     for i in (0, 1):
         summary = _read_json(tmp_path / str(i) / "summary.json")
         assert (summary["blew_up"], summary["t_detected"]) == (False, None)

@@ -346,6 +346,15 @@ class TestSimulate:
             with pytest.raises(ValueError, match="dt_max < inf"):
                 SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, dt_max=bad)
 
+    def test_step_budget(self):
+        # t_max / dt_max bounds a run's steps and recorded rows: 5e5 steps
+        # are allowed, 3e8 are refused before any step
+        grid = small_grid()
+        prof = ConstantProfile(1.0)
+        SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, dt_max=2e-6)
+        with pytest.raises(ValueError, match=r"t_max = 0\.3 over dt_max = 1e-09"):
+            SimConfig(grid=grid, p=2.0, profile=prof, t_max=0.3, dt_max=1e-9)
+
 
 def focusing_config():
     """A spike of height 40 dispersed backwards, so the free flow refocuses it.

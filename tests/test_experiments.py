@@ -1,6 +1,7 @@
 """End-to-end experiments: sweeps, threshold search, bound audits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,14 +72,14 @@ class TestDomainDoubling:
 @pytest.fixture(scope="module")
 def sweep_base() -> SimConfig:
     return SimConfig(
-        grid=make_grid(10.0, 256), p=2.0, profile=ConstantProfile(1.0),
+        grid=make_grid(10.0, 256), p=2.0, profile=ConstantProfile(2.0),
         t_max=1.0, dt_max=1e-3,
     )
 
 
 class TestLifespanSweep:
     def test_homogeneous_family_has_slope_minus_one(self, sweep_base):
-        res = lifespan_sweep(sweep_base, ConstantProfile(2.0), [1, 2, 4])
+        res = lifespan_sweep(sweep_base, [1, 2, 4])
         assert res.slope == pytest.approx(-1.0, abs=1e-6)
         assert np.allclose(res.measured, [0.5, 0.25, 0.125], rtol=1e-6)
         assert res.included.all()
@@ -86,29 +87,27 @@ class TestLifespanSweep:
         assert res.stability is not None and res.stability.stable
 
     def test_non_blowing_member_is_excluded(self, sweep_base):
-        res = lifespan_sweep(sweep_base, ConstantProfile(2.0), [0.2, 1, 2, 4])
+        res = lifespan_sweep(sweep_base, [0.2, 1, 2, 4])
         assert list(res.included) == [False, True, True, True]
         assert math.isnan(res.measured[0])
 
     def test_needs_three_blowups(self, sweep_base):
         with pytest.raises(ValueError, match="need >= 3"):
-            lifespan_sweep(sweep_base, ConstantProfile(2.0), [0.1, 0.2, 1])
+            lifespan_sweep(sweep_base, [0.1, 0.2, 1])
 
     def test_rejects_custom_profile(self, sweep_base):
         grid = sweep_base.grid
         prof = CustomProfile(samples=np.ones(grid.points, dtype=complex))
         with pytest.raises(ValueError, match="analytic profile"):
-            lifespan_sweep(sweep_base, prof, [1, 2, 4])
+            lifespan_sweep(replace(sweep_base, profile=prof), [1, 2, 4])
 
     def test_rejects_nonpositive_factors(self, sweep_base):
         with pytest.raises(ValueError, match="positive"):
-            lifespan_sweep(sweep_base, ConstantProfile(2.0), [-1, 1, 2])
+            lifespan_sweep(sweep_base, [-1, 1, 2])
 
     def test_workers_do_not_change_results(self, sweep_base):
-        serial = lifespan_sweep(sweep_base, ConstantProfile(2.0), [1, 2, 4])
-        parallel = lifespan_sweep(
-            sweep_base, ConstantProfile(2.0), [1, 2, 4], workers=2
-        )
+        serial = lifespan_sweep(sweep_base, [1, 2, 4])
+        parallel = lifespan_sweep(sweep_base, [1, 2, 4], workers=2)
         assert np.array_equal(serial.measured, parallel.measured)
         assert serial.slope == parallel.slope
 
@@ -134,7 +133,7 @@ class TestLifespanSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
-        res = lifespan_sweep(sweep_base, ConstantProfile(2.0), [1, 2, 4],
+        res = lifespan_sweep(sweep_base, [1, 2, 4],
                              workers=workers)
         assert pools == [pool_size]
         assert res.slope == pytest.approx(-1.0, abs=1e-6)
@@ -147,7 +146,7 @@ class TestLifespanSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         with pytest.raises(ValueError, match="need >= 3"):
-            lifespan_sweep(sweep_base, ConstantProfile(2.0), [2], workers=8)
+            lifespan_sweep(sweep_base, [2], workers=8)
 
 
 def _dense_commutator(w, grid):

@@ -120,6 +120,28 @@ class TestClosedForm:
         rhs = -params.c1 * f + params.c2 * f**params.q
         assert deriv == pytest.approx(rhs, rel=1e-5)
 
+    def test_equilibrium_past_the_double_range_is_inf(self):
+        # (1e300)^(1e7) overflows a float power
+        params = OdeParams(c1=1e300, c2=1.0, q=1.0000001, f0=1.0)
+        assert params.equilibrium == math.inf
+        assert blowup_time(params) == math.inf
+
+    def test_blowup_time_when_the_power_overflows(self):
+        # f0^(1-q) = 1e14700: the argument is far above 1, so T* is +inf
+        params = OdeParams(c1=1.0, c2=1e300, q=50.0, f0=1e-300)
+        assert blowup_time(params) == math.inf
+        # f0^(1-q) = 1e310 but c1/c2 = 1e-320: the argument is 1e-10 < 1,
+        # and T* = -log1p(-1e-10) / (c1 (q - 1))
+        params = OdeParams(c1=1e-20, c2=1e300, q=2.0, f0=1e-310)
+        assert blowup_time(params) == pytest.approx(1e10, rel=1e-9)
+
+    def test_closed_form_overflow_names_the_stage(self):
+        params = OdeParams(c1=1.0, c2=1e300, q=50.0, f0=1e-300)
+        with pytest.raises(OverflowError, match=r"closed form's f0\^\(1-q\) "
+                           r"overflows at c1 = 1, c2 = 1e\+300, f0 = 1e-300, "
+                           r"q - 1 = 49"):
+            closed_form_eval(params, np.linspace(0.0, 5.0, 3))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             OdeParams(c1=-1.0, c2=1.0, q=2.0, f0=1.0)

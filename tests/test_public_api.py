@@ -1,11 +1,14 @@
 """Every name fgl_lab exports, every public top-level function and class
 of its modules, and every field of an exported dataclass has a reader
-outside the tests, or is an oracle."""
+outside the tests, or is an oracle; and every optional parameter or field
+has a caller outside the tests that passes it."""
 
 import ast
 import dataclasses
 import functools
+import importlib
 import inspect
+import math
 from pathlib import Path
 
 import fgl_lab
@@ -120,4 +123,86 @@ def test_every_dataclass_field_has_a_non_test_reader():
     assert unread == [], (
         f"fields read only by tests: {unread}; delete them or allow-list "
         "them with a reason"
+    )
+
+
+# Defaulted parameters and fields that only the tests pass.
+TEST_ONLY_PARAMETERS = {
+    "SimConfig.theta": "a detection seam of the tests; the CLI keeps 0.5",
+    "SimConfig.dt_min": "a detection seam of the tests; the CLI keeps 1e-12",
+    "SimConfig.sup_threshold": "a detection seam of the tests; the CLI "
+                               "keeps 1e8",
+    "apply_commutator.adjoint": "the adjoint side of the oracle",
+}
+
+
+def _calls():
+    """{callee name: [(positional count, keyword names)]} over the sources
+    outside tests/, plus the keywords of every dataclasses.replace call.
+
+    A callee is named by its last attribute (``weights.estimate_kappa``
+    counts as ``estimate_kappa``).  A starred argument counts as passing
+    every positional slot, a ``**`` one every keyword.
+    """
+    files = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
+    files += list((ROOT / "perfbench").glob("*.py"))
+    calls, replaced = {}, set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            if None in keywords:
+                keywords = {"**"}
+            if name == "replace":
+                replaced |= keywords
+            calls.setdefault(name, []).append(
+                (math.inf if starred else len(node.args), keywords))
+    return calls, replaced
+
+
+def _defaulted_parameters(exported):
+    """{'owner.parameter': (owner, position, is_field)} for every defaulted
+    parameter of a public top-level function and every defaulted field of
+    an exported dataclass; position is None for a keyword-only parameter."""
+    out = {}
+    owners = [getattr(importlib.import_module(f"fgl_lab.{d.split('.')[0]}"),
+                      d.split(".")[1]) for d in _public_definitions()]
+    owners = [o for o in owners if inspect.isfunction(o)]
+    owners += [o for o in exported.values()
+               if inspect.isclass(o) and dataclasses.is_dataclass(o)]
+    for owner in owners:
+        params = list(inspect.signature(owner).parameters.values())
+        for i, p in enumerate(params):
+            if p.default is inspect.Parameter.empty:
+                continue
+            position = None if p.kind is p.KEYWORD_ONLY else i
+            out[f"{owner.__name__}.{p.name}"] = (
+                owner.__name__, position, inspect.isclass(owner))
+    return out
+
+
+def test_every_optional_parameter_has_a_non_test_caller():
+    optional = _defaulted_parameters(_exported())
+    assert set(TEST_ONLY_PARAMETERS) <= set(optional)
+    calls, replaced = _calls()
+
+    def passed(key):
+        owner, position, is_field = optional[key]
+        name = key.split(".")[1]
+        if is_field and name in replaced:
+            return True
+        return any(name in kw or "**" in kw
+                   or (position is not None and count > position)
+                   for count, kw in calls.get(owner, []))
+
+    unpassed = [k for k in sorted(optional)
+                if not passed(k) and k not in TEST_ONLY_PARAMETERS]
+    assert unpassed == [], (
+        f"optional but passed only by tests: {unpassed}; delete them (a "
+        "value with one use is a constant) or allow-list them with a reason"
     )

@@ -295,8 +295,10 @@ class TestCommutator:
 
     def test_iteration_budget_raises(self):
         grid = make_grid(10.0, 128)
+        apply_a, apply_a_star = _commutator_closures(WeightSpec(1.0, 1.0), grid)
         with pytest.raises(ConvergenceError, match="in 1 applications"):
-            estimate_kappa(WeightSpec(1.0, 1.0), grid, tol=1e-14, max_iter=1)
+            _operator_norm(apply_a, apply_a_star, grid.points, tol=1e-14,
+                           max_iter=1, seed=0)
 
     @pytest.mark.parametrize("half_length, points",
                              [(10.0, 128), (50.0, 1024), (100.0, 2048)])
@@ -520,4 +522,4 @@ class TestWeightedKernel:
     def test_grid_budget_guard(self):
         grid = make_grid(100.0, 8192)
         with pytest.raises(ValueError, match="points"):
-            weighted_kernel_matrix(WeightSpec(1.0, 1.0), grid, max_points=4096)
+            weighted_kernel_matrix(WeightSpec(1.0, 1.0), grid)
