@@ -445,9 +445,8 @@ def bounds_consistency(
 
     Refuses (ThresholdNotMetError) unless the initial data clears the
     blow-up threshold by the factor _REQUIRED_MARGIN, and, before any
-    kappa, what _certificate_norms refuses.  Choose cfg.dt_max so that
-    kappa * dt stays below ~0.01, keeping the finite-difference checks
-    honest.
+    kappa, what _certificate_norms refuses.  The growth audit checks
+    every step, so cfg.record_every must be 1.
     """
     ninv, v0 = _certificate_norms(initial_field(cfg.profile, cfg.grid), weight)
     kappa = estimate_kappa(weight, cfg.grid, seed=seed).kappa
@@ -462,18 +461,17 @@ def bounds_consistency(
         )
 
     series, report = simulate(cfg, weight=weight)
-
-    lower = check_weighted_lower_bound(series, b)
-    growth = check_growth_inequality(series, comparison_ode(b))
-
+    if series.times.size != report.steps + 1:
+        raise ValueError(f"the growth audit needs one row per step: "
+                         f"{series.times.size} rows for {report.steps} steps")
     return BoundsAudit(
         bound_params=b,
         threshold_value=threshold,
         bound=lifespan_upper_bound(b),
         report=report,
         series=series,
-        lower_margins=lower,
-        growth_margins=growth,
+        lower_margins=check_weighted_lower_bound(series, b),
+        growth_margins=check_growth_inequality(series, comparison_ode(b)),
         stability=(
             _kappa_check(weight, kappa, cfg.grid, seed, "kappa"),
             domain_doubling_check(ninv, lambda g: norm_inv_h(weight, g),

@@ -13,6 +13,7 @@ live here next to it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,49 +55,58 @@ class OdeParams:
 def blowup_time(params: OdeParams) -> float:
     """Exact blow-up time, or +inf when the solution is global.
 
-    Finite iff f0 > (c1/c2)^{1/(q-1)}, in which case
-    T* = -log(1 - (c1/c2) f0^{1-q}) / (c1 (q-1)).  Where f0^{1-q} passes
-    the double range, the argument is taken in logs, capped at 1.
+    Finite iff arg = (c1/c2) f0^{1-q} < 1, in which case
+    T* = -log1p(-arg) / (c1 (q-1)).  An arg past the normal range is
+    taken in logs, capped at 1; below it, T* = arg / (c1 (q-1)).
     """
+    m = params.q - 1.0
     try:
         arg = (params.c1 / params.c2) * params.f0 ** (1.0 - params.q)
     except OverflowError:
-        arg = math.exp(min(0.0, math.log(params.c1) - math.log(params.c2)
-                           + (1.0 - params.q) * math.log(params.f0)))
-    if arg >= 1.0:
-        return math.inf
-    return -math.log1p(-arg) / (params.c1 * (params.q - 1.0))
+        arg = math.inf
+    if not sys.float_info.min <= arg < math.inf:
+        log_arg = min(0.0, math.log(params.c1) - math.log(params.c2)
+                      - m * math.log(params.f0))
+        if log_arg < math.log(sys.float_info.min):
+            return math.exp(log_arg - math.log(params.c1) - math.log(m))
+        arg = math.exp(log_arg)
+    return math.inf if arg >= 1.0 else -math.log1p(-arg) / (params.c1 * m)
 
 
 def closed_form_eval(params: OdeParams, t: np.ndarray) -> np.ndarray:
     """Evaluate the closed-form solution at times t, strictly before blow-up.
 
-    f(t) = e^{-c1 t} (f0^{1-q} + (c2/c1)(e^{-c1(q-1)t} - 1))^{-1/(q-1)}
+    f(t) = f0 e^{-c1 t} (1 + f0^{q-1} (c2/c1) expm1(-c1 (q-1) t))^{-1/(q-1)},
+    its power taken through log1p to keep the digits as q -> 1.
 
     Raises
     ------
     BlowupExceededError
         If any requested time is at or beyond the blow-up time.
     OverflowError
-        If f0^{1-q} passes the double range, naming the coefficients.
+        If f0^{1-q} or f0^{q-1} c2/c1 passes the double range, named.
     """
     if np.any(t < 0):
         raise ValueError("closed form is defined for t >= 0")
     m = params.q - 1.0
     t_star = blowup_time(params)
+    stage = "f0^(1-q)"
     try:
         head = params.f0 ** (-m)
-    except OverflowError:
+        stage = "f0^(q-1) c2/c1"
+        scale = (params.c2 / params.c1) / head
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if scale == math.inf:
         raise OverflowError(
-            f"the closed form's f0^(1-q) overflows at c1 = {params.c1:.6g}, "
-            f"c2 = {params.c2:.6g}, f0 = {params.f0:.6g}, q - 1 = {m:.6g}"
-        ) from None
-    bracket = head + (params.c2 / params.c1) * np.expm1(-params.c1 * m * t)
-    if np.any(t >= t_star) or np.any(bracket <= 0):
+            f"the closed form's {stage} overflows at c1 = {params.c1:.6g}, "
+            f"c2 = {params.c2:.6g}, f0 = {params.f0:.6g}, q - 1 = {m:.6g}")
+    x = scale * np.expm1(-params.c1 * m * t)
+    if np.any(t >= t_star) or np.any(x <= -1.0):
         raise BlowupExceededError(
             f"requested time at or beyond blow-up time T* = {t_star:.6g}"
         )
-    return np.exp(-params.c1 * t) * bracket ** (-1.0 / m)
+    return params.f0 * np.exp(-params.c1 * t) * np.exp(-np.log1p(x) / m)
 
 
 # ----------------------------------------------------------------------

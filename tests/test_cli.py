@@ -9,12 +9,14 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fgl_lab
+from fgl_lab import OdeParams, blowup_time
 from fgl_lab.cli import build_parser, main
 from fgl_lab.config import (
     COMMAND_SECTIONS,
@@ -586,6 +588,19 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_ode_where_c1_over_c2_underflows(self, tmp_path, capsys):
+        # c1/c2 = 1e-600 underflows: T* = f0^(1-q)/(c2 (q-1)) = 5e-301 in
+        # logs, and the closed form names its overflowing coefficient.
+        params = OdeParams(c1=1e-300, c2=1e300, q=2.0, f0=2.0)
+        assert blowup_time(params) == pytest.approx(5e-301, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["ode", "--out-dir", str(tmp_path / "o"),
+                         "--ode.c1", "1e-300", "--ode.c2", "1e300"])
+        assert code == 2
+        assert ("closed form's f0^(q-1) c2/c1 overflows at c1 = 1e-300, "
+                "c2 = 1e+300, f0 = 2, q - 1 = 1") in capsys.readouterr().err
+
     def test_supercritical_power_exits_one(self, tmp_path, capsys):
         code = main([
             "threshold", "--out-dir", str(tmp_path / "o"),
@@ -719,13 +734,14 @@ _FUZZ_EDGES = {
     "kernel.num_nodes": ("1", "64"),
 }
 
-# Lines that used to end in a traceback or an unnamed overflow, or ran
-# without bound, with the exit code they get now: bounds runs that reach
-# t_max undetected, powers past the double range (an equilibrium past it
-# is +inf), and 3e8 steps.
+# Lines that used to end in a traceback, an unnamed overflow or a
+# refusal, or ran without bound, with the exit code they get now: bounds
+# runs that reach t_max undetected (the last in two steps), powers past
+# the double range (an equilibrium past it is +inf), and 3e8 steps.
 _FUZZ_FIXED = (
     ("bounds --evolution.amplitude 3 --evolution.t_max 0.3", 0),
     ("bounds --evolution.p 1.0000001 --grid.points 64", 0),
+    ("bounds --evolution.amplitude 3 --evolution.t_max 0.1", 0),
     ("threshold --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
     ("bounds --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
     ("ode --ode.q 50 --ode.f0 1e-300 --ode.c2 1e300", 2),
@@ -758,12 +774,17 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
     assert ("closed form's f0^(1-q) overflows at c1 = 1, c2 = 1e+300, "
             "f0 = 1e-300, q - 1 = 49") in err
     assert "t_max = 0.3 over dt_max = 1e-09" in err
-    summary = _read_json(tmp_path / "5" / "summary.json")
+    summary = _read_json(tmp_path / "6" / "summary.json")
     assert (summary["equilibrium"], summary["blowup_time"]) == ("inf", "inf")
-    for i in (0, 1):
-        summary = _read_json(tmp_path / str(i) / "summary.json")
+    for i in (0, 1, 2):
+        out = tmp_path / str(i)
+        TestMainCommands.assert_manifest_lists_tree(out)
+        assert (out / "series.csv").is_file()
+        assert (out / "plots" / "lower_bound_vs_t.dat").is_file()
+        summary = _read_json(out / "summary.json")
         assert (summary["blew_up"], summary["t_detected"]) == (False, None)
         assert summary["lower_margins_ok"] and summary["growth_margins_ok"]
+    assert _read_json(tmp_path / "2" / "summary.json")["steps"] == 2
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

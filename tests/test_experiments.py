@@ -353,11 +353,22 @@ class TestBoundsConsistency:
 
     def test_growth_inequality_holds(self, audit):
         assert not audit.growth_margins.violated
-        assert audit.growth_margins.worst >= -0.05
+        assert audit.growth_margins.worst >= -1e-9
+        assert audit.series.times.size == audit.report.steps + 1
 
     def test_fit_and_stability_are_reported(self, audit):
         assert len(audit.stability) == 3
         assert all(c.stable for c in audit.stability)
+
+    def test_thinned_series_is_refused(self):
+        # the growth audit needs every step's row
+        cfg = SimConfig(
+            grid=make_grid(20.0, 256), p=2.0,
+            profile=GaussianProfile(amplitude=3.0, width=1.0, center=0.0),
+            t_max=0.05, dt_max=0.01, record_every=2,
+        )
+        with pytest.raises(ValueError, match="4 rows for 5 steps"):
+            bounds_consistency(cfg)
 
     def test_subthreshold_data_is_refused(self):
         cfg = SimConfig(

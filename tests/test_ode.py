@@ -142,6 +142,14 @@ class TestClosedForm:
                            r"q - 1 = 49"):
             closed_form_eval(params, np.linspace(0.0, 5.0, 3))
 
+    def test_closed_form_keeps_its_digits_as_q_tends_to_one(self):
+        # A power 1/(q-1) = 1e7 of the bracket would lift its rounding to
+        # 5e-10 relative; through log1p, f(0) is f0.
+        params = OdeParams(c1=1e300, c2=1.0, q=1.0 + 1e-7, f0=2.0)
+        f = closed_form_eval(params, np.linspace(0.0, 5e-300, 3))
+        assert abs(f[0] - 2.0) <= 1e-15 * 2.0
+        assert np.all(np.diff(f) < 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             OdeParams(c1=-1.0, c2=1.0, q=2.0, f0=1.0)
