@@ -52,7 +52,6 @@ from .weights import (
 from .evolution import (
     BlowupReport,
     ConstantProfile,
-    CustomProfile,
     GaussianProfile,
     SimConfig,
     TimeSeries,
@@ -60,7 +59,6 @@ from .evolution import (
     homogeneous_blowup_time,
     initial_field,
     nonlinear_substep,
-    scaled_profile,
     simulate,
     strang_step,
 )

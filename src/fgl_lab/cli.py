@@ -112,7 +112,7 @@ def _weight_from(cfg: dict) -> WeightSpec:
 def _profile_from(cfg: dict):
     e = cfg["evolution"]
     if e["profile"] == "constant":
-        return ConstantProfile(value=e["amplitude"])
+        return ConstantProfile(amplitude=e["amplitude"])
     return GaussianProfile(
         amplitude=e["amplitude"], width=e["width"], center=e["center"]
     )
@@ -355,24 +355,19 @@ def _cmd_bounds(cfg: dict, seed: int, workers: int) -> _Result:
     )
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "ode": _cmd_ode,
-    "commutator": _cmd_commutator,
-    "kernel": _cmd_kernel,
-    "threshold": _cmd_threshold,
-    "bounds": _cmd_bounds,
-}
-
-_COMMAND_HELP = {
-    "simulate": "evolve one initial datum and record the blow-up diagnostics",
-    "sweep": "lifespan vs amplitude scale over a family of runs",
-    "ode": "closed-form blow-up ODE solution and lifespan",
-    "commutator": "weighted commutator norm across weight dilations",
-    "kernel": "smooth-cutoff kernel decay and envelope fit",
-    "threshold": "dyadic weight-dilation search certifying small-data blow-up",
-    "bounds": "run one blow-up and audit it against the certified bounds",
+# name -> (handler, help and description)
+_COMMANDS = {
+    "simulate": (_cmd_simulate,
+                 "evolve one initial datum and record the blow-up diagnostics"),
+    "sweep": (_cmd_sweep, "lifespan vs amplitude scale over a family of runs"),
+    "ode": (_cmd_ode, "closed-form blow-up ODE solution and lifespan"),
+    "commutator": (_cmd_commutator,
+                   "weighted commutator norm across weight dilations"),
+    "kernel": (_cmd_kernel, "smooth-cutoff kernel decay and envelope fit"),
+    "threshold": (_cmd_threshold,
+                  "dyadic weight-dilation search certifying small-data blow-up"),
+    "bounds": (_cmd_bounds,
+               "run one blow-up and audit it against the certified bounds"),
 }
 
 
@@ -384,9 +379,8 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name in _HANDLERS:
-        cmd = sub.add_parser(name, help=_COMMAND_HELP[name],
-                             description=_COMMAND_HELP[name])
+    for name, (_, text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text, description=text)
         cmd.add_argument("--config", default=None,
                          help="key = value config file (INI sections)")
         cmd.add_argument("--seed", type=int, default=0,
@@ -434,7 +428,7 @@ def run(argv) -> int:
         raise ConfigError(f"--workers must be >= 0 (0 = all cores), "
                           f"got {args.workers}")
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    result = _HANDLERS[args.command](cfg, args.seed, workers)
+    result = _COMMANDS[args.command][0](cfg, args.seed, workers)
     manifest = RunManifest(
         command=args.command,
         config=cfg,

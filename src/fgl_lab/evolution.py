@@ -32,6 +32,7 @@ strang_step, nonlinear_substep and choose_dt are its tested reference.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,54 +54,40 @@ _TINY = float(np.finfo(float).tiny)
 
 
 # ----------------------------------------------------------------------
-# Initial data profiles
+# Initial data profiles: each is a function of the node array x
 
 
 @dataclass(frozen=True)
 class GaussianProfile:
+    """amplitude * exp(-(x - center)^2 / width^2)."""
+
     amplitude: float = 1.0
     width: float = 1.0
     center: float = 0.0
 
     def __post_init__(self):
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("Gaussian width must be positive")
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        r2 = (x - self.center) ** 2
+        return (self.amplitude * np.exp(-r2 / self.width**2)).astype(complex)
 
 
 @dataclass(frozen=True)
 class ConstantProfile:
-    value: complex = 1.0
+    """amplitude at every x."""
+
+    amplitude: complex = 1.0
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.full(x.shape, self.amplitude, dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class CustomProfile:
-    samples: np.ndarray
-
-
-def initial_field(profile, grid: GridSpec) -> FieldState:
-    """Realize an initial-data profile on a grid."""
-    if isinstance(profile, GaussianProfile):
-        r2 = (grid.nodes - profile.center) ** 2
-        vals = profile.amplitude * np.exp(-r2 / profile.width**2)
-        return FieldState(grid, vals.astype(complex))
-    if isinstance(profile, ConstantProfile):
-        return FieldState(grid, np.full(grid.shape, profile.value, dtype=complex))
-    if isinstance(profile, CustomProfile):
-        return FieldState(grid, profile.samples)
-    raise TypeError(f"unknown profile type {type(profile).__name__}")
-
-
-def scaled_profile(profile, factor: float):
-    """Return the profile with its amplitude multiplied by ``factor``."""
-    if isinstance(profile, GaussianProfile):
-        return GaussianProfile(
-            amplitude=profile.amplitude * factor,
-            width=profile.width,
-            center=profile.center,
-        )
-    if isinstance(profile, ConstantProfile):
-        return ConstantProfile(value=profile.value * factor)
-    raise TypeError(f"unknown profile type {type(profile).__name__}")
+def initial_field(profile: Callable[[np.ndarray], np.ndarray],
+                  grid: GridSpec) -> FieldState:
+    """Realize an initial-data profile, a function of x, on a grid."""
+    return FieldState(grid, profile(grid.nodes))
 
 
 def homogeneous_blowup_time(amplitude: float, p: float) -> float:
@@ -123,7 +110,7 @@ class SimConfig:
 
     grid: GridSpec
     p: float
-    profile: object
+    profile: Callable[[np.ndarray], np.ndarray]
     t_max: float
     theta: float = 0.5
     dt_max: float = 0.05

@@ -25,11 +25,9 @@ from .errors import (
 )
 from .evolution import (
     BlowupReport,
-    CustomProfile,
     SimConfig,
     TimeSeries,
     initial_field,
-    scaled_profile,
     simulate,
 )
 from .grid import FieldState, GridSpec, l2_norm, make_grid
@@ -141,6 +139,12 @@ def _run_report(cfg: SimConfig) -> BlowupReport:
     return report
 
 
+def _scaled(cfg: SimConfig, r: float) -> SimConfig:
+    """cfg with its profile's amplitude multiplied by r."""
+    return replace(cfg, profile=replace(cfg.profile,
+                                        amplitude=cfg.profile.amplitude * r))
+
+
 def lifespan_sweep(base: SimConfig, r_values, workers: int = 1) -> SweepResult:
     """Detected blow-up time versus amplitude factor R, with log-log fit.
 
@@ -151,18 +155,15 @@ def lifespan_sweep(base: SimConfig, r_values, workers: int = 1) -> SweepResult:
     process pool of min(workers, members) processes, or run in this
     process when that is 1.  Refuses (ValueError, before any run)
     factors that are not positive or not distinct: a repeated factor
-    adds no point to the fit.
+    adds no point to the fit.  A profile with no ``amplitude`` field
+    fails before any run too, where it is scaled.
     """
-    if isinstance(base.profile, CustomProfile):
-        raise ValueError("lifespan sweeps need an analytic profile (domain doubling)")
     r_arr = np.asarray(sorted(float(r) for r in r_values))
     if r_arr.size < 1 or np.any(r_arr <= 0):
         raise ValueError("amplitude factors must be positive")
     if np.any(np.diff(r_arr) == 0):
         raise ValueError(f"amplitude factors must be distinct, got {r_arr.tolist()}")
-    configs = [
-        replace(base, profile=scaled_profile(base.profile, r)) for r in r_arr
-    ]
+    configs = [_scaled(base, r) for r in r_arr]
     # No more processes than members: a pool forks all of its workers
     # at the first submit, busy or not.
     workers = min(workers, len(configs))
@@ -187,7 +188,7 @@ def lifespan_sweep(base: SimConfig, r_values, workers: int = 1) -> SweepResult:
 
     r_big = float(r_arr[included][-1])
     t_big = float(measured[included][-1])
-    cfg_big = replace(base, profile=scaled_profile(base.profile, r_big))
+    cfg_big = _scaled(base, r_big)
 
     def t_detected_on(grid: GridSpec) -> float:
         rep = _run_report(replace(cfg_big, grid=grid))

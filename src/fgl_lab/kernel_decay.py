@@ -13,9 +13,9 @@ node's phase x(mid_p + s_m) splits into a panel part and one of 32 node
 offsets: a sample needs the sines and cosines of panels + 32 angles, not
 a cosine per node, and two small matrix products sum the rule.  The
 samples go through in blocks of at most 2**14 reals per (samples x
-panels) work array, written into arrays allocated once per call, so the
-transform's working set stays in L2 cache whatever the number of samples.  The
-decay rate is read off a log-log fit through per-bin envelope maxima.
+panels) work array, so the transform's working set stays in L2 cache
+whatever the number of samples.  The decay rate is read off a log-log
+fit through per-bin envelope maxima.
 """
 from __future__ import annotations
 
@@ -73,22 +73,18 @@ def kernel_transform(x_samples, num_nodes: int = 12800) -> np.ndarray:
     The samples go through in blocks whose (block, panels) arrays hold
     at most _BLOCK_REALS = 2**14 reals: 163 samples at the default 100
     panels (the two (block, 32) node arrays are no larger from 32 panels,
-    num_nodes > 3,968, on).  The six work arrays are allocated once per
-    call and every block is written into them with out=, so the working
-    set does not grow with the number of samples: on the 4,000 samples
-    of `fgl kernel` a call peaks at 0.78 MiB traced and takes about 80
-    minor page faults, where one 4,000-sample block took 13.3 MiB and
-    about 2,700 faults.  The blocks are equal to within one sample, so
-    that with several blocks each product takes at least 2**13 x 32
-    multiply-adds.  A short last block would go to OpenBLAS's small-matrix
-    kernel (under about 4e4 multiply-adds), which rounds differently; past
-    that size g does not depend on the block size.
+    num_nodes > 3,968, on).  Each block forms its plateau term and its
+    work arrays as temporaries of its own size, so the working set does
+    not grow with the number of samples.  The blocks are equal to within
+    one sample, so that with several blocks each product takes at least
+    2**13 x 32 multiply-adds.  A short last block would go to OpenBLAS's
+    small-matrix kernel (under about 4e4 multiply-adds), which rounds
+    differently; past that size g does not depend on the block size.
     """
     if num_nodes < 256:
         raise ValueError("num_nodes too small to resolve the oscillation")
     x = np.asarray(x_samples, dtype=float)
     a, b = _PLATEAU_END, _SUPPORT_END
-    g = a * a * (2.0 * np.sinc(a * x / np.pi) - np.sinc(a * x / (2 * np.pi)) ** 2)
     num_panels = math.ceil(max(4, math.ceil(num_nodes / 64)) * (b - a) / b)
     edges = np.linspace(a, b, num_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -100,20 +96,16 @@ def kernel_transform(x_samples, num_nodes: int = 12800) -> np.ndarray:
     per_block = max(1, _BLOCK_REALS // num_panels)
     num_blocks = max(1, -(-x.size // per_block))
     cuts = [i * x.size // num_blocks for i in range(num_blocks + 1)]
-    rows = -(-x.size // num_blocks)
-    work = [np.empty((rows, k)) for k in (offsets.size,) * 2 + (num_panels,) * 4]
+    g = np.empty(x.size)
     for start, stop in zip(cuts[:-1], cuts[1:]):
-        xc = x[start:stop, None]
-        node_phase, node_trig, panel_phase, panel_cos, re, im = (
-            w[:stop - start] for w in work)
-        np.multiply(xc, offsets, out=node_phase)
-        np.multiply(xc, mid, out=panel_phase)
-        np.matmul(np.cos(node_phase, out=node_trig), weights.T, out=re)
-        np.matmul(np.sin(node_phase, out=node_trig), weights.T, out=im)
-        re *= np.cos(panel_phase, out=panel_cos)
-        im *= np.sin(panel_phase, out=panel_phase)
-        re -= im
-        g[start:stop] += re.sum(axis=1)
+        xb = x[start:stop]
+        plateau = a * a * (2.0 * np.sinc(a * xb / np.pi)
+                           - np.sinc(a * xb / (2 * np.pi)) ** 2)
+        node_phase = xb[:, None] * offsets
+        panel_phase = xb[:, None] * mid
+        re = (np.cos(node_phase) @ weights.T) * np.cos(panel_phase)
+        im = (np.sin(node_phase) @ weights.T) * np.sin(panel_phase)
+        g[start:stop] = plateau + (re - im).sum(axis=1)
     return g
 
 

@@ -84,11 +84,14 @@ def closed_form_eval(params: OdeParams, t: np.ndarray) -> np.ndarray:
     BlowupExceededError
         If any requested time is at or beyond the blow-up time.
     OverflowError
-        If f0^{1-q} or f0^{q-1} c2/c1 passes the double range, named.
+        If f0^{1-q}, f0^{q-1} c2/c1 or a value f(t) passes the double
+        range, named with the first such t.
     """
     if np.any(t < 0):
         raise ValueError("closed form is defined for t >= 0")
     m = params.q - 1.0
+    coefficients = (f"c1 = {params.c1:.6g}, c2 = {params.c2:.6g}, "
+                    f"f0 = {params.f0:.6g}, q - 1 = {m:.6g}")
     t_star = blowup_time(params)
     stage = "f0^(1-q)"
     try:
@@ -98,15 +101,20 @@ def closed_form_eval(params: OdeParams, t: np.ndarray) -> np.ndarray:
     except (OverflowError, ZeroDivisionError):
         scale = math.inf
     if scale == math.inf:
-        raise OverflowError(
-            f"the closed form's {stage} overflows at c1 = {params.c1:.6g}, "
-            f"c2 = {params.c2:.6g}, f0 = {params.f0:.6g}, q - 1 = {m:.6g}")
+        raise OverflowError(f"the closed form's {stage} overflows at {coefficients}")
     x = scale * np.expm1(-params.c1 * m * t)
     if np.any(t >= t_star) or np.any(x <= -1.0):
         raise BlowupExceededError(
             f"requested time at or beyond blow-up time T* = {t_star:.6g}"
         )
-    return params.f0 * np.exp(-params.c1 * t) * np.exp(-np.log1p(x) / m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = params.f0 * np.exp(-params.c1 * t) * np.exp(-np.log1p(x) / m)
+    outside = ~np.isfinite(f)
+    if np.any(outside):
+        t_out = np.broadcast_to(t, f.shape)[outside][0]
+        raise OverflowError(
+            f"the closed form's f(t) overflows at t = {t_out:.6g}, {coefficients}")
+    return f
 
 
 # ----------------------------------------------------------------------

@@ -737,7 +737,8 @@ _FUZZ_EDGES = {
 # Lines that used to end in a traceback, an unnamed overflow or a
 # refusal, or ran without bound, with the exit code they get now: bounds
 # runs that reach t_max undetected (the last in two steps), powers past
-# the double range (an equilibrium past it is +inf), and 3e8 steps.
+# the double range (an equilibrium past it is +inf), a closed-form curve
+# that leaves the double range (it wrote inf), and 3e8 steps.
 _FUZZ_FIXED = (
     ("bounds --evolution.amplitude 3 --evolution.t_max 0.3", 0),
     ("bounds --evolution.p 1.0000001 --grid.points 64", 0),
@@ -746,6 +747,7 @@ _FUZZ_FIXED = (
     ("bounds --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
     ("ode --ode.q 50 --ode.f0 1e-300 --ode.c2 1e300", 2),
     ("ode --ode.c1 1e300 --ode.q 1.0000001", 0),
+    ("ode --ode.c2 1e300 --ode.f0 1e300 --ode.q 1.0000001", 2),
     ("simulate --grid.points 16 --grid.half_length 1e-3 "
      "--evolution.t_max 0.3 --evolution.dt_max 1e-9", 1),
 )
@@ -773,6 +775,8 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
     assert "overflows at kappa = 98.0833, p - 1 = 1e-07" in err
     assert ("closed form's f0^(1-q) overflows at c1 = 1, c2 = 1e+300, "
             "f0 = 1e-300, q - 1 = 49") in err
+    assert ("closed form's f(t) overflows at t = 4.97453e-296, c1 = 1, "
+            "c2 = 1e+300, f0 = 1e+300, q - 1 = 1e-07") in err
     assert "t_max = 0.3 over dt_max = 1e-09" in err
     summary = _read_json(tmp_path / "6" / "summary.json")
     assert (summary["equilibrium"], summary["blowup_time"]) == ("inf", "inf")

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from fgl_lab import (
     ConstantProfile,
     ConvergenceError,
-    CustomProfile,
     FieldState,
     GaussianProfile,
     GridStabilityError,
@@ -30,6 +29,7 @@ from fgl_lab import (
     predicted_threshold_scale,
     subcritical_threshold,
 )
+from fgl_lab import experiments
 
 W = WeightSpec(1.0, 1.0)
 
@@ -95,11 +95,16 @@ class TestLifespanSweep:
         with pytest.raises(ValueError, match="need >= 3"):
             lifespan_sweep(sweep_base, [0.1, 0.2, 1])
 
-    def test_rejects_custom_profile(self, sweep_base):
-        grid = sweep_base.grid
-        prof = CustomProfile(samples=np.ones(grid.points, dtype=complex))
-        with pytest.raises(ValueError, match="analytic profile"):
-            lifespan_sweep(replace(sweep_base, profile=prof), [1, 2, 4])
+    def test_rejects_profile_without_amplitude(self, sweep_base, monkeypatch):
+        # Fixed samples have no amplitude to scale: refused before any run.
+        def no_run(cfg):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(experiments, "_run_report", no_run)
+        samples = np.ones(sweep_base.grid.points, dtype=complex)
+        with pytest.raises(AttributeError, match="amplitude"):
+            lifespan_sweep(replace(sweep_base, profile=lambda x: samples),
+                           [1, 2, 4])
 
     def test_rejects_nonpositive_factors(self, sweep_base):
         with pytest.raises(ValueError, match="positive"):

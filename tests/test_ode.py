@@ -1,6 +1,7 @@
 """Bernoulli comparison ODE: closed form and the bounds read off it."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,15 @@ class TestClosedForm:
                            r"overflows at c1 = 1, c2 = 1e\+300, f0 = 1e-300, "
                            r"q - 1 = 49"):
             closed_form_eval(params, np.linspace(0.0, 5.0, 3))
+        # f0 = 1e300 is finite, but f grows past the double range at the
+        # second sample: refused by name, with no numpy warning on the way.
+        params = OdeParams(c1=1.0, c2=1e300, q=1.0000001, f0=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"closed form's f\(t\) "
+                               r"overflows at t = 5e-296, c1 = 1, "
+                               r"c2 = 1e\+300, f0 = 1e\+300, q - 1 = 1e-07"):
+                closed_form_eval(params, np.linspace(0.0, 1e-295, 3))
 
     def test_closed_form_keeps_its_digits_as_q_tends_to_one(self):
         # A power 1/(q-1) = 1e7 of the bracket would lift its rounding to

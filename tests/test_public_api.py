@@ -1,7 +1,8 @@
 """Every name fgl_lab exports, every public top-level function and class
 of its modules, and every field of an exported dataclass has a reader
-outside the tests, or is an oracle; and every optional parameter or field
-has a caller outside the tests that passes it."""
+outside the tests, or is an oracle; every optional parameter or field
+has a caller outside the tests that passes it; and no isinstance call in
+the package switches on a class of its own."""
 
 import ast
 import dataclasses
@@ -206,3 +207,24 @@ def test_every_optional_parameter_has_a_non_test_caller():
         f"optional but passed only by tests: {unpassed}; delete them (a "
         "value with one use is a constant) or allow-list them with a reason"
     )
+
+
+def test_no_type_switch_on_package_classes():
+    """No isinstance call in src/ names a class the package defines: a
+    kind of object answers for itself (a profile is a function of x)."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    switches = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            switches += [f"{name}:{node.lineno} {cls}" for cls in named & defined]
+    assert switches == [], (
+        f"isinstance on package classes: {switches}; let the object do it")
