@@ -64,7 +64,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "profile": (_parse_choice("gaussian", "constant"), "gaussian"),
         "amplitude": (_parse_float, 2.0),
         "width": (_parse_float, 1.0),
-        "center": (_parse_float, 0.0),
         "t_max": (_parse_float, 5.0),
         "dt_max": (_parse_float, 0.05),
     },
@@ -73,14 +72,8 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "c2": (_parse_float, 1.0),
         "q": (_parse_float, 2.0),
         "f0": (_parse_float, 2.0),
-        "t_fraction": (_parse_float, 0.99),
-    },
-    "commutator": {
-        "r_values": (_parse_float_list, (1.0, 2.0, 4.0, 8.0)),
     },
     "kernel": {
-        "x_max": (_parse_float, 400.0),
-        "num_samples": (int, 4000),
         "num_nodes": (int, 12800),
     },
     "sweep": {
@@ -93,7 +86,7 @@ COMMAND_SECTIONS: dict[str, tuple[str, ...]] = {
     "simulate": ("grid", "weights", "evolution"),
     "sweep": ("grid", "evolution", "sweep"),
     "ode": ("ode",),
-    "commutator": ("grid", "weights", "commutator"),
+    "commutator": ("grid", "weights"),
     "kernel": ("kernel",),
     "threshold": ("grid", "weights", "evolution"),
     "bounds": ("grid", "weights", "evolution"),

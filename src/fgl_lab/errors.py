@@ -1,16 +1,22 @@
 """Exception types shared across the package."""
 
 
-class CorruptFieldError(ValueError):
+class NumericalError(ArithmeticError):
+    """A computation failed numerically.  The CLI exits 2 on any
+    ArithmeticError, this one included, and 1 on any other ValueError,
+    a refused request."""
+
+
+class CorruptFieldError(NumericalError, ValueError):
     """A field contains NaN or Inf where a finite state is required, or a
     recorded state has underflowed: its max|u|^2 is nonzero but subnormal."""
 
 
-class BlowupExceededError(ValueError):
+class BlowupExceededError(NumericalError, ValueError):
     """A closed-form solution was evaluated at or beyond its blow-up time."""
 
 
-class SingularSubstepError(RuntimeError):
+class SingularSubstepError(NumericalError, RuntimeError):
     """The exact nonlinear substep would pass through its singularity.
 
     Carries the largest admissible step size in ``dt_admissible``.
@@ -21,11 +27,11 @@ class SingularSubstepError(RuntimeError):
         self.dt_admissible = dt_admissible
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError, RuntimeError):
     """An iterative estimate failed to converge within its budget."""
 
 
-class ThresholdNotMetError(ValueError):
+class ThresholdNotMetError(NumericalError, ValueError):
     """Initial data does not clear the blow-up threshold with the required margin."""
 
 
@@ -38,7 +44,7 @@ class SupercriticalError(ValueError):
     """
 
 
-class GridStabilityError(RuntimeError):
+class GridStabilityError(NumericalError, RuntimeError):
     """A quantity changed by more than its budget under domain doubling
     or dx refinement."""
 

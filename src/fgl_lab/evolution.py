@@ -59,19 +59,17 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class GaussianProfile:
-    """amplitude * exp(-(x - center)^2 / width^2)."""
+    """amplitude * exp(-x^2 / width^2)."""
 
     amplitude: float = 1.0
     width: float = 1.0
-    center: float = 0.0
 
     def __post_init__(self):
         if not self.width > 0:
             raise ValueError("Gaussian width must be positive")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        r2 = (x - self.center) ** 2
-        return (self.amplitude * np.exp(-r2 / self.width**2)).astype(complex)
+        return (self.amplitude * np.exp(-x**2 / self.width**2)).astype(complex)
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,25 @@ class WeightSpec:
 
 
 def weight_values(w: WeightSpec, grid: GridSpec) -> np.ndarray:
-    """h sampled on the grid as a real array."""
-    return w.h(grid.nodes)
+    """h sampled on the grid as a real array.
+
+    Raises ValueError where h overflows: a steep weight past the double
+    range would turn the commutator and the kernel operator into NaN.
+    """
+    with np.errstate(over="ignore"):
+        h = w.h(grid.nodes)
+    overflow = ~np.isfinite(h)
+    if overflow.any():
+        raise ValueError(
+            f"weight exponent {w.exponent:g}, scale {w.scale:g} overflows on "
+            f"the grid from |x| = {np.abs(grid.nodes[overflow]).min():g} on")
+    return h
 
 
 def inv_weight_values(w: WeightSpec, grid: GridSpec) -> np.ndarray:
-    return 1.0 / weight_values(w, grid)
+    """1/h on the grid; it is exactly 0 where h overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / w.h(grid.nodes)
 
 
 def _require_integrable(w: WeightSpec) -> None:

@@ -149,7 +149,7 @@ def test_criterion_03_mass_growth_identity_prefers_factor_two(scoreboard):
     """d/dt ||u||^2 tracks 2 Re integral of |u|^{p-1} u u-bar, not 1x."""
     cfg = SimConfig(
         grid=make_grid(50.0, 512), p=2.0,
-        profile=GaussianProfile(amplitude=1.5, width=1.0, center=0.0),
+        profile=GaussianProfile(amplitude=1.5, width=1.0),
         t_max=0.25, dt_max=2e-3,
     )
     series, _ = simulate(cfg)
@@ -167,7 +167,7 @@ def test_criterion_03_mass_growth_identity_prefers_factor_two(scoreboard):
 
 def test_criterion_04_linear_flow_preserves_invariants(scoreboard):
     """The half-wave propagator alone conserves mass and H1 to round-off."""
-    f = initial_field(GaussianProfile(amplitude=1.0, width=1.0, center=0.0),
+    f = initial_field(GaussianProfile(amplitude=1.0, width=1.0),
                       make_grid(50.0, 256))
     mass, h1 = [l2_norm(f) ** 2], [h1_norm(f)]
     for _ in range(200):  # 10 time units in steps of 0.05
@@ -306,7 +306,7 @@ def test_criterion_09_blowup_run_consistent_with_certified_bounds(scoreboard):
     kappa = estimate_kappa(W, grid, tol=1e-8).kappa
     ninv = norm_inv_h(W, grid)
     unit = _weighted_norm(
-        initial_field(GaussianProfile(amplitude=1.0, width=1.0, center=0.0),
+        initial_field(GaussianProfile(amplitude=1.0, width=1.0),
                       grid), W,
     )
     b_probe = BoundParams(p=2.0, kappa=kappa, inv_weight_norm=ninv,
@@ -314,7 +314,7 @@ def test_criterion_09_blowup_run_consistent_with_certified_bounds(scoreboard):
     amplitude = 2.0 * critical_initial_norm(b_probe) / unit
     cfg = SimConfig(
         grid=grid, p=2.0,
-        profile=GaussianProfile(amplitude=amplitude, width=1.0, center=0.0),
+        profile=GaussianProfile(amplitude=amplitude, width=1.0),
         t_max=3.0, dt_max=0.01,
     )
     audit = bounds_consistency(cfg)
@@ -338,11 +338,11 @@ def test_criterion_10_lifespan_scaling_exponents(scoreboard):
     grid = make_grid(50.0, 1024)
     base2 = SimConfig(
         grid=grid, p=2.0, t_max=2.0, dt_max=0.01,
-        profile=GaussianProfile(amplitude=2.0, width=1.0, center=0.0))
+        profile=GaussianProfile(amplitude=2.0, width=1.0))
     sweep2 = lifespan_sweep(base2, (1.0, 2.0, 4.0, 8.0))
     base3 = SimConfig(
         grid=grid, p=3.0, t_max=2.0, dt_max=0.01,
-        profile=GaussianProfile(amplitude=1.2, width=1.0, center=0.0))
+        profile=GaussianProfile(amplitude=1.2, width=1.0))
     sweep3 = lifespan_sweep(base3, (1.0, 2.0, 4.0, 8.0))
     ok = (abs(sweep2.slope + 1.0) <= 0.1 and abs(sweep3.slope + 2.0) <= 0.2
           and sweep2.included.all() and sweep3.included.all())
@@ -357,7 +357,7 @@ def test_criterion_10_lifespan_scaling_exponents(scoreboard):
 def test_criterion_11_dilation_certifies_small_data_blowup(scoreboard):
     """Weight dilation certifies blow-up of small data, and the run obeys it."""
     base = make_grid(12.5, 256)
-    profile = GaussianProfile(amplitude=0.16, width=2.0, center=0.0)
+    profile = GaussianProfile(amplitude=0.16, width=2.0)
     u0 = initial_field(profile, base)
     found = subcritical_threshold(u0, 2.0)
     ratio = found.r0 / found.predicted_r0

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import fgl_lab
-from fgl_lab import OdeParams, blowup_time
+from fgl_lab import OdeParams, SupercriticalError, blowup_time
 from fgl_lab.cli import build_parser, main
 from fgl_lab.config import (
     COMMAND_SECTIONS,
@@ -151,7 +151,6 @@ class TestResolve:
         cfg = resolve("ode", {}, {})
         assert tuple(cfg) == COMMAND_SECTIONS["ode"]
         assert cfg["ode"]["c1"] == 1.0
-        assert cfg["ode"]["t_fraction"] == 0.99
 
     def test_file_beats_default_and_override_beats_file(self):
         cfg = resolve("ode", {"ode": {"f0": 4.0}}, {})
@@ -342,7 +341,6 @@ class TestMainCommands:
         assert main([
             "commutator", "--out-dir", str(out),
             "--grid.half_length", "6.25", "--grid.points", "128",
-            "--commutator.r_values", "1,2",
         ]) == 0
         assert "commutator: slope=" in capsys.readouterr().out
         self.assert_manifest_lists_tree(out)
@@ -353,9 +351,7 @@ class TestMainCommands:
     def test_kernel_command(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main([
-            "kernel", "--out-dir", str(out),
-            "--kernel.x_max", "250", "--kernel.num_samples", "1200",
-            "--kernel.num_nodes", "3200",
+            "kernel", "--out-dir", str(out), "--kernel.num_nodes", "3200",
         ]) == 0
         assert "kernel: slope=" in capsys.readouterr().out
         self.assert_manifest_lists_tree(out)
@@ -405,18 +401,16 @@ class TestMainCommands:
                             usecols=1)
         assert summary["kappa_base"] == kappas[0]
 
-    @pytest.mark.parametrize("r_values", ["1,2,4,8", "1,2,4,8,16,32"])
     def test_commutator_solves_kappa_three_times(self, tmp_path, kappa_calls,
-                                                 capsys, r_values):
+                                                 capsys):
         out = tmp_path / "run"
         assert main([
             "commutator", "--out-dir", str(out),
             "--grid.half_length", "12.5", "--grid.points", "256",
-            "--commutator.r_values", r_values,
         ]) == 0
         capsys.readouterr()
-        # kappa at R = 1, its dx refinement and its domain doubling, however
-        # many rungs: rung R is kappa_1 / R, and no solve runs above 2N
+        # kappa at R = 1, its dx refinement and its domain doubling for the
+        # four rungs: rung R is kappa_1 / R, and no solve runs above 2N
         assert sorted((g.half_length, g.points, tol)
                       for _, g, tol in kappa_calls) == [
             (12.5, 256, 1e-8), (12.5, 512, 1e-5), (25.0, 512, 5e-4)]
@@ -507,7 +501,7 @@ class TestDeterminism:
         # kernel.csv is fed by BLAS matrix products
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         out = tmp_path / "run"
-        argv = ["kernel", "--out-dir", str(out), "--kernel.num_samples", "400"]
+        argv = ["kernel", "--out-dir", str(out)]
         first, second = _run_twice(argv, out)
         capsys.readouterr()
         assert "kernel.csv" in first
@@ -532,12 +526,12 @@ class TestExitCodes:
     def test_unknown_override_key(self, tmp_path, capsys):
         # [ode] volume never existed; the other keys were removed
         removed = [("simulate", "evolution", key)
-                   for key in ("theta", "dt_min", "sup_threshold")]
-        removed += [("ode", "ode", "num_samples"),
-                    ("commutator", "commutator", "tol")]
+                   for key in ("theta", "dt_min", "sup_threshold", "center")]
+        removed += [("ode", "ode", key) for key in ("num_samples", "t_fraction")]
         removed += [("kernel", "kernel", key)
-                    for key in ("x_min", "window_lo", "window_hi", "shifted_lo",
-                                "shifted_hi", "num_bins")]
+                    for key in ("x_min", "x_max", "num_samples", "window_lo",
+                                "window_hi", "shifted_lo", "shifted_hi",
+                                "num_bins")]
         for argv in ([["ode", "--ode.volume", "11"],
                       ["simulate", "--grid.dim", "2"],
                       ["simulate", "--evolution.linear_only", "true"]]
@@ -545,9 +539,14 @@ class TestExitCodes:
                         for cmd, section, key in removed]):
             code = main(argv + ["--out-dir", str(tmp_path / "o")])
             assert code == 1
-            assert "unknown config key" in capsys.readouterr().err
-        # the [threshold] and [bounds] sections are gone with their keys
-        for argv in (["threshold", "--threshold.max_doublings", "1"],
+            err = capsys.readouterr().err
+            assert "unknown config key" in err and argv[1][2:].replace(
+                ".", "] ") in err
+        # the [threshold], [bounds] and [commutator] sections are gone with
+        # their keys
+        for argv in (["commutator", "--commutator.r_values", "1,2"],
+                     ["commutator", "--commutator.tol", "1e-6"],
+                     ["threshold", "--threshold.max_doublings", "1"],
                      ["threshold", "--threshold.kappa_tol", "1e-6"],
                      ["bounds", "--bounds.kappa_tol", "1e-6"],
                      ["bounds", "--bounds.variant", "sharp"],
@@ -567,12 +566,6 @@ class TestExitCodes:
         assert main([]) == 1
         capsys.readouterr()
 
-    def test_bad_ode_fraction(self, tmp_path, capsys):
-        code = main(["ode", "--ode.t_fraction", "1.5",
-                     "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        assert "t_fraction" in capsys.readouterr().err
-
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -587,6 +580,24 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    def test_any_arithmetic_error_exits_two(self, tmp_path, monkeypatch,
+                                            capsys, error):
+        from fgl_lab import cli
+
+        def fail(cfg, seed, workers):
+            raise error("0.0 ** -1")
+
+        monkeypatch.setitem(cli._COMMANDS, "ode", (fail, "fails"))
+        assert main(["ode", "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "numerical failure: 0.0 ** -1\n"
+
+    def test_refusals_are_not_numerical_errors(self):
+        from fgl_lab.errors import NumericalError
+
+        assert not issubclass(ConfigError, NumericalError)
+        assert not issubclass(SupercriticalError, NumericalError)
 
     def test_ode_where_c1_over_c2_underflows(self, tmp_path, capsys):
         # c1/c2 = 1e-600 underflows: T* = f0^(1-q)/(c2 (q-1)) = 5e-301 in
@@ -641,9 +652,9 @@ class TestExitCodes:
         assert kappa_calls == []
 
     def test_degenerate_ladders_are_refused_before_any_run(
-            self, tmp_path, kappa_calls, monkeypatch, capsys):
-        # a single factor, or only equal ones, leaves no line to fit (the
-        # least-squares fit fails in LAPACK); a repeated factor adds no point
+            self, tmp_path, monkeypatch, capsys):
+        # only equal factors leave no line to fit (the least-squares fit
+        # fails in LAPACK); a repeated factor adds no point
         from fgl_lab import experiments
 
         def no_run(cfg):
@@ -654,15 +665,11 @@ class TestExitCodes:
                   "--workers", "1", "--out-dir", str(tmp_path / "o")]
         for argv, words in (
                 (["sweep", "--sweep.r_values", "1,1,1"], "distinct"),
-                (["sweep", "--sweep.r_values", "1,2,2,4"], "distinct"),
-                (["commutator", "--commutator.r_values", "1"], "at least two"),
-                (["commutator", "--commutator.r_values", "2,2"], "distinct"),
-                (["commutator", "--commutator.r_values", "1,2,2"], "distinct")):
+                (["sweep", "--sweep.r_values", "1,2,2,4"], "distinct")):
             code = main(argv + common)
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and words in err
-        assert kappa_calls == []
 
     def test_zero_data_is_refused_before_any_kappa(self, tmp_path, kappa_calls,
                                                    capsys):
@@ -691,22 +698,6 @@ class TestExitCodes:
             assert f"error: bad value for [{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_kernel_refuses_x_max_short_of_the_shifted_window(self, tmp_path,
-                                                             monkeypatch, capsys):
-        # the shifted fit window is (20, 200); x_max 150 used to fit (20, 150)
-        from fgl_lab import cli
-
-        def no_transform(*args, **kwargs):
-            raise AssertionError("the kernel transform ran")
-
-        monkeypatch.setattr(cli, "kernel_transform", no_transform)
-        for x_max in ("150", "4"):
-            code = main(["kernel", "--kernel.x_max", x_max,
-                         "--out-dir", str(tmp_path / "o")])
-            assert code == 1
-            assert "[kernel] x_max" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     def test_negative_workers_are_refused(self, tmp_path, capsys):
         # "0 = all cores"; a negative count used to mean all cores as well
         code = main(["ode", "--workers", "-3", "--out-dir", str(tmp_path / "o")])
@@ -728,9 +719,7 @@ _FUZZ_EDGES = {
     "ode.q": ("1.0000001", "2", "50"),
     "ode.f0": ("1e-300", "1", "1e300"),
     "ode.c2": ("1e-300", "1", "1e300"),
-    "commutator.r_values": ("1,2", "1,1e3", "1,1.0000001"),
     "sweep.r_values": ("0.5,1,2", "1e-3,1,1e3"),
-    "kernel.x_max": ("200", "1e5"),
     "kernel.num_nodes": ("1", "64"),
 }
 
@@ -738,7 +727,9 @@ _FUZZ_EDGES = {
 # refusal, or ran without bound, with the exit code they get now: bounds
 # runs that reach t_max undetected (the last in two steps), powers past
 # the double range (an equilibrium past it is +inf), a closed-form curve
-# that leaves the double range (it wrote inf), and 3e8 steps.
+# that leaves the double range (it wrote inf), 3e8 steps, and a weight
+# that overflows on the grid (1,000 Lanczos applications on NaN where
+# the commutator needs h; simulate's 1/h is 0 there).
 _FUZZ_FIXED = (
     ("bounds --evolution.amplitude 3 --evolution.t_max 0.3", 0),
     ("bounds --evolution.p 1.0000001 --grid.points 64", 0),
@@ -750,6 +741,10 @@ _FUZZ_FIXED = (
     ("ode --ode.c2 1e300 --ode.f0 1e300 --ode.q 1.0000001", 2),
     ("simulate --grid.points 16 --grid.half_length 1e-3 "
      "--evolution.t_max 0.3 --evolution.dt_max 1e-9", 1),
+    ("commutator --weights.exponent 200 --grid.points 256", 1),
+    ("bounds --weights.exponent 200 --grid.points 256", 1),
+    ("threshold --weights.exponent 200 --grid.points 256", 1),
+    ("simulate --weights.exponent 200 --grid.points 256", 0),
 )
 
 
@@ -778,6 +773,8 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
     assert ("closed form's f(t) overflows at t = 4.97453e-296, c1 = 1, "
             "c2 = 1e+300, f0 = 1e+300, q - 1 = 1e-07") in err
     assert "t_max = 0.3 over dt_max = 1e-09" in err
+    assert ("error: weight exponent 200, scale 1 overflows on the grid "
+            "from |x| = 34.7656 on") in err
     summary = _read_json(tmp_path / "6" / "summary.json")
     assert (summary["equilibrium"], summary["blowup_time"]) == ("inf", "inf")
     for i in (0, 1, 2):
@@ -799,12 +796,10 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         ["bounds", "--grid.half_length", "25", "--grid.points", "512",
          "--evolution.amplitude", "3", "--evolution.dt_max", "0.01",
          "--evolution.t_max", "2"],
-        ["commutator", "--grid.half_length", "6.25", "--grid.points", "128",
-         "--commutator.r_values", "1,2"],
+        ["commutator", "--grid.half_length", "6.25", "--grid.points", "128"],
         ["threshold", "--grid.half_length", "12.5", "--grid.points", "256",
          "--evolution.amplitude", "0.9"],
-        ["kernel", "--kernel.x_max", "250", "--kernel.num_samples", "400",
-         "--kernel.num_nodes", "800"],
+        ["kernel", "--kernel.num_nodes", "800"],
     ]
     code = ("import contextlib, io, sys, fgl_lab.cli\n"
             "seen = ['scipy' in sys.modules]\n"

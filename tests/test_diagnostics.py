@@ -59,7 +59,7 @@ def ref_params() -> BoundParams:
 
 GAUSSIAN_CFG = SimConfig(
     grid=make_grid(20.0, 256), p=2.0,
-    profile=GaussianProfile(amplitude=1.5, width=1.0, center=0.0),
+    profile=GaussianProfile(amplitude=1.5, width=1.0),
     t_max=0.3, dt_max=2e-3,
 )
 
@@ -74,7 +74,7 @@ class TestWeightedMomentum:
         series, _ = gaussian_run
         grid = GAUSSIAN_CFG.grid
         u0 = initial_field(
-            GaussianProfile(amplitude=1.5, width=1.0, center=0.0), grid
+            GaussianProfile(amplitude=1.5, width=1.0), grid
         )
         v = FieldState(grid, u0.values * inv_weight_values(W, grid))
         assert series.momentum[0] == pytest.approx(
@@ -166,8 +166,8 @@ class TestGrowthInequality:
         grid = make_grid(20.0, points)
         cfg = SimConfig(
             grid=grid, p=p,
-            profile=GaussianProfile(amplitude=amplitude, width=width,
-                                    center=center),
+            profile=lambda x: (amplitude * np.exp(
+                -((x - center) ** 2) / width**2)).astype(complex),
             t_max=0.3, dt_max=dt_max,
         )
         series, report = simulate(cfg, weight=W)

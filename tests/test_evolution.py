@@ -108,7 +108,7 @@ def report_rows(cfg):
 def gaussian_config(half_length, points, p, amplitude, **kw):
     return SimConfig(
         grid=make_grid(half_length, points), p=p,
-        profile=GaussianProfile(amplitude=amplitude, width=1.0, center=0.0), **kw,
+        profile=GaussianProfile(amplitude=amplitude, width=1.0), **kw,
     )
 
 
@@ -123,10 +123,17 @@ class TestProfiles:
 
     def test_gaussian_profile_peak_and_width(self):
         grid = small_grid()
-        u0 = initial_field(GaussianProfile(amplitude=1.5, width=2.0, center=1.0), grid)
         x = grid.nodes
-        expected = (1.5 * np.exp(-((x - 1.0) ** 2) / 2.0**2)).astype(complex)
+        u0 = initial_field(GaussianProfile(amplitude=1.5, width=2.0), grid)
+        expected = (1.5 * np.exp(-(x**2) / 2.0**2)).astype(complex)
         np.testing.assert_array_equal(u0.values, expected)
+        # off centre, on the node x = 1.25, it is a function of x as well
+        def off_centre(x):
+            return (1.5 * np.exp(-((x - 1.25) ** 2) / 2.0**2)).astype(complex)
+
+        off = initial_field(off_centre, grid)
+        np.testing.assert_array_equal(off.values, off_centre(x))
+        assert off.values.max() == 1.5 and x[np.argmax(off.values.real)] == 1.25
 
     def test_custom_profile_roundtrip_and_mismatch(self):
         grid = small_grid()
@@ -139,7 +146,7 @@ class TestProfiles:
     def test_validation(self):
         for width in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="width must be positive"):
-                GaussianProfile(amplitude=1.0, width=width, center=0.0)
+                GaussianProfile(amplitude=1.0, width=width)
 
 
 class TestSubsteps:
@@ -293,7 +300,7 @@ class TestSimulate:
         w = WeightSpec(1.0, 1.0)
         cfg = SimConfig(
             grid=small_grid(), p=2.0,
-            profile=GaussianProfile(amplitude=1.0, width=1.0, center=0.0),
+            profile=GaussianProfile(amplitude=1.0, width=1.0),
             t_max=0.3, dt_max=5e-3,
         )
         series, _ = simulate(cfg, weight=w)
@@ -306,7 +313,7 @@ class TestSimulate:
     def test_mass_grows_under_repulsive_nonlinearity(self):
         cfg = SimConfig(
             grid=small_grid(), p=2.0,
-            profile=GaussianProfile(amplitude=1.0, width=1.0, center=0.0),
+            profile=GaussianProfile(amplitude=1.0, width=1.0),
             t_max=0.3, dt_max=5e-3,
         )
         series, _ = simulate(cfg)

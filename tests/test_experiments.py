@@ -1,5 +1,6 @@
 """End-to-end experiments: sweeps, threshold search, bound audits."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -208,6 +209,30 @@ class TestCommutatorScaling:
         assert res.refinement.rel_change == pytest.approx(7.1e-4, rel=0.01)
         assert res.refinement.budget == 1e-3
 
+    def test_rungs_add_no_kappa_solve(self, monkeypatch):
+        # kappa at R = 1, its dx refinement and its domain doubling, however
+        # many rungs: rung R is kappa_1 / R, and no solve runs above 2N
+        calls = []
+        original = experiments.estimate_kappa
+        signature = inspect.signature(original)
+
+        def counted(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            grid = bound.arguments["grid"]
+            calls.append((grid.half_length, grid.points, bound.arguments["tol"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "estimate_kappa", counted)
+        r_values = [1, 2, 4, 8, 16, 32]
+        res = commutator_scaling(W, r_values, make_grid(12.5, 256))
+        assert sorted(calls) == [
+            (12.5, 256, 1e-8), (12.5, 512, 1e-5), (25.0, 512, 5e-4)]
+        assert np.array_equal(res.measured * res.parameter_values,
+                              [res.measured[0]] * len(r_values))
+        assert res.stability.stable
+        assert res.refinement.stable
+
     def test_dx_refinement_budget_is_enforced(self):
         grid = make_grid(6.25, 128)
 
@@ -221,6 +246,17 @@ class TestCommutatorScaling:
     def test_rejects_subunit_dilations(self):
         with pytest.raises(ValueError, match=">= 1"):
             commutator_scaling(W, [0.5, 1], make_grid(6.25, 128))
+
+    def test_rejects_degenerate_ladders_before_any_kappa(self, monkeypatch):
+        # one factor leaves no line to fit; a repeated factor adds no point
+        def no_solve(*args, **kwargs):
+            raise AssertionError("kappa was estimated")
+
+        monkeypatch.setattr(experiments, "estimate_kappa", no_solve)
+        for r_values, words in (([1], "at least two"), ([2, 2], "distinct"),
+                                ([1, 2, 2], "distinct")):
+            with pytest.raises(ValueError, match=words):
+                commutator_scaling(W, r_values, make_grid(6.25, 128))
 
 
 class TestPredictedThresholdScale:
@@ -273,7 +309,7 @@ def base_grid():
 class TestSubcriticalThreshold:
     def test_large_data_certified_without_dilation(self, base_grid):
         u0 = initial_field(
-            GaussianProfile(amplitude=1.2, width=1.0, center=0.0), base_grid
+            GaussianProfile(amplitude=1.2, width=1.0), base_grid
         )
         found = subcritical_threshold(u0, 2.0)
         assert found.r0 == 1.0
@@ -284,7 +320,7 @@ class TestSubcriticalThreshold:
 
     def test_small_data_needs_one_doubling(self, base_grid):
         u0 = initial_field(
-            GaussianProfile(amplitude=0.9, width=1.0, center=0.0), base_grid
+            GaussianProfile(amplitude=0.9, width=1.0), base_grid
         )
         found = subcritical_threshold(u0, 2.0)
         assert found.r0 == 2.0
@@ -298,7 +334,7 @@ class TestSubcriticalThreshold:
 
     def test_prediction_brackets_the_dyadic_answer(self, base_grid):
         u0 = initial_field(
-            GaussianProfile(amplitude=0.9, width=1.0, center=0.0), base_grid
+            GaussianProfile(amplitude=0.9, width=1.0), base_grid
         )
         found = subcritical_threshold(u0, 2.0)
         # dyadic search lands within a factor of 4 of the continuum estimate
@@ -306,21 +342,21 @@ class TestSubcriticalThreshold:
 
     def test_doubling_budget_guard(self, base_grid):
         u0 = initial_field(
-            GaussianProfile(amplitude=1e-6, width=1.0, center=0.0), base_grid
+            GaussianProfile(amplitude=1e-6, width=1.0), base_grid
         )
         with pytest.raises(ConvergenceError, match="threshold not met"):
             subcritical_threshold(u0, 2.0)
 
     def test_fujita_power_is_refused(self, base_grid):
         u0 = initial_field(
-            GaussianProfile(amplitude=1.2, width=1.0, center=0.0), base_grid
+            GaussianProfile(amplitude=1.2, width=1.0), base_grid
         )
         with pytest.raises(SupercriticalError, match="Fujita"):
             subcritical_threshold(u0, 3.0)
 
     def test_parameter_validation(self, base_grid):
         u0 = initial_field(
-            GaussianProfile(amplitude=1.2, width=1.0, center=0.0), base_grid
+            GaussianProfile(amplitude=1.2, width=1.0), base_grid
         )
         with pytest.raises(ValueError, match="p > 1"):
             subcritical_threshold(u0, 0.5)
@@ -337,7 +373,7 @@ class TestSubcriticalThreshold:
 def audit():
     cfg = SimConfig(
         grid=make_grid(25.0, 512), p=2.0,
-        profile=GaussianProfile(amplitude=3.0, width=1.0, center=0.0),
+        profile=GaussianProfile(amplitude=3.0, width=1.0),
         t_max=2.0, dt_max=0.01,
     )
     return bounds_consistency(cfg)
@@ -369,7 +405,7 @@ class TestBoundsConsistency:
         # the growth audit needs every step's row
         cfg = SimConfig(
             grid=make_grid(20.0, 256), p=2.0,
-            profile=GaussianProfile(amplitude=3.0, width=1.0, center=0.0),
+            profile=GaussianProfile(amplitude=3.0, width=1.0),
             t_max=0.05, dt_max=0.01, record_every=2,
         )
         with pytest.raises(ValueError, match="4 rows for 5 steps"):
@@ -378,7 +414,7 @@ class TestBoundsConsistency:
     def test_subthreshold_data_is_refused(self):
         cfg = SimConfig(
             grid=make_grid(20.0, 256), p=2.0,
-            profile=GaussianProfile(amplitude=0.2, width=1.0, center=0.0),
+            profile=GaussianProfile(amplitude=0.2, width=1.0),
             t_max=0.5, dt_max=0.01,
         )
         with pytest.raises(ThresholdNotMetError, match="below"):

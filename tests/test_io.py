@@ -124,8 +124,7 @@ def _assert_float_cells(columns):
 class TestSharedColumns:
     def test_kernel_curves_repeat_the_table(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["kernel", "--out-dir", str(out), "--kernel.x_max", "250",
-                     "--kernel.num_samples", "400",
+        assert main(["kernel", "--out-dir", str(out),
                      "--kernel.num_nodes", "800"]) == 0
         capsys.readouterr()
         table = _csv_columns(out / "kernel.csv")
@@ -153,8 +152,7 @@ class TestSharedColumns:
 
     @pytest.mark.parametrize("argv, distinct", [
         # kernel.csv's x, g and envelope, then the two bin-maxima columns
-        (["kernel", "--kernel.x_max", "250", "--kernel.num_samples", "400",
-          "--kernel.num_nodes", "800"], 5),
+        (["kernel", "--kernel.num_nodes", "800"], 5),
         # series.csv's 7 columns; the 4 curves reuse t and 4 of them
         (["simulate", "--grid.half_length", "10", "--grid.points", "64",
           "--evolution.t_max", "0.05"], 7),

@@ -259,8 +259,7 @@ def test_tracer_hook_binds_the_transform(tmp_path):
     # benchmark's --trace 1) breaks if they are renamed.  Run in a
     # subprocess: install imports scipy.fft, which fgl_lab never does.
     src = os.path.dirname(os.path.dirname(os.path.abspath(fgl_lab.__file__)))
-    argv = ["kernel", "--out-dir", "run", "--kernel.num_samples", "400",
-            "--kernel.num_nodes", "800", "--kernel.x_max", "250"]
+    argv = ["kernel", "--out-dir", "run", "--kernel.num_nodes", "800"]
     code = (
         "import contextlib, io, json, fgl_lab.cli\n"
         "from tracing import Tracer\n"
@@ -277,4 +276,4 @@ def test_tracer_hook_binds_the_transform(tmp_path):
         [src, str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(proc.stdout) == [0, [{"evals": 400 * 800}]]
+    assert json.loads(proc.stdout) == [0, [{"evals": 4000 * 800}]]
