@@ -19,7 +19,6 @@ from .grid import (
     GridSpec,
     apply_half_wave,
     apply_multiplier,
-    gradient_symbol,
     h1_norm,
     half_wave_phase_symbol,
     l2_norm,

@@ -1,9 +1,15 @@
 """Command-line entry point.
 
-``fgl <command> --config <path> [--section.key value]... [--seed N]
+``fgl <command> [--config <path>] [--section.key value]... [--seed N]
 [--workers N] [--out-dir DIR]``
 
-Commands: simulate, sweep, ode, commutator, kernel, threshold, bounds.
+``_COMMANDS`` is the table of commands: each row names its handler, the
+config sections it reads and its help.  A key's value is its
+``--section.key`` flag (``--section.key=value`` as well; a negative
+value in exponent notation needs the ``=`` form), else the config
+file's, else ``config.SCHEMA``'s default.  A flag for a key outside the
+command's sections is refused as an unrecognized argument.
+
 Each handler returns a ``_Result``; ``run`` alone writes it out as a
 summary JSON, command-specific CSV, two-column plot data under
 ``plots/``, and a run manifest listing exactly those files, all into the
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import load_config, parse_overrides, resolve
+from .config import SCHEMA, coerce_value, load_config
 from .errors import ConfigError
 from .evolution import (
     ConstantProfile,
@@ -331,18 +337,21 @@ def _cmd_bounds(cfg: dict, seed: int, workers: int) -> _Result:
     )
 
 
-# name -> (handler, help and description)
+# name -> (handler, config sections it reads, help and description)
 _COMMANDS = {
-    "simulate": (_cmd_simulate,
+    "simulate": (_cmd_simulate, ("grid", "weights", "evolution"),
                  "evolve one initial datum and record the blow-up diagnostics"),
-    "sweep": (_cmd_sweep, "lifespan vs amplitude scale over a family of runs"),
-    "ode": (_cmd_ode, "closed-form blow-up ODE solution and lifespan"),
-    "commutator": (_cmd_commutator,
+    "sweep": (_cmd_sweep, ("grid", "evolution", "sweep"),
+              "lifespan vs amplitude scale over a family of runs"),
+    "ode": (_cmd_ode, ("ode",),
+            "closed-form blow-up ODE solution and lifespan"),
+    "commutator": (_cmd_commutator, ("grid", "weights"),
                    "weighted commutator norm across weight dilations"),
-    "kernel": (_cmd_kernel, "smooth-cutoff kernel decay and envelope fit"),
-    "threshold": (_cmd_threshold,
+    "kernel": (_cmd_kernel, ("kernel",),
+               "smooth-cutoff kernel decay and envelope fit"),
+    "threshold": (_cmd_threshold, ("grid", "weights", "evolution"),
                   "dyadic weight-dilation search certifying small-data blow-up"),
-    "bounds": (_cmd_bounds,
+    "bounds": (_cmd_bounds, ("grid", "weights", "evolution"),
                "run one blow-up and audit it against the certified bounds"),
 }
 
@@ -355,7 +364,7 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, (_, text) in _COMMANDS.items():
+    for name, (_, _, text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text, description=text)
         cmd.add_argument("--config", default=None,
                          help="key = value config file (INI sections)")
@@ -396,15 +405,27 @@ def _write_tree(out_dir: str, result: _Result) -> list[str]:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    overrides = parse_overrides(extra)
-    cfg = resolve(args.command, load_config(args.config), overrides)
+    args, extra = build_parser().parse_known_args(argv)
+    handler, sections, _ = _COMMANDS[args.command]
+    # A key's value is its flag, else the config file's, else the default.
+    overrides = _Parser(prog=f"fgl {args.command}", add_help=False,
+                        allow_abbrev=False)
+    for section in sections:
+        for key in SCHEMA[section]:
+            overrides.add_argument(f"--{section}.{key}",
+                                   default=argparse.SUPPRESS)
+    flags = {dest: coerce_value(*dest.split("."), text)
+             for dest, text in vars(overrides.parse_args(extra)).items()}
+    file_values = load_config(args.config)
+    cfg = {section: {key: flags.get(f"{section}.{key}",
+                                    file_values.get(section, {}).get(key, default))
+                     for key, (_, default) in SCHEMA[section].items()}
+           for section in sections}
     if args.workers < 0:
         raise ConfigError(f"--workers must be >= 0 (0 = all cores), "
                           f"got {args.workers}")
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    result = _COMMANDS[args.command][0](cfg, args.seed, workers)
+    result = handler(cfg, args.seed, workers)
     manifest = RunManifest(
         command=args.command,
         config=cfg,
@@ -413,7 +434,8 @@ def run(argv) -> int:
         workers=workers,
         out_dir=args.out_dir,
         timestamp=run_timestamp(),
-        outputs=tuple(_write_tree(args.out_dir, result)) + ("manifest.json",),
+        outputs=tuple(sorted(_write_tree(args.out_dir, result)
+                             + ["manifest.json"])),
     )
     manifest.write(os.path.join(args.out_dir, "manifest.json"))
     print(result.line)

@@ -1,9 +1,11 @@
-"""Configuration parsing for the command-line interface.
+"""Configuration schema and config files for the command-line interface.
 
-Config files are flat ``key = value`` text with one section per module
-(INI syntax, ``#``/``;`` comments).  Every section and key must be known:
-a typo is a hard error, never silently ignored.  Command-line overrides
-use dotted keys (``--grid.points 2048``) and win over file values.
+``SCHEMA`` names every key, its parser and its default.  Config files
+are flat ``key = value`` text with one section per module (INI syntax,
+``#``/``;`` comments).  Every section and key must be known: a typo is a
+hard error, never silently ignored.  ``coerce_value`` parses one raw
+value, from a file or from a ``--section.key`` flag that ``cli`` has
+read; a flag wins over the file, and the file over the default.
 """
 
 from __future__ import annotations
@@ -11,18 +13,11 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ConfigError
 
-__all__ = [
-    "SCHEMA",
-    "COMMAND_SECTIONS",
-    "coerce_value",
-    "load_config",
-    "parse_overrides",
-    "resolve",
-]
+__all__ = ["SCHEMA", "coerce_value", "load_config"]
 
 
 def _parse_float(text: str) -> float:
@@ -81,18 +76,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     },
 }
 
-# Sections each command consumes (and therefore materializes).
-COMMAND_SECTIONS: dict[str, tuple[str, ...]] = {
-    "simulate": ("grid", "weights", "evolution"),
-    "sweep": ("grid", "evolution", "sweep"),
-    "ode": ("ode",),
-    "commutator": ("grid", "weights"),
-    "kernel": ("kernel",),
-    "threshold": ("grid", "weights", "evolution"),
-    "bounds": ("grid", "weights", "evolution"),
-}
-
-
 def coerce_value(section: str, key: str, text: str):
     """Parse a raw string according to the schema, with a precise error."""
     try:
@@ -138,46 +121,3 @@ def load_config(path: str | None) -> dict[str, dict[str, Any]]:
         for key, raw in parser.items(section):
             out.setdefault(section, {})[key] = coerce_value(section, key, raw)
     return out
-
-
-def parse_overrides(tokens: list[str]) -> dict[str, dict[str, Any]]:
-    """Parse ``--section.key value`` pairs left over from the flag parser."""
-    out: dict[str, dict[str, Any]] = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--") or "." not in tok:
-            raise ConfigError(
-                f"unrecognized argument {tok!r}; overrides look like "
-                "--section.key value"
-            )
-        if i + 1 >= len(tokens):
-            raise ConfigError(f"override {tok!r} is missing a value")
-        section, _, key = tok[2:].partition(".")
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        out.setdefault(section, {})[key] = coerce_value(section, key, tokens[i + 1])
-        i += 2
-    return out
-
-
-def resolve(
-    command: str,
-    file_values: Mapping[str, Mapping[str, Any]],
-    overrides: Mapping[str, Mapping[str, Any]],
-) -> dict[str, dict[str, Any]]:
-    """Merge defaults <- file <- overrides for the command's sections."""
-    if command not in COMMAND_SECTIONS:
-        raise ConfigError(f"unknown command {command!r}")
-    sections: dict[str, dict[str, Any]] = {}
-    for section in COMMAND_SECTIONS[command]:
-        merged = {key: default for key, (_, default) in SCHEMA[section].items()}
-        merged.update(file_values.get(section, {}))
-        merged.update(overrides.get(section, {}))
-        sections[section] = merged
-    for section in overrides:
-        if section not in COMMAND_SECTIONS[command]:
-            raise ConfigError(
-                f"section [{section}] is not used by command {command!r}"
-            )
-    return sections

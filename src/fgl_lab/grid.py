@@ -43,10 +43,6 @@ class GridSpec:
     def dx(self) -> float:
         return 2.0 * self.half_length / self.points
 
-    @property
-    def shape(self) -> tuple[int]:
-        return (self.points,)
-
     @cached_property
     def nodes(self) -> np.ndarray:
         """Node coordinates -L, -L + dx, ..., L - dx."""
@@ -64,8 +60,15 @@ class GridSpec:
 
     @cached_property
     def h1_weight(self) -> np.ndarray:
-        """Symbol 1 + |k|^2 of the squared H^1 norm, unpaired mode zeroed."""
-        return 1.0 + np.abs(gradient_symbol(self)) ** 2
+        """Symbol 1 + k^2 of the squared H^1 norm.
+
+        The j = -N/2 frequency has no conjugate partner, so its k is
+        zeroed, as in the derivative symbol i*k that keeps derivatives of
+        real data real.
+        """
+        k = self.axis_frequencies.copy()
+        k[self.points // 2] = 0.0
+        return 1.0 + k**2
 
 
 def make_grid(half_length: float, points: int) -> GridSpec:
@@ -87,10 +90,9 @@ class FieldState:
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.complex128, copy=True)
-        if vals.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
-            )
+        if vals.shape != (self.grid.points,):
+            raise ValueError(f"field shape {vals.shape} does not match grid "
+                             f"shape {(self.grid.points,)}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -124,18 +126,6 @@ def half_wave_phase_symbol(grid: GridSpec, t: float) -> np.ndarray:
     """
     half = np.exp(-1j * t * grid.abs_wavenumber[: grid.points // 2 + 1])
     return np.concatenate((half, half[-2:0:-1]))
-
-
-def gradient_symbol(grid: GridSpec) -> np.ndarray:
-    """Symbol i*k of the derivative, unpaired mode zeroed.
-
-    The j = -N/2 frequency has no conjugate partner, so it is dropped
-    from the antisymmetric symbol; this keeps derivatives of real data
-    real.
-    """
-    k = grid.axis_frequencies.copy()
-    k[grid.points // 2] = 0.0
-    return 1j * k
 
 
 def apply_multiplier(f: FieldState, symbol: np.ndarray) -> FieldState:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
@@ -146,19 +146,7 @@ class RunManifest:
     workers: int
     out_dir: str
     timestamp: str
-    outputs: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "version": self.version,
-            "seed": self.seed,
-            "workers": self.workers,
-            "out_dir": self.out_dir,
-            "timestamp": self.timestamp,
-            "outputs": sorted(self.outputs),
-        }
+    outputs: tuple  # files written, relative to out_dir, sorted
 
     def write(self, path: str) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, asdict(self))

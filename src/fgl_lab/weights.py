@@ -375,11 +375,9 @@ def estimate_kappa(
     ``tol`` bounds the residual of the top Ritz pair of A*A relative to
     kappa^2, in at most _MAX_APPLICATIONS applications of A*A.  A maps
     real data to real data (h real, |k| even), so the Krylov vectors stay real.
-    The flat weight h == 1 commutes with |D|, so exponent 0 gives
-    kappa = 0 without a solve.
+    The flat weight h == 1 commutes with |D|: A is 0 on the grid, so the
+    first application gives beta_1 = 0 and the solve returns kappa = 0.
     """
-    if w.exponent == 0:
-        return CommutatorEstimate(0.0, 0)
     apply_a, apply_a_star = _commutator_closures(w, grid)
     kappa, applications = _operator_norm(
         apply_a, apply_a_star, grid.points, tol=tol,

@@ -17,15 +17,9 @@ import pytest
 
 import fgl_lab
 from fgl_lab import OdeParams, SupercriticalError, blowup_time
-from fgl_lab.cli import build_parser, main
-from fgl_lab.config import (
-    COMMAND_SECTIONS,
-    ConfigError,
-    coerce_value,
-    load_config,
-    parse_overrides,
-    resolve,
-)
+from fgl_lab import cli
+from fgl_lab.cli import main
+from fgl_lab.config import ConfigError, coerce_value, load_config
 
 
 @pytest.fixture
@@ -128,46 +122,89 @@ class TestLoadConfig:
             load_config(str(path))
 
 
+def _manifest_config(argv, out):
+    """Run argv into out; return the configuration its manifest echoes."""
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    return _read_json(out / "manifest.json")["config"]
+
+
+def _refusal(argv, tmp_path, capsys):
+    """Run argv, which must exit 1 and write nothing; return its stderr."""
+    code = main(argv + ["--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert not (tmp_path / "o").exists()
+    return capsys.readouterr().err
+
+
 class TestOverrides:
-    def test_dotted_pairs(self):
-        got = parse_overrides(["--grid.points", "128", "--ode.f0", "3.5"])
-        assert got == {"grid": {"points": 128}, "ode": {"f0": 3.5}}
+    def test_dotted_pairs(self, tmp_path, capsys):
+        # --section.key value and --section.key=value set the same key
+        cfg = _manifest_config(["ode", "--ode.f0", "3.5", "--ode.q=3"],
+                               tmp_path / "o")
+        capsys.readouterr()
+        assert (cfg["ode"]["f0"], cfg["ode"]["q"]) == (3.5, 3.0)
 
-    def test_missing_value(self):
-        with pytest.raises(ConfigError, match="missing a value"):
-            parse_overrides(["--grid.points"])
+    def test_missing_value(self, tmp_path, capsys):
+        err = _refusal(["ode", "--ode.f0"], tmp_path, capsys)
+        assert err == "error: argument --ode.f0: expected one argument\n"
 
-    def test_undotted_token(self):
-        with pytest.raises(ConfigError, match="unrecognized argument"):
-            parse_overrides(["--verbose"])
+    def test_undotted_token(self, tmp_path, capsys):
+        for token in ("--verbose", "stray"):
+            err = _refusal(["ode", token], tmp_path, capsys)
+            assert err == f"error: unrecognized arguments: {token}\n"
 
-    def test_unknown_section(self):
-        with pytest.raises(ConfigError, match=r"unknown config section \[disco\]"):
-            parse_overrides(["--disco.ball", "1"])
+    def test_unknown_section(self, tmp_path, capsys):
+        err = _refusal(["ode", "--disco.ball", "1"], tmp_path, capsys)
+        assert err == "error: unrecognized arguments: --disco.ball 1\n"
+
+    def test_bad_value(self, tmp_path, capsys):
+        err = _refusal(["simulate", "--grid.points", "many"], tmp_path, capsys)
+        assert err == ("error: bad value for [grid] points: invalid literal "
+                       "for int() with base 10: 'many'\n")
+
+    def test_negative_values(self, tmp_path, capsys):
+        # a negative value in exponent notation reads as an option unless
+        # it is joined to its flag by "="
+        run = ["simulate", "--grid.half_length", "10", "--grid.points", "64",
+               "--evolution.t_max", "0.1"]
+        for i, tokens in enumerate((["--evolution.amplitude", "-2"],
+                                    ["--evolution.amplitude=-1e-3"])):
+            cfg = _manifest_config(run + tokens, tmp_path / str(i))
+            assert cfg["evolution"]["amplitude"] == float(
+                tokens[-1].rpartition("=")[2])
+        capsys.readouterr()
+        err = _refusal(run + ["--evolution.amplitude", "-1e-3"], tmp_path,
+                       capsys)
+        assert err == ("error: argument --evolution.amplitude: "
+                       "expected one argument\n")
 
 
 class TestResolve:
-    def test_defaults_materialize_only_command_sections(self):
-        cfg = resolve("ode", {}, {})
-        assert tuple(cfg) == COMMAND_SECTIONS["ode"]
+    def test_defaults_materialize_only_command_sections(self, tmp_path, capsys):
+        cfg = _manifest_config(["ode"], tmp_path / "o")
+        capsys.readouterr()
+        assert tuple(cfg) == cli._COMMANDS["ode"][1]
         assert cfg["ode"]["c1"] == 1.0
 
-    def test_file_beats_default_and_override_beats_file(self):
-        cfg = resolve("ode", {"ode": {"f0": 4.0}}, {})
-        assert cfg["ode"]["f0"] == 4.0
-        cfg = resolve("ode", {"ode": {"f0": 4.0}}, {"ode": {"f0": 2.0}})
-        assert cfg["ode"]["f0"] == 2.0
+    def test_file_beats_default_and_override_beats_file(self, tmp_path, capsys):
+        path = tmp_path / "ode.cfg"
+        path.write_text("[ode]\nf0 = 4.0\nq = 3.0\n")
+        cfg = _manifest_config(["ode", "--config", str(path)], tmp_path / "a")
+        assert (cfg["ode"]["f0"], cfg["ode"]["q"], cfg["ode"]["c1"]) == (
+            4.0, 3.0, 1.0)
+        cfg = _manifest_config(["ode", "--config", str(path), "--ode.f0", "2.0"],
+                               tmp_path / "b")
+        assert (cfg["ode"]["f0"], cfg["ode"]["q"], cfg["ode"]["c1"]) == (
+            2.0, 3.0, 1.0)
+        capsys.readouterr()
 
-    def test_override_for_unused_section_is_an_error(self):
-        with pytest.raises(ConfigError, match="not used by command"):
-            resolve("ode", {}, {"grid": {"points": 64}})
+    def test_override_for_unused_section_is_an_error(self, tmp_path, capsys):
+        err = _refusal(["ode", "--grid.points", "64"], tmp_path, capsys)
+        assert err == "error: unrecognized arguments: --grid.points 64\n"
 
-    def test_unknown_command(self):
-        with pytest.raises(ConfigError, match="unknown command"):
-            resolve("transmogrify", {}, {})
-
-    def test_readme_command_lines_resolve(self, tmp_path):
-        # every `fgl` line in the README's sh blocks parses and resolves
+    def test_readme_command_lines_resolve(self, tmp_path, monkeypatch, capsys):
+        # every `fgl` line in the README's sh blocks parses and resolves;
+        # the handlers are stubbed, so nothing is computed
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
             encoding="utf-8")
 
@@ -176,15 +213,18 @@ class TestResolve:
 
         (ini,) = [b for b in blocks("ini") if b.startswith("# run.ini")]
         (tmp_path / "run.ini").write_text(ini)
+        monkeypatch.chdir(tmp_path)
+        for name, (_, sections, help_text) in list(cli._COMMANDS.items()):
+            monkeypatch.setitem(
+                cli._COMMANDS, name,
+                (lambda cfg, seed, workers: cli._Result("", {}, [], []),
+                 sections, help_text))
         lines = [line for block in blocks("sh") for line in block.splitlines()
                  if line.startswith("fgl ")]
         assert lines
         for line in lines:
-            argv = [str(tmp_path / a) if a == "run.ini" else a
-                    for a in shlex.split(line, comments=True)[1:]]
-            args, extra = build_parser().parse_known_args(argv)
-            resolve(args.command, load_config(args.config),
-                    parse_overrides(extra))
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
 
 
 # ----------------------------------------------------------------------
@@ -524,39 +564,31 @@ class TestExitCodes:
         assert "not found" in capsys.readouterr().err
 
     def test_unknown_override_key(self, tmp_path, capsys):
-        # [ode] volume never existed; the other keys were removed
-        removed = [("simulate", "evolution", key)
-                   for key in ("theta", "dt_min", "sup_threshold", "center")]
-        removed += [("ode", "ode", key) for key in ("num_samples", "t_fraction")]
-        removed += [("kernel", "kernel", key)
+        # [ode] volume never existed; the other keys were removed.  Every
+        # command that reads the section refuses the key.
+        removed = [("evolution", key)
+                   for key in ("theta", "dt_min", "sup_threshold", "center",
+                               "linear_only")]
+        removed += [("grid", "dim"), ("grid", "point")]  # no abbreviations
+        removed += [("ode", key) for key in ("volume", "num_samples", "t_fraction")]
+        removed += [("kernel", key)
                     for key in ("x_min", "x_max", "num_samples", "window_lo",
                                 "window_hi", "shifted_lo", "shifted_hi",
                                 "num_bins")]
-        for argv in ([["ode", "--ode.volume", "11"],
-                      ["simulate", "--grid.dim", "2"],
-                      ["simulate", "--evolution.linear_only", "true"]]
-                     + [[cmd, f"--{section}.{key}", "1"]
-                        for cmd, section, key in removed]):
-            code = main(argv + ["--out-dir", str(tmp_path / "o")])
-            assert code == 1
-            err = capsys.readouterr().err
-            assert "unknown config key" in err and argv[1][2:].replace(
-                ".", "] ") in err
         # the [threshold], [bounds] and [commutator] sections are gone with
-        # their keys
-        for argv in (["commutator", "--commutator.r_values", "1,2"],
-                     ["commutator", "--commutator.tol", "1e-6"],
-                     ["threshold", "--threshold.max_doublings", "1"],
-                     ["threshold", "--threshold.kappa_tol", "1e-6"],
-                     ["bounds", "--bounds.kappa_tol", "1e-6"],
-                     ["bounds", "--bounds.variant", "sharp"],
-                     ["bounds", "--bounds.required_margin", "2"]):
-            code = main(argv + ["--out-dir", str(tmp_path / "o")])
-            assert code == 1
-            section = argv[1][2:].partition(".")[0]
-            assert (f"unknown config section [{section}]"
-                    in capsys.readouterr().err)
-        assert not (tmp_path / "o").exists()
+        # their keys: no command reads them
+        removed += [("commutator", "r_values"), ("commutator", "tol"),
+                    ("threshold", "max_doublings"), ("threshold", "kappa_tol"),
+                    ("bounds", "kappa_tol"), ("bounds", "variant"),
+                    ("bounds", "required_margin")]
+        for section, key in removed:
+            commands = [name for name, (_, sections, _) in cli._COMMANDS.items()
+                        if section in sections] or list(cli._COMMANDS)
+            for command in commands:
+                err = _refusal([command, f"--{section}.{key}", "1"], tmp_path,
+                               capsys)
+                assert err == (f"error: unrecognized arguments: "
+                               f"--{section}.{key} 1\n")
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 1
@@ -584,12 +616,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
     def test_any_arithmetic_error_exits_two(self, tmp_path, monkeypatch,
                                             capsys, error):
-        from fgl_lab import cli
-
         def fail(cfg, seed, workers):
             raise error("0.0 ** -1")
 
-        monkeypatch.setitem(cli._COMMANDS, "ode", (fail, "fails"))
+        monkeypatch.setitem(cli._COMMANDS, "ode",
+                            (fail, cli._COMMANDS["ode"][1], "fails"))
         assert main(["ode", "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "numerical failure: 0.0 ** -1\n"
 
@@ -753,11 +784,11 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
     rng = random.Random(11)
     lines = [(shlex.split(line), code) for line, code in _FUZZ_FIXED]
     for _ in range(30):
-        command = rng.choice(sorted(COMMAND_SECTIONS))
-        keys = [k for k in _FUZZ_EDGES
-                if k.partition(".")[0] in COMMAND_SECTIONS[command]]
+        command = rng.choice(sorted(cli._COMMANDS))
+        sections = cli._COMMANDS[command][1]
+        keys = [k for k in _FUZZ_EDGES if k.partition(".")[0] in sections]
         argv = [command]
-        if "grid" in COMMAND_SECTIONS[command]:
+        if "grid" in sections:
             argv += ["--grid.points", "64"]
         for key in rng.sample(keys, min(len(keys), 3)):
             argv += [f"--{key}", rng.choice(_FUZZ_EDGES[key])]

@@ -164,7 +164,7 @@ class TestSubsteps:
 
     def test_nonlinear_substep_preserves_phase(self):
         grid = small_grid()
-        f = FieldState(grid, np.full(grid.shape, 1.0 + 1.0j))
+        f = FieldState(grid, np.full(grid.points, 1.0 + 1.0j))
         out = nonlinear_substep(f, 0.05, 2.0)
         phase_in = np.angle(f.values)
         phase_out = np.angle(out.values)

@@ -9,7 +9,6 @@ from fgl_lab import (
     FieldState,
     apply_half_wave,
     apply_multiplier,
-    gradient_symbol,
     h1_norm,
     half_wave_phase_symbol,
     l2_norm,
@@ -20,8 +19,15 @@ from fgl_lab import (
 
 def random_field(grid, seed):
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    vals = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
     return FieldState(grid, vals)
+
+
+def gradient(grid):
+    """Symbol i*k of the derivative, unpaired mode zeroed."""
+    k = grid.axis_frequencies.copy()
+    k[grid.points // 2] = 0.0
+    return 1j * k
 
 
 class TestGridSpec:
@@ -105,18 +111,18 @@ class TestSymbols:
             want = np.exp(-1j * t * k)
             assert half_wave_phase_symbol(grid, t).tobytes() == want.tobytes(), t
 
-    def test_gradient_symbol_drops_unpaired_mode(self):
+    def test_h1_weight_drops_unpaired_mode(self):
         grid = make_grid(10.0, 32)
-        sym = gradient_symbol(grid)
-        assert sym[grid.points // 2] == 0.0
-        assert sym[1] == pytest.approx(1j * np.pi / 10.0)
+        weight = grid.h1_weight
+        assert weight[grid.points // 2] == 1.0
+        assert weight[1] == pytest.approx(1.0 + (np.pi / 10.0) ** 2)
 
 
 class TestMultipliers:
     def test_derivative_of_sine_is_spectrally_exact(self):
         grid = make_grid(np.pi, 64)
         f = FieldState(grid, np.sin(3 * grid.nodes))
-        df = apply_multiplier(f, gradient_symbol(grid))
+        df = apply_multiplier(f, gradient(grid))
         expected = 3 * np.cos(3 * grid.nodes)
         assert np.max(np.abs(df.values - expected)) < 1e-12
 
@@ -159,6 +165,6 @@ class TestNorms:
 
     def test_h1_combines_mass_and_gradient(self):
         f = random_field(make_grid(6.0, 64), 7)
-        grad = apply_multiplier(f, gradient_symbol(f.grid))
+        grad = apply_multiplier(f, gradient(f.grid))
         expected = np.sqrt(l2_norm(f) ** 2 + l2_norm(grad) ** 2)
         assert h1_norm(f) == pytest.approx(expected, rel=1e-12)

@@ -34,7 +34,7 @@ from fgl_lab.weights import (
 
 def random_field(grid, seed):
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    vals = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
     return FieldState(grid, vals)
 
 
@@ -228,9 +228,10 @@ class TestCommutator:
         assert est.iterations > 0
         assert len(calls) == 4 * est.iterations
         calls.clear()
+        # h == 1 gives A = 0 on the grid: beta_1 = 0 ends the first step
         flat = estimate_kappa(WeightSpec(0.0, 1.0), grid, tol=1e-10)
-        assert flat.iterations == 0
-        assert calls == []
+        assert flat.iterations == 1
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("points", [8, 1024, 8192, 16384])
     def test_buffered_closures_match_fresh_arrays_bitwise(self, points):
