@@ -4,11 +4,11 @@
 [--workers N] [--out-dir DIR]``
 
 ``_COMMANDS`` is the table of commands: each row names its handler, the
-config sections it reads and its help.  A key's value is its
-``--section.key`` flag (``--section.key=value`` as well; a negative
-value in exponent notation needs the ``=`` form), else the config
-file's, else ``config.SCHEMA``'s default.  A flag for a key outside the
-command's sections is refused as an unrecognized argument.
+config keys it reads, as whole sections or single ``section.key``
+entries, and its help.  A key's value is its ``--section.key`` flag
+(``=value`` as well; a negative value in exponent notation needs the
+``=`` form), else the config file's, else ``config.SCHEMA``'s default.
+A flag for any other key is refused as an unrecognized argument.
 
 Each handler returns a ``_Result``; ``run`` alone writes it out as a
 summary JSON, command-specific CSV, two-column plot data under
@@ -337,7 +337,7 @@ def _cmd_bounds(cfg: dict, seed: int, workers: int) -> _Result:
     )
 
 
-# name -> (handler, config sections it reads, help and description)
+# name -> (handler, config sections or section.key entries it reads, help)
 _COMMANDS = {
     "simulate": (_cmd_simulate, ("grid", "weights", "evolution"),
                  "evolve one initial datum and record the blow-up diagnostics"),
@@ -349,11 +349,18 @@ _COMMANDS = {
                    "weighted commutator norm across weight dilations"),
     "kernel": (_cmd_kernel, ("kernel",),
                "smooth-cutoff kernel decay and envelope fit"),
-    "threshold": (_cmd_threshold, ("grid", "weights", "evolution"),
+    "threshold": (_cmd_threshold, ("grid", "weights", "evolution.p", "evolution.profile",
+                                   "evolution.amplitude", "evolution.width"),
                   "dyadic weight-dilation search certifying small-data blow-up"),
     "bounds": (_cmd_bounds, ("grid", "weights", "evolution"),
                "run one blow-up and audit it against the certified bounds"),
 }
+
+
+def _row_keys(entries) -> list[tuple[str, str]]:
+    """(section, key) of each key a row reads; an entry is a section or one key."""
+    return [(section, key) for section, _, one in (e.partition(".") for e in entries)
+            for key in ((one,) if one else SCHEMA[section])]
 
 
 def build_parser() -> _Parser:
@@ -406,21 +413,20 @@ def _write_tree(out_dir: str, result: _Result) -> list[str]:
 
 def run(argv) -> int:
     args, extra = build_parser().parse_known_args(argv)
-    handler, sections, _ = _COMMANDS[args.command]
+    handler, entries, _ = _COMMANDS[args.command]
+    keys = _row_keys(entries)
     # A key's value is its flag, else the config file's, else the default.
     overrides = _Parser(prog=f"fgl {args.command}", add_help=False,
                         allow_abbrev=False)
-    for section in sections:
-        for key in SCHEMA[section]:
-            overrides.add_argument(f"--{section}.{key}",
-                                   default=argparse.SUPPRESS)
+    for section, key in keys:
+        overrides.add_argument(f"--{section}.{key}", default=argparse.SUPPRESS)
     flags = {dest: coerce_value(*dest.split("."), text)
              for dest, text in vars(overrides.parse_args(extra)).items()}
     file_values = load_config(args.config)
-    cfg = {section: {key: flags.get(f"{section}.{key}",
-                                    file_values.get(section, {}).get(key, default))
-                     for key, (_, default) in SCHEMA[section].items()}
-           for section in sections}
+    cfg = {}
+    for section, key in keys:
+        default = file_values.get(section, {}).get(key, SCHEMA[section][key][1])
+        cfg.setdefault(section, {})[key] = flags.get(f"{section}.{key}", default)
     if args.workers < 0:
         raise ConfigError(f"--workers must be >= 0 (0 = all cores), "
                           f"got {args.workers}")

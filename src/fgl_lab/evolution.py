@@ -13,8 +13,9 @@ pointwise through its closed-form modulus solution
 The step size adapts to keep the nonlinear amplification per step at a
 fixed fraction theta of the distance to the substep singularity.  A run
 ends either at t_max or at the first of three blow-up signals: the sup
-norm crossing its threshold, the adaptive dt underflowing, or the
-nonlinear substep turning singular inside a step.
+norm crossing its threshold, the adaptive dt underflowing (below
+dt_min, or too small to move t), or the nonlinear substep turning
+singular inside a step.
 
 simulate runs this step on raw arrays: it keeps the spectrum that ends
 each step, caches the phase symbol (N/2 + 1 exponentials, mirrored)
@@ -23,11 +24,12 @@ density |u|^2 and that spectrum.  The phase product, both densities,
 the substep gain, |fft(u)| and the finiteness mask go into buffers
 allocated once per run: besides its FFT outputs, an unrecorded step
 allocates one temporary, Im^2 in abs_squared.  A recorded or non-quiet
-step costs three FFTs, a quiet one two.  A step is quiet when it is not
-recorded and the Wiener norm sum|fft(u)|/N, which bounds sup|u|, proves
-that the sup stays below every threshold and the next dt is dt_max; such
-a step never forms u = ifft(spec).  The FieldState functions
-strang_step, nonlinear_substep and choose_dt are its tested reference.
+step costs three FFTs, a quiet one two.  A step is quiet when the run
+does not record every step and the Wiener norm sum|fft(u)|/N, which
+bounds sup|u|, proves that the sup stays below every threshold and the
+next dt is dt_max; such a step never forms u = ifft(spec).  The
+FieldState functions strang_step, nonlinear_substep and choose_dt are
+its tested reference.
 """
 from __future__ import annotations
 
@@ -114,7 +116,6 @@ class SimConfig:
     dt_max: float = 0.05
     dt_min: float = 1e-12
     sup_threshold: float = 1e8
-    record_every: int = 1
 
     def __post_init__(self):
         if self.p <= 1:
@@ -131,8 +132,6 @@ class SimConfig:
                 f"for more than {_MAX_STEPS:g} steps")
         if self.sup_threshold <= 0:
             raise ValueError("sup_threshold must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
 
 
 def _stable_dt(sup: float, p: float, theta: float, dt_max: float) -> float:
@@ -257,8 +256,6 @@ class _Recorder:
 
     def record(self, t: float, dt: float, dens: np.ndarray, spec: np.ndarray):
         """Sample the state with density |u|^2 = dens and spectrum fft(u) = spec."""
-        if self.rows and t <= self.rows[-1][0]:
-            return
         sup_sq = float(np.max(dens))
         if 0.0 < sup_sq < _TINY:
             raise CorruptFieldError(
@@ -279,16 +276,18 @@ class _Recorder:
 
 
 def simulate(
-    cfg: SimConfig, weight: WeightSpec = WeightSpec()
+    cfg: SimConfig, weight: WeightSpec = WeightSpec(), every_step: bool = True
 ) -> tuple[TimeSeries, BlowupReport]:
     """Run the adaptive split-step integrator until t_max or blow-up.
 
     The series records the weighted momentum ||u/h||_2^2 for h = weight.
+    It holds the initial state and, with every_step, each step's state,
+    else the last state only; unrecorded steps may be quiet.
 
     Detection policy, first signal wins:
-      1. sup-norm threshold crossed     -> 'sup_threshold'
-      2. adaptive dt below dt_min       -> 'dt_underflow'
-      3. singular nonlinear substep     -> 'nonlinear_substep_singular'
+      1. sup-norm threshold crossed       -> 'sup_threshold'
+      2. dt below dt_min, or t + dt == t  -> 'dt_underflow'
+      3. singular nonlinear substep       -> 'nonlinear_substep_singular'
 
     NaN/Inf anywhere is a corrupt state and raises CorruptFieldError
     rather than being reported as blow-up.  Nonzero initial data whose
@@ -312,9 +311,9 @@ def simulate(
     # The loop carries u, its density and its spectrum at time t; each
     # step ends on the spectrum it needs for the next first half-step.
     spec = np.fft.fft(u)
-    # A step may end without forming u: when it is not recorded and the
-    # Wiener norm sum|spec|/N of its spectrum is below _quiet_limit, it
-    # carries dens = None ("quiet") instead.
+    # A step may end without forming u: when the run does not record
+    # every step and the Wiener norm sum|spec|/N of its spectrum is below
+    # _quiet_limit, it carries dens = None ("quiet") instead.
     quiet_sum = cfg.grid.points * _quiet_limit(cfg)
     # Step buffers: the phase product, the half-step density that becomes
     # the substep gain, |spec| for the Wiener test, the finiteness mask
@@ -347,7 +346,7 @@ def simulate(
             dt_stab = cfg.dt_max
         else:
             dt_stab = _stable_dt(sup, cfg.p, cfg.theta, cfg.dt_max)
-            if dt_stab < cfg.dt_min:
+            if dt_stab < cfg.dt_min or t + dt_stab == t:
                 criterion, t_detected, bracket = "dt_underflow", t, (t, t)
                 break
         dt = min(dt_stab, cfg.t_max - t)
@@ -367,9 +366,8 @@ def simulate(
         spec = np.fft.fft(half)
         spec *= phase
         steps += 1
-        record = steps % cfg.record_every == 0
         # NaN or Inf in spec makes the Wiener norm fail the test.
-        if not record and float(np.abs(spec, out=modulus).sum()) < quiet_sum:
+        if not every_step and float(np.abs(spec, out=modulus).sum()) < quiet_sum:
             dens = None
         else:
             u = np.fft.ifft(spec)
@@ -378,13 +376,14 @@ def simulate(
             dens = abs_squared(u, out=state_dens)
         t += dt
         last_dt = dt
-        if record:
+        if every_step:
             rec.record(t, dt, dens, spec)
 
     if dens is None:  # the run ended in a quiet state
         dens = abs_squared(np.fft.ifft(spec))
         sup = math.sqrt(float(np.max(dens)))
-    rec.record(t, last_dt, dens, spec)
+    if steps and not every_step:
+        rec.record(t, last_dt, dens, spec)
     report = BlowupReport(
         blew_up=criterion is not None,
         t_detected=t_detected,

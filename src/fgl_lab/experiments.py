@@ -12,7 +12,6 @@ at the 1e-8 of the kappa it checks.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +46,7 @@ from .weights import (
     WeightSpec,
     _gamma_ratio,
     _require_integrable,
+    _require_line_kappa,
     estimate_kappa,
     inv_weight_values,
     norm_inv_h,
@@ -132,10 +132,10 @@ class SweepResult:
 
 
 def _run_report(cfg: SimConfig) -> BlowupReport:
-    # Only the report is kept, so record just the first and last samples.
-    # Unrecorded steps can be quiet: simulate skips their end-of-step ifft
-    # while the Wiener norm bounds the sup below every threshold.
-    _, report = simulate(replace(cfg, record_every=sys.maxsize))
+    # Only the report is kept, so the steps go unrecorded and can be quiet:
+    # simulate skips their end-of-step ifft while the Wiener norm bounds
+    # the sup below every threshold.
+    _, report = simulate(cfg, every_step=False)
     return report
 
 
@@ -315,9 +315,11 @@ def _weighted_norm(u: FieldState, w: WeightSpec) -> float:
 def _certificate_norms(u0: FieldState, w: WeightSpec) -> tuple[float, float]:
     """(||1/h||_2, ||u0/h||_2) on u0's grid, the inputs beside kappa.
 
-    Refuses a weight whose ||1/h||_2 is infinite (ValueError from
-    norm_inv_h) and zero data (ValueError), which clear no threshold.
+    Refuses (ValueError) a weight whose kappa grows with L
+    (_require_line_kappa) or whose ||1/h||_2 is infinite (norm_inv_h),
+    and zero data, which clear no threshold.
     """
+    _require_line_kappa(w)
     ninv = norm_inv_h(w, u0.grid)
     v0 = _weighted_norm(u0, w)
     if v0 == 0:
@@ -390,7 +392,7 @@ def subcritical_threshold(
     r = 1.0
     for _ in range(_MAX_DOUBLINGS + 1):
         ninv_r = math.sqrt(r * ninv**2)
-        v0_r = _weighted_norm(u0, weight.rescaled(r))
+        v0_r = _weighted_norm(u0, replace(weight, scale=weight.scale * r))
         b = BoundParams(p=p, kappa=kappa_1 / r, inv_weight_norm=ninv_r,
                         initial_weighted_norm=v0_r)
         threshold = critical_initial_norm(b)
@@ -446,8 +448,7 @@ def bounds_consistency(
 
     Refuses (ThresholdNotMetError) unless the initial data clears the
     blow-up threshold by the factor _REQUIRED_MARGIN, and, before any
-    kappa, what _certificate_norms refuses.  The growth audit checks
-    every step, so cfg.record_every must be 1.
+    kappa, what _certificate_norms refuses.
     """
     ninv, v0 = _certificate_norms(initial_field(cfg.profile, cfg.grid), weight)
     kappa = estimate_kappa(weight, cfg.grid, seed=seed).kappa
@@ -462,9 +463,6 @@ def bounds_consistency(
         )
 
     series, report = simulate(cfg, weight=weight)
-    if series.times.size != report.steps + 1:
-        raise ValueError(f"the growth audit needs one row per step: "
-                         f"{series.times.size} rows for {report.steps} steps")
     return BoundsAudit(
         bound_params=b,
         threshold_value=threshold,

@@ -48,9 +48,6 @@ class WeightSpec:
     def label(self) -> str:
         return f"bracket_s{self.exponent:g}_R{self.scale:g}"
 
-    def rescaled(self, factor: float) -> "WeightSpec":
-        return WeightSpec(exponent=self.exponent, scale=self.scale * factor)
-
 
 def weight_values(w: WeightSpec, grid: GridSpec) -> np.ndarray:
     """h sampled on the grid as a real array.
@@ -81,6 +78,18 @@ def _require_integrable(w: WeightSpec) -> None:
         raise ValueError(
             f"||1/h||_2 is infinite for weight exponent {w.exponent:g}: "
             "1/h^2 is integrable only for exponent > 1/2"
+        )
+
+
+def _require_line_kappa(w: WeightSpec) -> None:
+    """Refuse (ValueError) a weight with 2s >= 3: then A's kernel at x = 0,
+    of size h(y)/y^2 ~ |y|^(s-2), is not square-integrable in y, and kappa
+    grows like L^(s - 3/2) (log L at s = 3/2), so it has no line limit."""
+    if 2.0 * w.exponent >= 3:
+        raise ValueError(
+            f"kappa has no line limit for weight exponent {w.exponent:g}: it "
+            "grows like L^(s - 3/2) with the half-length L, so it certifies "
+            "nothing; a certificate needs exponent < 3/2"
         )
 
 

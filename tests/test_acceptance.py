@@ -8,6 +8,7 @@ to the real stdout, bypassing capture) before asserting, so a plain
 import json
 import math
 import os
+from dataclasses import replace
 
 
 import numpy as np
@@ -210,7 +211,7 @@ def test_criterion_05_commutator_norm_validated_and_scales(scoreboard):
     for r in (1.0, 2.0, 4.0, 8.0):
         grid_r = make_grid(base.half_length * r, int(base.points * r))
         products.append(
-            r * estimate_kappa(W.rescaled(r), grid_r, tol=1e-9).kappa
+            r * estimate_kappa(replace(W, scale=r), grid_r, tol=1e-9).kappa
         )
     spread = max(products) / min(products) - 1.0
     ok = svd_err <= 1e-6 and spread <= 0.15
@@ -252,7 +253,7 @@ def test_criterion_07_inverse_weight_norm_quadrature(scoreboard):
     grid = make_grid(200.0, 8192)
     worst = 0.0
     for r in (1.0, 2.0, 4.0):
-        got = norm_inv_h(W.rescaled(r), grid)
+        got = norm_inv_h(replace(W, scale=r), grid)
         want = math.sqrt(math.pi * r)
         worst = max(worst, abs(got - want) / want)
     ok = worst <= 1e-3

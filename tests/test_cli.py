@@ -19,7 +19,7 @@ import fgl_lab
 from fgl_lab import OdeParams, SupercriticalError, blowup_time
 from fgl_lab import cli
 from fgl_lab.cli import main
-from fgl_lab.config import ConfigError, coerce_value, load_config
+from fgl_lab.config import SCHEMA, ConfigError, coerce_value, load_config
 
 
 @pytest.fixture
@@ -581,14 +581,26 @@ class TestExitCodes:
                     ("threshold", "max_doublings"), ("threshold", "kappa_tol"),
                     ("bounds", "kappa_tol"), ("bounds", "variant"),
                     ("bounds", "required_margin")]
+        read = {name: cli._row_keys(entries)
+                for name, (_, entries, _) in cli._COMMANDS.items()}
         for section, key in removed:
-            commands = [name for name, (_, sections, _) in cli._COMMANDS.items()
-                        if section in sections] or list(cli._COMMANDS)
+            commands = [name for name, keys in read.items()
+                        if section in dict(keys)] or list(cli._COMMANDS)
             for command in commands:
                 err = _refusal([command, f"--{section}.{key}", "1"], tmp_path,
                                capsys)
                 assert err == (f"error: unrecognized arguments: "
                                f"--{section}.{key} 1\n")
+        # a key of the schema that the command's row does not list, such
+        # as threshold's evolution.t_max, is refused the same way
+        assert ("evolution", "t_max") not in read["threshold"]
+        for command, keys in read.items():
+            for section, key in ((s, k) for s in SCHEMA for k in SCHEMA[s]):
+                if (section, key) not in keys:
+                    err = _refusal([command, f"--{section}.{key}", "1"],
+                                   tmp_path, capsys)
+                    assert err == (f"error: unrecognized arguments: "
+                                   f"--{section}.{key} 1\n")
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 1
@@ -664,6 +676,24 @@ class TestExitCodes:
         assert "weight exponent 0.5" in capsys.readouterr().err
         # a refused run writes no output tree, not even an empty plots/
         assert not (tmp_path / "o" / "plots").exists()
+
+    def test_weight_without_a_line_kappa_is_refused_before_any_kappa(
+            self, tmp_path, kappa_calls, capsys):
+        # from 2s = 3 on, kappa grows with the half-length L (like log L at
+        # s = 1.5, like L^(s - 3/2) above), so it certifies nothing
+        for command in ("bounds", "threshold"):
+            for exponent in ("1.5", "2"):
+                code = main([command, "--out-dir", str(tmp_path / "o"),
+                             "--weights.exponent", exponent,
+                             "--evolution.p", "1.5"])
+                assert code == 1
+                assert capsys.readouterr().err == (
+                    f"error: kappa has no line limit for weight exponent "
+                    f"{exponent}: it grows like L^(s - 3/2) with the "
+                    "half-length L, so it certifies nothing; a certificate "
+                    "needs exponent < 3/2\n")
+        assert kappa_calls == []
+        assert not (tmp_path / "o").exists()
 
     def test_bounds_refuses_flat_weight(self, tmp_path, capsys):
         code = main([
@@ -760,7 +790,9 @@ _FUZZ_EDGES = {
 # the double range (an equilibrium past it is +inf), a closed-form curve
 # that leaves the double range (it wrote inf), 3e8 steps, and a weight
 # that overflows on the grid (1,000 Lanczos applications on NaN where
-# the commutator needs h; simulate's 1/h is 0 there).
+# the commutator needs h; simulate's 1/h is 0 there; bounds and threshold
+# refuse it first for its kappa, which has no line limit), and a
+# threshold search given the run length it never reads (1e18 steps).
 _FUZZ_FIXED = (
     ("bounds --evolution.amplitude 3 --evolution.t_max 0.3", 0),
     ("bounds --evolution.p 1.0000001 --grid.points 64", 0),
@@ -776,6 +808,8 @@ _FUZZ_FIXED = (
     ("bounds --weights.exponent 200 --grid.points 256", 1),
     ("threshold --weights.exponent 200 --grid.points 256", 1),
     ("simulate --weights.exponent 200 --grid.points 256", 0),
+    ("threshold --evolution.t_max 1e9 --evolution.dt_max 1e-9 "
+     "--grid.half_length 12.5 --grid.points 256 --evolution.amplitude 0.9", 1),
 )
 
 
@@ -785,10 +819,10 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
     lines = [(shlex.split(line), code) for line, code in _FUZZ_FIXED]
     for _ in range(30):
         command = rng.choice(sorted(cli._COMMANDS))
-        sections = cli._COMMANDS[command][1]
-        keys = [k for k in _FUZZ_EDGES if k.partition(".")[0] in sections]
+        read = cli._row_keys(cli._COMMANDS[command][1])
+        keys = [k for k in _FUZZ_EDGES if tuple(k.split(".")) in read]
         argv = [command]
-        if "grid" in sections:
+        if ("grid", "points") in read:
             argv += ["--grid.points", "64"]
         for key in rng.sample(keys, min(len(keys), 3)):
             argv += [f"--{key}", rng.choice(_FUZZ_EDGES[key])]
@@ -806,6 +840,9 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
     assert "t_max = 0.3 over dt_max = 1e-09" in err
     assert ("error: weight exponent 200, scale 1 overflows on the grid "
             "from |x| = 34.7656 on") in err
+    assert "kappa has no line limit for weight exponent 200" in err
+    assert ("unrecognized arguments: --evolution.t_max 1e9 "
+            "--evolution.dt_max 1e-9") in err
     summary = _read_json(tmp_path / "6" / "summary.json")
     assert (summary["equilibrium"], summary["blowup_time"]) == ("inf", "inf")
     for i in (0, 1, 2):

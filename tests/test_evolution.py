@@ -1,8 +1,6 @@
 """Strang splitting, adaptive stepping, and blow-up detection."""
 
 import math
-import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,16 +38,15 @@ def reference_simulate(cfg, weight=WeightSpec()):
 
     Each step runs strang_step (two FFT pairs), choose_dt and the sup
     check on the state itself, and every sample takes its own FFT for
-    h1.  Returns the series as one row per sample (t, dt, mass, h1, lp1,
-    sup, momentum) and the BlowupReport.
+    h1.  Returns the series as one row per state, the initial one and
+    one per step, (t, dt, mass, h1, lp1, sup, momentum) and the
+    BlowupReport.
     """
     grid = cfg.grid
     inv_sq = inv_weight_values(weight, grid) ** 2
     rows = []
 
     def record(t, dt, u):
-        if rows and t <= rows[-1][0]:
-            return
         dens = np.abs(u.values) ** 2
         cv = grid.dx
         rows.append(
@@ -68,27 +65,22 @@ def reference_simulate(cfg, weight=WeightSpec()):
     while True:
         sup = sup_norm(u)
         if sup >= cfg.sup_threshold:
-            record(t, last_dt, u)
             return blowup("sup_threshold", t, sup, steps, (max(t - last_dt, 0.0), t))
         if cfg.t_max - t <= 1e-12 * cfg.t_max:
             break
         dt_stab = choose_dt(u, cfg.p, cfg.theta, cfg.dt_max)
-        if dt_stab < cfg.dt_min:
-            record(t, last_dt, u)
+        if dt_stab < cfg.dt_min or t + dt_stab == t:
             return blowup("dt_underflow", t, sup, steps, (t, t))
         dt = min(dt_stab, cfg.t_max - t)
         try:
             u = strang_step(u, dt, cfg.p)
         except SingularSubstepError as err:
-            record(t, last_dt, u)
             t_hit = t + err.dt_admissible
             return blowup("nonlinear_substep_singular", t_hit, sup, steps, (t, t_hit))
         t += dt
         last_dt = dt
         steps += 1
-        if steps % cfg.record_every == 0:
-            record(t, dt, u)
-    record(t, last_dt, u)
+        record(t, dt, u)
     return np.array(rows), BlowupReport(False, None, None, sup_norm(u), steps, None)
 
 
@@ -98,9 +90,9 @@ def series_rows(series):
                             series.lp1, series.sup, series.momentum])
 
 
-def report_rows(cfg):
+def report_rows(cfg, every_step=True):
     """The BlowupReport and the first and last series rows of one run."""
-    series, report = simulate(cfg)
+    series, report = simulate(cfg, every_step=every_step)
     rows = series_rows(series)
     return report, rows[0].tolist(), rows[-1].tolist()
 
@@ -282,19 +274,21 @@ class TestSimulate:
         rel = abs(times[1e8] - times[1e10]) / times[1e8]
         assert rel < 1e-3
 
-    def test_record_every_thins_samples(self):
-        cfg_all = SimConfig(
-            grid=small_grid(), p=2.0, profile=ConstantProfile(1.0),
-            t_max=0.1, dt_max=1e-3, record_every=1,
-        )
-        cfg_thin = SimConfig(
-            grid=small_grid(), p=2.0, profile=ConstantProfile(1.0),
-            t_max=0.1, dt_max=1e-3, record_every=10,
-        )
-        s_all, _ = simulate(cfg_all)
-        s_thin, _ = simulate(cfg_thin)
-        assert len(s_thin.times) < len(s_all.times)
-        assert s_thin.times[-1] == pytest.approx(s_all.times[-1], rel=1e-12)
+    def test_step_that_cannot_move_t_ends_the_run(self):
+        # Constant data at p = 3 blow up at 1/(2 a^2) = 20000.  Near it
+        # the adaptive dt falls below half the spacing of doubles at t
+        # long before dt_min, so t + dt == t: that step is dt_underflow.
+        cfg = stalling_config()
+        assert homogeneous_blowup_time(0.005, 3.0) == pytest.approx(2e4, rel=1e-15)
+        series, report = simulate(cfg)
+        assert (report.criterion, report.t_detected) == ("dt_underflow",
+                                                         19999.999999999993)
+        assert report.bracket == (report.t_detected, report.t_detected)
+        assert report.steps == 67
+        assert series.times.size == report.steps + 1
+        assert np.all(np.diff(series.times) > 0)
+        assert series.times[-1] == report.t_detected
+        assert report.final_sup == series.sup[-1]
 
     def test_series_is_monotone_in_time_and_has_weights(self):
         w = WeightSpec(1.0, 1.0)
@@ -342,8 +336,6 @@ class TestSimulate:
             SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, theta=1.5)
         with pytest.raises(ValueError):
             SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, dt_max=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(grid=grid, p=2.0, profile=prof, t_max=1.0, record_every=0)
         # t_max inf ran 0 steps; t_max nan never returned
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="t_max must be positive and finite"):
@@ -377,6 +369,13 @@ def focusing_config():
     )
 
 
+def stalling_config():
+    """Constant data whose run reaches a step too small to move t."""
+    return SimConfig(grid=make_grid(1.0, 16), p=3.0,
+                     profile=ConstantProfile(0.005), t_max=25000.0,
+                     dt_max=1000.0)
+
+
 class TestLeanLoop:
     """simulate against the FieldState reference loop, its order and its FFT budget."""
 
@@ -389,9 +388,7 @@ class TestLeanLoop:
             gaussian_config(25.0, 256, 3.0, 1.0, t_max=5.0, dt_max=0.01, dt_min=1e-6),
             "dt_underflow"),
         "singular_substep": (focusing_config(), "nonlinear_substep_singular"),
-        "record_every_3": (
-            gaussian_config(25.0, 256, 2.0, 2.0, t_max=5.0, dt_max=0.01, record_every=3),
-            "sup_threshold"),
+        "stalled_clock": (stalling_config(), "dt_underflow"),
         "reaches_t_max": (
             gaussian_config(25.0, 256, 2.0, 1.0, t_max=0.4, dt_max=0.01),
             None),
@@ -420,8 +417,8 @@ class TestLeanLoop:
     def test_unrecorded_run_matches_recorded_run(self, name):
         # Unrecorded steps may be quiet; recorded ones never are.
         cfg = self.CASES[name][0]
-        lean, lean_first, lean_last = report_rows(replace(cfg, record_every=sys.maxsize))
-        full, full_first, full_last = report_rows(replace(cfg, record_every=1))
+        lean, lean_first, lean_last = report_rows(cfg, every_step=False)
+        full, full_first, full_last = report_rows(cfg)
         for field in ("steps", "criterion", "t_detected", "bracket", "final_sup"):
             assert getattr(lean, field) == getattr(full, field), field
         assert lean_first == full_first
@@ -460,7 +457,7 @@ class TestLeanLoop:
     def test_two_ffts_per_quiet_step(self, monkeypatch):
         # A lifespan-sweep member: only the report is kept, and the steps
         # run at dt_max until the sup nears the blow-up rate.
-        cfg = replace(self.CASES["p2_sup_threshold"][0], record_every=sys.maxsize)
+        cfg = self.CASES["p2_sup_threshold"][0]
         calls, spectra = [], []
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
             original = getattr(np.fft, name)
@@ -473,7 +470,7 @@ class TestLeanLoop:
                 return out
 
             monkeypatch.setattr(np.fft, name, counted)
-        _, report = simulate(cfg)
+        _, report = simulate(cfg, every_step=False)
         assert report.criterion == "sup_threshold"
         # One forward FFT starts the run and one ends each step.
         assert len(spectra) == report.steps + 1
@@ -510,13 +507,13 @@ class TestQuietSteps:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.fft, "fft", kept)
-            series, _ = simulate(self.constant_config(theta=0.9, record_every=1))
+            series, _ = simulate(self.constant_config(theta=0.9))
         assert [np.sum(np.abs(s)) / s.size for s in spectra] == series.sup.tolist()
         return series
 
     def assert_same_run(self, **kw):
-        lean = report_rows(self.constant_config(record_every=sys.maxsize, **kw))
-        full = report_rows(self.constant_config(record_every=1, **kw))
+        lean = report_rows(self.constant_config(**kw), every_step=False)
+        full = report_rows(self.constant_config(**kw))
         assert lean == full
 
     @pytest.mark.parametrize("side", [-1, 0, 1])
@@ -538,7 +535,7 @@ class TestQuietSteps:
         cfg = TestLeanLoop.CASES["p2_sup_threshold"][0]
         original = np.fft.fft
 
-        def message(record_every, k=5):
+        def message(every_step, k=5):
             # fft call 0 starts the run; call k ends step k, a quiet step here.
             calls = []
 
@@ -551,7 +548,7 @@ class TestQuietSteps:
 
             monkeypatch.setattr(np.fft, "fft", corrupt)
             with pytest.raises(CorruptFieldError) as err:
-                simulate(replace(cfg, record_every=record_every))
+                simulate(cfg, every_step=every_step)
             return str(err.value)
 
-        assert message(sys.maxsize) == message(1)
+        assert message(False) == message(True)
