@@ -7,7 +7,9 @@ truncation artifacts cannot masquerade as results.  The dilation
 ladders (commutator scaling and the threshold search) also refine dx
 at fixed L, with a 1e-3 budget, because they read every rung off one
 kappa solve.  A kappa check re-solves at a hundredth of its budget, not
-at the 1e-8 of the kappa it checks.
+at the 1e-8 of the kappa it checks.  The domain doubling re-solve starts
+from the checked solve's top Ritz vector, so no seed enters it; the dx
+refinement re-solve starts from the seed's vector (see _kappa_check).
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ from .diagnostics import (
 )
 from .kernel_decay import _loglog_fit
 from .weights import (
+    CommutatorEstimate,
     WeightSpec,
     _gamma_ratio,
     _require_integrable,
@@ -215,33 +218,47 @@ def lifespan_sweep(base: SimConfig, r_values, workers: int = 1) -> SweepResult:
 _KAPPA_DX_BUDGET = 1e-3
 
 
-def _kappa_check(w: WeightSpec, kappa: float, grid: GridSpec, seed: int,
-                 label: str, refine: bool = False) -> StabilityCheck:
-    """kappa's domain doubling check (5% budget), or with refine=True its
-    dx refinement check (_KAPPA_DX_BUDGET).
+def _kappa_check(w: WeightSpec, base: CommutatorEstimate, grid: GridSpec,
+                 seed: int, label: str,
+                 refine: bool = False) -> StabilityCheck:
+    """The domain doubling check (5% budget) of the kappa solved on grid,
+    or with refine=True its dx refinement check (_KAPPA_DX_BUDGET).
 
     The re-solve runs at tol = budget / 100: the top Ritz value is then
     within tol / 2 of kappa, relative, which is at most 0.5% of the
     budget.  The base kappa keeps estimate_kappa's default tolerance.
+
+    The domain doubling re-solve starts from the base solve's top Ritz
+    vector: at fixed dx, node j of (L, N) is node j + N/2 of (2L, 2N),
+    so the vector padded with N/2 zeros on each side lies near the
+    doubled grid's top vector when kappa holds still.  At s = 1 the
+    re-solve then stops after 3 or 4 applications instead of 10 to 12,
+    and its start no longer depends on ``seed``.  The dx refinement
+    re-solve starts from the ``seed`` vector: the finer grid has a new
+    node between every two old ones, and at s = 1 the base vector with
+    zeros or copies there cut its 14 to 16 applications only to 10 to 12.
     """
     budget = _KAPPA_DX_BUDGET if refine else _DOUBLING_BUDGET
+    start = None if refine else np.pad(base.vector, grid.points // 2)
 
     def kappa_on(g: GridSpec) -> float:
-        return estimate_kappa(w, g, tol=budget / 100, seed=seed).kappa
+        return estimate_kappa(w, g, tol=budget / 100, seed=seed,
+                              start=start).kappa
 
-    return domain_doubling_check(kappa, kappa_on, grid, label, budget=budget,
-                                 refine=refine)
+    return domain_doubling_check(base.kappa, kappa_on, grid, label,
+                                 budget=budget, refine=refine)
 
 
-def _kappa_checks(w: WeightSpec, kappa_1: float, grid: GridSpec, seed: int):
+def _kappa_checks(w: WeightSpec, base: CommutatorEstimate, grid: GridSpec,
+                  seed: int):
     """(domain doubling, dx refinement) checks of kappa at R = 1 on grid.
 
     A dilation ladder reads every rung off kappa_1, so these two checks
     at R = 1 stand for the checks at every rung.  _KAPPA_DX_BUDGET sits
     above the largest move the test grids show, 7.1e-4 at (6.25, 128).
     """
-    return (_kappa_check(w, kappa_1, grid, seed, "kappa(R=1)"),
-            _kappa_check(w, kappa_1, grid, seed, "kappa(R=1)", refine=True))
+    return (_kappa_check(w, base, grid, seed, "kappa(R=1)"),
+            _kappa_check(w, base, grid, seed, "kappa(R=1)", refine=True))
 
 
 def commutator_scaling(
@@ -275,10 +292,10 @@ def commutator_scaling(
     if r_arr.size < 2 or np.any(np.diff(r_arr) == 0):
         raise ValueError(
             f"dilation factors must be at least two and distinct, got {r_arr.tolist()}")
-    kappa_1 = estimate_kappa(w, base_grid, seed=seed).kappa
-    kappas = kappa_1 / r_arr
+    base = estimate_kappa(w, base_grid, seed=seed)
+    kappas = base.kappa / r_arr
     slope, intercept, residual = _loglog_fit(r_arr, kappas)
-    stability, refinement = _kappa_checks(w, kappa_1, base_grid, seed)
+    stability, refinement = _kappa_checks(w, base, base_grid, seed)
     return SweepResult(
         parameter_values=r_arr,
         measured=kappas,
@@ -386,7 +403,8 @@ def subcritical_threshold(
         raise ValueError("need p > 1")
     _require_below_fujita(p)
     ninv, _ = _certificate_norms(u0, weight)
-    kappa_1 = estimate_kappa(weight, u0.grid, seed=seed).kappa
+    base = estimate_kappa(weight, u0.grid, seed=seed)
+    kappa_1 = base.kappa
 
     history = []
     r = 1.0
@@ -402,7 +420,7 @@ def subcritical_threshold(
              "weighted_data_norm": v0_r, "threshold": threshold, "met": met}
         )
         if met:
-            stability, refinement = _kappa_checks(weight, kappa_1, u0.grid,
+            stability, refinement = _kappa_checks(weight, base, u0.grid,
                                                   seed)
             return ThresholdSearch(
                 r0=r,
@@ -451,9 +469,10 @@ def bounds_consistency(
     kappa, what _certificate_norms refuses.
     """
     ninv, v0 = _certificate_norms(initial_field(cfg.profile, cfg.grid), weight)
-    kappa = estimate_kappa(weight, cfg.grid, seed=seed).kappa
+    base = estimate_kappa(weight, cfg.grid, seed=seed)
     b = BoundParams(
-        p=cfg.p, kappa=kappa, inv_weight_norm=ninv, initial_weighted_norm=v0
+        p=cfg.p, kappa=base.kappa, inv_weight_norm=ninv,
+        initial_weighted_norm=v0,
     )
     threshold = critical_initial_norm(b)
     if v0 < _REQUIRED_MARGIN * threshold:
@@ -472,7 +491,7 @@ def bounds_consistency(
         lower_margins=check_weighted_lower_bound(series, b),
         growth_margins=check_growth_inequality(series, comparison_ode(b)),
         stability=(
-            _kappa_check(weight, kappa, cfg.grid, seed, "kappa"),
+            _kappa_check(weight, base, cfg.grid, seed, "kappa"),
             domain_doubling_check(ninv, lambda g: norm_inv_h(weight, g),
                                   cfg.grid, "inv_h_norm"),
             domain_doubling_check(

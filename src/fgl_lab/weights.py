@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -248,9 +248,9 @@ def _newton_sum(alphas: list, beta_sq: list, x: float) -> float:
 
 
 def _top_ritz_pair(alphas: list, betas: list, guess: float = math.nan
-                   ) -> tuple[float, float]:
-    """(theta, |s|): the top eigenvalue of the symmetric tridiagonal T and
-    the last component of its unit eigenvector, with no LAPACK call.
+                   ) -> tuple[float, np.ndarray]:
+    """(theta, z): the top eigenvalue of the symmetric tridiagonal T and
+    its unit eigenvector, with no LAPACK call.
 
     T has diagonal ``alphas`` and off-diagonals ``betas``.  theta comes
     from Newton on det(T - xI) from above (_newton_sum): every root is
@@ -261,17 +261,18 @@ def _top_ritz_pair(alphas: list, betas: list, guess: float = math.nan
     lands on a point whose pivots are not all negative: an exact step
     cannot pass the top root, so that point is the root to rounding.
 
-    s comes from a twisted factorization of T - theta I (K. V. Fernando,
+    z comes from a twisted factorization of T - theta I (K. V. Fernando,
     SIAM J. Matrix Anal. Appl. 18, 1997; I. S. Dhillon and B. N. Parlett,
     Linear Algebra Appl. 387, 2004).  Forward pivots d+ and backward
     pivots d- meet at the twist r = argmin |gamma_r|, gamma_r =
     d+_r + d-_r - (a_r - theta), where the eigenvector is large.  With
     z_r = 1 the other components are products of pivot ratios,
     z_i = -b_i z_{i+1} / d+_i above r and z_i = -b_{i-1} z_{i-1} / d-_i
-    below it, so s = z_m / ||z|| keeps its relative accuracy even when it
-    is tiny.  A pivot smaller in size than pivmin, the bound LAPACK's
-    Sturm counts use (0 included), is replaced by -pivmin, which keeps
-    every ratio finite.
+    below it, so its last component s = z_m / ||z||, which the Lanczos
+    residual needs, keeps its relative accuracy even when it is tiny.  A
+    pivot smaller in size than pivmin, the bound LAPACK's Sturm counts
+    use (0 included), is replaced by -pivmin, which keeps every ratio
+    finite.
     """
     m = len(alphas)
     beta_sq = [b * b for b in betas]
@@ -304,24 +305,27 @@ def _top_ritz_pair(alphas: list, betas: list, guess: float = math.nan
         bwd[i] = pivot(shifted[i] - beta_sq[i] / bwd[i + 1])
     gammas = [abs(f + b - s) for f, b, s in zip(fwd, bwd, shifted)]
     r = gammas.index(min(gammas))
-    z, norm_sq = 1.0, 1.0
+    z = [1.0] * m
+    norm_sq = 1.0
     for i in range(r - 1, -1, -1):
-        z *= betas[i] / fwd[i]
-        norm_sq += z * z
-    z = 1.0
+        z[i] = z[i + 1] * -(betas[i] / fwd[i])
+        norm_sq += z[i] * z[i]
     for i in range(r + 1, m):
-        z *= betas[i - 1] / bwd[i]
-        norm_sq += z * z
-    return x, abs(z) / math.sqrt(norm_sq)
+        z[i] = z[i - 1] * -(betas[i - 1] / bwd[i])
+        norm_sq += z[i] * z[i]
+    return x, np.array(z) / math.sqrt(norm_sq)
 
 
 def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
-                   seed: int) -> tuple[float, int]:
-    """(||A||, applications of A^T A) for a real operator A on R^n.
+                   seed: int, start: np.ndarray | None = None
+                   ) -> tuple[float, int, np.ndarray]:
+    """(||A||, applications of A^T A, top Ritz vector) for a real operator
+    A on R^n.
 
-    Three-term Lanczos on A^T A from the start vector drawn from ``seed``.
-    Only the last two Krylov vectors are kept: without reorthogonalization
-    the extreme Ritz value still converges (C. C. Paige, Linear Algebra
+    Three-term Lanczos on A^T A from ``start``, or with none from a
+    vector drawn from ``seed``.  The recurrence keeps only the last two
+    Krylov vectors in double precision: without reorthogonalization the
+    extreme Ritz value still converges (C. C. Paige, Linear Algebra
     Appl. 34, 1980).  It stops as ARPACK does, once the top Ritz pair
     (theta, s) of the tridiagonal T_j has residual beta_j |s_j| <=
     tol theta, which holds at once when the Krylov space runs out
@@ -331,6 +335,12 @@ def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
     residual), which lies just above the new top Ritz value whenever
     that value moved by less than rho.  The test runs after each of the
     first 64 applications, then after every 1 + j // 64 of them.
+
+    The Ritz vector V_j z, the unit top eigenvector z of T_j taken
+    through the Krylov basis V_j, is returned in float32 for a later
+    solve to start from: a start only has to lie near the top singular
+    vector, so the basis is kept at half the memory of a float64 copy,
+    and the solve's own recurrence and its value are untouched by it.
     """
     # einsum, not a BLAS dot: OpenBLAS splits a dot of N = 16384 over two
     # threads, and the Ritz test calls no LAPACK routine, so a solve wakes
@@ -338,21 +348,28 @@ def _operator_norm(apply_op, apply_adjoint, n: int, tol: float, max_iter: int,
     def dot(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.einsum("i,i->", x, y))
 
-    v = np.random.default_rng(seed).standard_normal(n)
+    if start is None:
+        v = np.random.default_rng(seed).standard_normal(n)
+    else:
+        v = np.array(start, dtype=float)
     v /= math.sqrt(dot(v, v))
     v_prev = np.zeros(n)
-    alphas, betas = [], []
+    alphas, betas, basis = [], [], []
     beta, next_test, residual, top = 0.0, 1, math.inf, math.nan
     for j in range(1, max_iter + 1):
+        basis.append(v.astype(np.float32))
         w = apply_adjoint(apply_op(v)) - beta * v_prev
         alphas.append(dot(v, w))
         w -= alphas[-1] * v
         beta = math.sqrt(dot(w, w))
         if j >= next_test or j == max_iter or beta == 0.0:
-            top, last = _top_ritz_pair(alphas, betas, top + residual)
-            residual = beta * last
+            top, z = _top_ritz_pair(alphas, betas, top + residual)
+            residual = beta * abs(float(z[-1]))
             if residual <= tol * top:
-                return math.sqrt(max(top, 0.0)), j
+                ritz = np.zeros(n, dtype=np.float32)
+                for coeff, q in zip(z.astype(np.float32), basis):
+                    ritz += coeff * q
+                return math.sqrt(max(top, 0.0)), j, ritz
             next_test = j + 1 + j // 64
         betas.append(beta)
         v_prev, v = v, w / beta
@@ -371,6 +388,8 @@ class CommutatorEstimate:
 
     kappa: float
     iterations: int  # applications of the normal operator A*A
+    # float32 top right singular vector of A, as far as the solve resolved it
+    vector: np.ndarray = field(repr=False, compare=False)
 
 
 def estimate_kappa(
@@ -378,6 +397,7 @@ def estimate_kappa(
     grid: GridSpec,
     tol: float = 1e-8,
     seed: int = 0,
+    start: np.ndarray | None = None,
 ) -> CommutatorEstimate:
     """Estimate kappa = ||(1/h)[|D|, h]|| by Lanczos on A*A.
 
@@ -386,12 +406,19 @@ def estimate_kappa(
     real data to real data (h real, |k| even), so the Krylov vectors stay real.
     The flat weight h == 1 commutes with |D|: A is 0 on the grid, so the
     first application gives beta_1 = 0 and the solve returns kappa = 0.
+
+    The solve starts from ``start`` (grid.points values, any nonzero
+    norm) when given, and ``seed`` then plays no part; else from a
+    vector drawn from ``seed``.  The estimate carries the top Ritz
+    vector, so a solve on a related grid can start from it: a start
+    that already lies near the top singular vector stops in a few
+    applications.
     """
     apply_a, apply_a_star = _commutator_closures(w, grid)
-    kappa, applications = _operator_norm(
+    kappa, applications, vector = _operator_norm(
         apply_a, apply_a_star, grid.points, tol=tol,
-        max_iter=_MAX_APPLICATIONS, seed=seed)
-    return CommutatorEstimate(kappa, applications)
+        max_iter=_MAX_APPLICATIONS, seed=seed, start=start)
+    return CommutatorEstimate(kappa, applications, vector)
 
 
 # ----------------------------------------------------------------------

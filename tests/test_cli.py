@@ -24,7 +24,8 @@ from fgl_lab.config import SCHEMA, ConfigError, coerce_value, load_config
 
 @pytest.fixture
 def kappa_calls(monkeypatch):
-    """(weight, grid, tol) of every estimate_kappa call made through fgl_lab."""
+    """(weight, grid, tol, warm) of every estimate_kappa call made through
+    fgl_lab; warm is whether the call passed a start vector."""
     from fgl_lab import weights
 
     original = weights.estimate_kappa
@@ -34,7 +35,8 @@ def kappa_calls(monkeypatch):
     def counted(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        calls.append(tuple(bound.arguments[k] for k in ("w", "grid", "tol")))
+        calls.append(tuple(bound.arguments[k] for k in ("w", "grid", "tol"))
+                     + (bound.arguments["start"] is not None,))
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -430,11 +432,13 @@ class TestMainCommands:
         assert summary["r0"] == 2.0
         # kappa at R = 1 on (50, 1024), its domain doubling on (100, 2048)
         # and its dx refinement on (50, 2048); the R = 2 row is kappa_1 / 2.
-        # The checks solve at budget / 100: 5% / 100 and 1e-3 / 100.
+        # The checks solve at budget / 100: 5% / 100 and 1e-3 / 100.  Only
+        # the domain doubling re-solve starts from the base Ritz vector.
         assert len(kappa_calls) == 3
-        assert sorted((g.half_length, g.points, tol)
-                      for _, g, tol in kappa_calls) == [
-            (50.0, 1024, 1e-8), (50.0, 2048, 1e-5), (100.0, 2048, 5e-4)]
+        assert sorted((g.half_length, g.points, tol, warm)
+                      for _, g, tol, warm in kappa_calls) == [
+            (50.0, 1024, 1e-8, False), (50.0, 2048, 1e-5, False),
+            (100.0, 2048, 5e-4, True)]
         assert summary["stability"]["label"] == "kappa(R=1)"
         assert summary["refinement"]["stable"] is True
         kappas = np.loadtxt(out / "threshold.csv", delimiter=",", skiprows=1,
@@ -450,10 +454,12 @@ class TestMainCommands:
         ]) == 0
         capsys.readouterr()
         # kappa at R = 1, its dx refinement and its domain doubling for the
-        # four rungs: rung R is kappa_1 / R, and no solve runs above 2N
-        assert sorted((g.half_length, g.points, tol)
-                      for _, g, tol in kappa_calls) == [
-            (12.5, 256, 1e-8), (12.5, 512, 1e-5), (25.0, 512, 5e-4)]
+        # four rungs: rung R is kappa_1 / R, and no solve runs above 2N.
+        # Only the domain doubling re-solve starts warm.
+        assert sorted((g.half_length, g.points, tol, warm)
+                      for _, g, tol, warm in kappa_calls) == [
+            (12.5, 256, 1e-8, False), (12.5, 512, 1e-5, False),
+            (25.0, 512, 5e-4, True)]
         summary = _read_json(out / "summary.json")
         assert summary["kappa_times_r_spread"] == 0.0
         assert summary["stability"]["stable"] is True
@@ -467,9 +473,11 @@ class TestMainCommands:
             "--evolution.amplitude", "3", "--evolution.dt_max", "0.01",
             "--evolution.t_max", "2",
         ]) == 0
-        # kappa at the default tolerance, then its domain doubling at 5% / 100
-        assert [(g.half_length, g.points, tol) for _, g, tol in kappa_calls] == [
-            (25.0, 512, 1e-8), (50.0, 1024, 5e-4)]
+        # kappa at the default tolerance, cold, then its domain doubling at
+        # 5% / 100, started from the base Ritz vector
+        assert [(g.half_length, g.points, tol, warm)
+                for _, g, tol, warm in kappa_calls] == [
+            (25.0, 512, 1e-8, False), (50.0, 1024, 5e-4, True)]
         assert "bounds: t_detected=" in capsys.readouterr().out
         self.assert_manifest_lists_tree(out)
         summary = _read_json(out / "summary.json")
@@ -654,6 +662,25 @@ class TestExitCodes:
         assert code == 2
         assert ("closed form's f0^(q-1) c2/c1 overflows at c1 = 1e-300, "
                 "c2 = 1e+300, f0 = 2, q - 1 = 1") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponent, message", [
+        # tol-1e-13 solves on (100, 2048) give 3.3191867 and 8.1717911
+        ("1.75", "moved 16.64% under domain doubling (budget 5.00%): "
+                 "2.76686 -> 3.31919"),
+        ("2", "moved 29.03% under domain doubling (budget 5.00%): "
+              "5.79984 -> 8.17179"),
+    ])
+    def test_commutator_catches_kappa_that_grows_with_the_domain(
+            self, tmp_path, kappa_calls, capsys, exponent, message):
+        # from 2s = 3 on kappa grows with L; the domain doubling re-solve,
+        # started from the base Ritz vector, must still see it
+        code = main(["commutator", "--out-dir", str(tmp_path / "o"),
+                     "--weights.exponent", exponent,
+                     "--grid.half_length", "50", "--grid.points", "1024"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"numerical failure: kappa(R=1) {message}\n")
+        assert [warm for *_, warm in kappa_calls] == [False, True]
 
     def test_supercritical_power_exits_one(self, tmp_path, capsys):
         code = main([

@@ -294,6 +294,37 @@ class TestCommutator:
         b = estimate_kappa(w, grid, tol=1e-10, seed=42).kappa
         assert a == b
 
+    def test_start_vector_replaces_the_seed(self):
+        grid = make_grid(10.0, 128)
+        w = WeightSpec(1.0, 1.0)
+        start = np.random.default_rng(3).standard_normal(128)
+        a = estimate_kappa(w, grid, tol=1e-10, seed=1, start=start)
+        # the start is normalized first, and scaling by 2 is exact
+        b = estimate_kappa(w, grid, tol=1e-10, seed=2, start=2.0 * start)
+        assert (a.kappa, a.iterations) == (b.kappa, b.iterations)
+
+    @pytest.mark.parametrize("half_length, points", [(10.0, 128), (50.0, 1024)])
+    def test_ritz_vector_is_the_top_singular_vector(self, half_length, points):
+        grid = make_grid(half_length, points)
+        w = WeightSpec(1.0, 1.0)
+        apply_a, _ = _commutator_closures(w, grid)
+        mat = np.column_stack([apply_a(e) for e in np.eye(points)])
+        lam, vecs = np.linalg.eigh(mat.T @ mat)
+        est = estimate_kappa(w, grid, tol=1e-10)
+        assert est.vector.dtype == np.float32
+        v = est.vector.astype(float)
+        v /= np.linalg.norm(v)
+        top = vecs[:, -1]
+        # sin of the angle to the top vector: at most the residual bound
+        # rho / gap, rho <= tol kappa^2, plus float32 rounding (1e-7 here)
+        gap = (lam[-1] - lam[-2]) / lam[-1]
+        sin = np.linalg.norm(v - (v @ top) * top)
+        assert sin <= 1e-10 / gap + 1e-6
+        # a solve started from it stops at once
+        again = estimate_kappa(w, grid, tol=1e-6, start=est.vector)
+        assert again.iterations <= 2
+        assert again.kappa == pytest.approx(est.kappa, rel=1e-12)
+
     def test_iteration_budget_raises(self):
         grid = make_grid(10.0, 128)
         apply_a, apply_a_star = _commutator_closures(WeightSpec(1.0, 1.0), grid)
@@ -395,8 +426,8 @@ class TestLanczosRitzTest:
             for tol in (1e-8, 1e-5, 5e-4):
                 want, stop = eigh_operator_norm(apply_a, apply_a_star, points,
                                                 tol, 1000, seed)
-                got, applications = _operator_norm(apply_a, apply_a_star,
-                                                   points, tol, 1000, seed)
+                got, applications, _ = _operator_norm(
+                    apply_a, apply_a_star, points, tol, 1000, seed)
                 assert applications == stop
                 assert got == pytest.approx(want, rel=2e-15, abs=0)
 
@@ -408,7 +439,12 @@ class TestLanczosRitzTest:
             monkeypatch.setattr(np.linalg, name, refuse)
         grid = make_grid(20.0, 256)
         w = WeightSpec(1.0, 1.0)
-        assert estimate_kappa(w, grid).kappa > 0
+        base = estimate_kappa(w, grid)
+        assert base.kappa > 0
+        # the Ritz vector path: formed at the stop, then a warm start
+        warm = estimate_kappa(w, make_grid(40.0, 512), tol=5e-4,
+                              start=np.pad(base.vector, 128))
+        assert warm.kappa > 0
         assert estimate_weighted_kernel_norm(w, grid) > 0
 
     @pytest.mark.parametrize("budget, grids", [
@@ -426,6 +462,26 @@ class TestLanczosRitzTest:
                 sharp = estimate_kappa(w, grid, tol=1e-12, seed=seed).kappa
                 check = estimate_kappa(w, grid, tol=budget / 100, seed=seed).kappa
                 assert abs(check - sharp) <= budget / 200 * sharp
+
+    @pytest.mark.parametrize("exponent", [0.75, 1.0, 1.25])
+    def test_warm_doubling_solves_are_as_precise_and_short(self, exponent):
+        # the domain doubling check starts its re-solve from the base
+        # solve's top Ritz vector, padded onto (2L, 2N); on the 5%-budget
+        # grids above it must still sit within budget / 200 of kappa, and
+        # stop within 6 applications, where a cold re-solve takes 7 to 21
+        budget = 0.05
+        w = WeightSpec(exponent, 1.0)
+        for half_length, points in [(100.0, 2048), (200.0, 4096),
+                                    (200.0, 8192), (200.0, 16384)]:
+            grid = make_grid(half_length, points)
+            sharp = estimate_kappa(w, grid, tol=1e-12).kappa
+            base_grid = make_grid(half_length / 2, points // 2)
+            for seed in (0, 1, 7, 42):
+                base = estimate_kappa(w, base_grid, seed=seed)
+                check = estimate_kappa(w, grid, tol=budget / 100,
+                                       start=np.pad(base.vector, points // 4))
+                assert abs(check.kappa - sharp) <= budget / 200 * sharp
+                assert check.iterations <= 6
 
 
 def random_tridiagonals(rng, kind, count):
@@ -456,12 +512,17 @@ class TestTopRitzPair:
             # no start, a start at the top eigenvalue, and one at the first
             # diagonal entry, which makes the first pivot exactly 0
             for guess in (math.nan, float(lam[-1]), diag[0]):
-                theta, s = _top_ritz_pair(diag, off, guess)
+                theta, z = _top_ritz_pair(diag, off, guess)
                 assert abs(theta - lam[-1]) <= 8 * eps * norm
-                assert 0.0 <= s <= 1.0
+                assert abs(np.linalg.norm(z) - 1.0) <= 8 * eps
+            s = abs(z[-1])
             gap = lam[-1] - lam[-2] if len(diag) > 1 else math.inf
             if gap > 1e-3 * norm:
-                assert abs(s - abs(vecs[-1, -1])) <= 64 * eps * norm / gap
+                bound = 64 * eps * norm / gap
+                assert abs(s - abs(vecs[-1, -1])) <= bound
+                # the whole vector, up to sign
+                top = vecs[:, -1] * math.copysign(1.0, z @ vecs[:, -1])
+                assert np.max(np.abs(z - top)) <= bound
 
     @pytest.mark.parametrize("diag, off, theta, s", [
         ([3.0], [], 3.0, 1.0),
@@ -473,9 +534,9 @@ class TestTopRitzPair:
     ])
     def test_exact_pairs_with_zero_pivots(self, diag, off, theta, s):
         # each T - theta I has a pivot that is exactly 0
-        got_theta, got_s = _top_ritz_pair(diag, off)
+        got_theta, got_z = _top_ritz_pair(diag, off)
         assert got_theta == theta
-        assert got_s == pytest.approx(s, rel=1e-15)
+        assert abs(got_z[-1]) == pytest.approx(s, rel=1e-15)
 
 
 class TestWeightedKernel:
