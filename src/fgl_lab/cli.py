@@ -209,14 +209,8 @@ def _cmd_ode(cfg: dict, seed: int, workers: int) -> _Result:
     )
 
 
-# Each rung is kappa_1 / R, read off one solve at R = 1: the ladder picks
-# table rows, not solves.
-_COMMUTATOR_R_VALUES = (1.0, 2.0, 4.0, 8.0)
-
-
 def _cmd_commutator(cfg: dict, seed: int, workers: int) -> _Result:
-    result = commutator_scaling(_weight_from(cfg), _COMMUTATOR_R_VALUES,
-                                _grid_from(cfg), seed=seed)
+    result = commutator_scaling(_weight_from(cfg), _grid_from(cfg), seed=seed)
     products = result.parameter_values * result.measured
     spread = float(products.max() / products.min() - 1.0)
     summary = {

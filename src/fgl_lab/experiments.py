@@ -7,9 +7,9 @@ truncation artifacts cannot masquerade as results.  The dilation
 ladders (commutator scaling and the threshold search) also refine dx
 at fixed L, with a 1e-3 budget, because they read every rung off one
 kappa solve.  A kappa check re-solves at a hundredth of its budget, not
-at the 1e-8 of the kappa it checks.  The domain doubling re-solve starts
-from the checked solve's top Ritz vector, so no seed enters it; the dx
-refinement re-solve starts from the seed's vector (see _kappa_check).
+at the 1e-8 of the kappa it checks, and starts from the checked solve's
+top Ritz vector, so the seed enters only the checked solve (see
+_kappa_check).
 """
 from __future__ import annotations
 
@@ -219,8 +219,7 @@ _KAPPA_DX_BUDGET = 1e-3
 
 
 def _kappa_check(w: WeightSpec, base: CommutatorEstimate, grid: GridSpec,
-                 seed: int, label: str,
-                 refine: bool = False) -> StabilityCheck:
+                 label: str, refine: bool = False) -> StabilityCheck:
     """The domain doubling check (5% budget) of the kappa solved on grid,
     or with refine=True its dx refinement check (_KAPPA_DX_BUDGET).
 
@@ -228,46 +227,49 @@ def _kappa_check(w: WeightSpec, base: CommutatorEstimate, grid: GridSpec,
     within tol / 2 of kappa, relative, which is at most 0.5% of the
     budget.  The base kappa keeps estimate_kappa's default tolerance.
 
-    The domain doubling re-solve starts from the base solve's top Ritz
-    vector: at fixed dx, node j of (L, N) is node j + N/2 of (2L, 2N),
-    so the vector padded with N/2 zeros on each side lies near the
-    doubled grid's top vector when kappa holds still.  At s = 1 the
-    re-solve then stops after 3 or 4 applications instead of 10 to 12,
-    and its start no longer depends on ``seed``.  The dx refinement
-    re-solve starts from the ``seed`` vector: the finer grid has a new
-    node between every two old ones, and at s = 1 the base vector with
-    zeros or copies there cut its 14 to 16 applications only to 10 to 12.
+    The re-solve starts from the base solve's top Ritz vector, read at
+    the check grid's nodes (linear between them, zero outside [-L, L)).
+    On (2L, 2N) node j of (L, N) is node j + N/2, so this pads the vector
+    with N/2 zeros on each side; on (L, 2N) each new node takes the mean
+    of its two neighbours.  At s = 1 the re-solve then stops after 3 or 4
+    applications on (2L, 2N) and 10 to 14 on (L, 2N), where a random
+    start takes 10 to 12 and 14 to 17.  The start also keeps it on the
+    top singular value of A where the top two lie close (1.6e-5 apart,
+    relative, at (25, 1024)): a random start can stop on the second.
     """
     budget = _KAPPA_DX_BUDGET if refine else _DOUBLING_BUDGET
-    start = None if refine else np.pad(base.vector, grid.points // 2)
 
     def kappa_on(g: GridSpec) -> float:
-        return estimate_kappa(w, g, tol=budget / 100, seed=seed,
-                              start=start).kappa
+        start = np.interp(g.nodes, grid.nodes, base.vector, left=0.0, right=0.0)
+        return estimate_kappa(w, g, tol=budget / 100, start=start).kappa
 
     return domain_doubling_check(base.kappa, kappa_on, grid, label,
                                  budget=budget, refine=refine)
 
 
-def _kappa_checks(w: WeightSpec, base: CommutatorEstimate, grid: GridSpec,
-                  seed: int):
+def _kappa_checks(w: WeightSpec, base: CommutatorEstimate, grid: GridSpec):
     """(domain doubling, dx refinement) checks of kappa at R = 1 on grid.
 
     A dilation ladder reads every rung off kappa_1, so these two checks
     at R = 1 stand for the checks at every rung.  _KAPPA_DX_BUDGET sits
     above the largest move the test grids show, 7.1e-4 at (6.25, 128).
     """
-    return (_kappa_check(w, base, grid, seed, "kappa(R=1)"),
-            _kappa_check(w, base, grid, seed, "kappa(R=1)", refine=True))
+    return (_kappa_check(w, base, grid, "kappa(R=1)"),
+            _kappa_check(w, base, grid, "kappa(R=1)", refine=True))
+
+
+# Each rung is kappa_1 / R, read off one solve at R = 1: the ladder picks
+# table rows, not solves.
+_COMMUTATOR_R_VALUES = (1.0, 2.0, 4.0, 8.0)
 
 
 def commutator_scaling(
     w: WeightSpec,
-    r_values,
     base_grid: GridSpec,
     seed: int = 0,
 ) -> SweepResult:
-    """kappa across dilations of the weight, from one kappa solve.
+    """kappa across the dilations _COMMUTATOR_R_VALUES of the weight, from
+    one kappa solve.
 
     Rung R dilates the weight scale and the domain together, h_R on the
     grid (R L, N).  The nodes of that grid are R times those of (L, N)
@@ -275,27 +277,23 @@ def commutator_scaling(
     exactly in floating point for R a power of two, to rounding
     otherwise.  kappa_R = kappa_1 / R is thus the rung's operator norm,
     not a model of it.  So kappa is estimated once, at R = 1 on
-    base_grid, and checked there under domain doubling (5% budget) and
-    under dx refinement, N -> 2N at fixed L (1e-3 budget).  Refuses
-    (ValueError, before any kappa) the flat weight h == 1: it commutes
-    with |D|, so kappa is 0 at every R and there is no slope to fit; and
-    fewer than two factors or a repeated one, which add no point to fit.
+    base_grid from the ``seed`` vector, and checked there under domain
+    doubling (5% budget) and under dx refinement, N -> 2N at fixed L
+    (1e-3 budget); both re-solves start from its top Ritz vector.
+    Refuses (ValueError, before any kappa) the flat weight h == 1: it
+    commutes with |D|, so kappa is 0 at every R and there is no slope to
+    fit.
     """
     if w.exponent == 0:
         raise ValueError(
             "weight exponent 0 gives h == 1, which commutes with |D|: "
             "kappa = 0 at every R, so there is no scaling slope to fit"
         )
-    r_arr = np.asarray(sorted(float(r) for r in r_values))
-    if np.any(r_arr < 1):
-        raise ValueError("dilation factors must be >= 1")
-    if r_arr.size < 2 or np.any(np.diff(r_arr) == 0):
-        raise ValueError(
-            f"dilation factors must be at least two and distinct, got {r_arr.tolist()}")
+    r_arr = np.array(_COMMUTATOR_R_VALUES)
     base = estimate_kappa(w, base_grid, seed=seed)
     kappas = base.kappa / r_arr
     slope, intercept, residual = _loglog_fit(r_arr, kappas)
-    stability, refinement = _kappa_checks(w, base, base_grid, seed)
+    stability, refinement = _kappa_checks(w, base, base_grid)
     return SweepResult(
         parameter_values=r_arr,
         measured=kappas,
@@ -420,8 +418,7 @@ def subcritical_threshold(
              "weighted_data_norm": v0_r, "threshold": threshold, "met": met}
         )
         if met:
-            stability, refinement = _kappa_checks(weight, base, u0.grid,
-                                                  seed)
+            stability, refinement = _kappa_checks(weight, base, u0.grid)
             return ThresholdSearch(
                 r0=r,
                 bound=lifespan_upper_bound(b),
@@ -491,7 +488,7 @@ def bounds_consistency(
         lower_margins=check_weighted_lower_bound(series, b),
         growth_margins=check_growth_inequality(series, comparison_ode(b)),
         stability=(
-            _kappa_check(weight, base, cfg.grid, seed, "kappa"),
+            _kappa_check(weight, base, cfg.grid, "kappa"),
             domain_doubling_check(ninv, lambda g: norm_inv_h(weight, g),
                                   cfg.grid, "inv_h_norm"),
             domain_doubling_check(

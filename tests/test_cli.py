@@ -25,7 +25,7 @@ from fgl_lab.config import SCHEMA, ConfigError, coerce_value, load_config
 @pytest.fixture
 def kappa_calls(monkeypatch):
     """(weight, grid, tol, warm) of every estimate_kappa call made through
-    fgl_lab; warm is whether the call passed a start vector."""
+    fgl_lab; warm is whether the call passed a start vector and no seed."""
     from fgl_lab import weights
 
     original = weights.estimate_kappa
@@ -34,9 +34,11 @@ def kappa_calls(monkeypatch):
 
     def counted(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
+        warm = (bound.arguments.get("start") is not None
+                and "seed" not in bound.arguments)
         bound.apply_defaults()
         calls.append(tuple(bound.arguments[k] for k in ("w", "grid", "tol"))
-                     + (bound.arguments["start"] is not None,))
+                     + (warm,))
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -432,12 +434,12 @@ class TestMainCommands:
         assert summary["r0"] == 2.0
         # kappa at R = 1 on (50, 1024), its domain doubling on (100, 2048)
         # and its dx refinement on (50, 2048); the R = 2 row is kappa_1 / 2.
-        # The checks solve at budget / 100: 5% / 100 and 1e-3 / 100.  Only
-        # the domain doubling re-solve starts from the base Ritz vector.
+        # The checks solve at budget / 100: 5% / 100 and 1e-3 / 100, both
+        # started from the base Ritz vector.
         assert len(kappa_calls) == 3
         assert sorted((g.half_length, g.points, tol, warm)
                       for _, g, tol, warm in kappa_calls) == [
-            (50.0, 1024, 1e-8, False), (50.0, 2048, 1e-5, False),
+            (50.0, 1024, 1e-8, False), (50.0, 2048, 1e-5, True),
             (100.0, 2048, 5e-4, True)]
         assert summary["stability"]["label"] == "kappa(R=1)"
         assert summary["refinement"]["stable"] is True
@@ -455,10 +457,10 @@ class TestMainCommands:
         capsys.readouterr()
         # kappa at R = 1, its dx refinement and its domain doubling for the
         # four rungs: rung R is kappa_1 / R, and no solve runs above 2N.
-        # Only the domain doubling re-solve starts warm.
+        # Both re-solves start from the base Ritz vector.
         assert sorted((g.half_length, g.points, tol, warm)
                       for _, g, tol, warm in kappa_calls) == [
-            (12.5, 256, 1e-8, False), (12.5, 512, 1e-5, False),
+            (12.5, 256, 1e-8, False), (12.5, 512, 1e-5, True),
             (25.0, 512, 5e-4, True)]
         summary = _read_json(out / "summary.json")
         assert summary["kappa_times_r_spread"] == 0.0

@@ -199,10 +199,11 @@ class TestDilationIdentity:
 
 class TestCommutatorScaling:
     def test_kappa_scales_inversely_with_dilation(self):
-        res = commutator_scaling(W, [1, 2], make_grid(6.25, 128))
+        res = commutator_scaling(W, make_grid(6.25, 128))
         assert res.slope == pytest.approx(-1.0, abs=1e-12)
+        assert res.parameter_values.tolist() == [1.0, 2.0, 4.0, 8.0]
         assert np.array_equal(res.measured * res.parameter_values,
-                              [res.measured[0]] * 2)
+                              [res.measured[0]] * 4)
         assert res.stability.stable
         assert res.refinement.stable
         # the coarsest grid in the suite: kappa moves 7.1e-4 as dx halves
@@ -210,8 +211,8 @@ class TestCommutatorScaling:
         assert res.refinement.budget == 1e-3
 
     def test_rungs_add_no_kappa_solve(self, monkeypatch):
-        # kappa at R = 1, its dx refinement and its domain doubling, however
-        # many rungs: rung R is kappa_1 / R, and no solve runs above 2N
+        # kappa at R = 1, its dx refinement and its domain doubling for the
+        # four rungs: rung R is kappa_1 / R, and no solve runs above 2N
         calls = []
         original = experiments.estimate_kappa
         signature = inspect.signature(original)
@@ -224,12 +225,11 @@ class TestCommutatorScaling:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "estimate_kappa", counted)
-        r_values = [1, 2, 4, 8, 16, 32]
-        res = commutator_scaling(W, r_values, make_grid(12.5, 256))
+        res = commutator_scaling(W, make_grid(12.5, 256))
         assert sorted(calls) == [
             (12.5, 256, 1e-8), (12.5, 512, 1e-5), (25.0, 512, 5e-4)]
         assert np.array_equal(res.measured * res.parameter_values,
-                              [res.measured[0]] * len(r_values))
+                              [res.measured[0]] * 4)
         assert res.stability.stable
         assert res.refinement.stable
 
@@ -243,20 +243,27 @@ class TestCommutatorScaling:
             domain_doubling_check(kappa_on(grid), kappa_on, grid, "kappa(R=1)",
                                   budget=5e-4, refine=True)
 
-    def test_rejects_subunit_dilations(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            commutator_scaling(W, [0.5, 1], make_grid(6.25, 128))
-
-    def test_rejects_degenerate_ladders_before_any_kappa(self, monkeypatch):
-        # one factor leaves no line to fit; a repeated factor adds no point
-        def no_solve(*args, **kwargs):
-            raise AssertionError("kappa was estimated")
-
-        monkeypatch.setattr(experiments, "estimate_kappa", no_solve)
-        for r_values, words in (([1], "at least two"), ([2, 2], "distinct"),
-                                ([1, 2, 2], "distinct")):
-            with pytest.raises(ValueError, match=words):
-                commutator_scaling(W, r_values, make_grid(6.25, 128))
+    @pytest.mark.parametrize("exponent, half_length, points", [
+        (0.75, 12.5, 256), (1.0, 25.0, 512)])
+    def test_refinement_resolves_the_top_of_a_near_degenerate_pair(
+            self, exponent, half_length, points):
+        # on these grids the top two singular values of A on (L, 2N) lie
+        # 1e-4 and 1.6e-5 apart, relative, and a tol-1e-5 solve from seed
+        # 0's vector stops on the second one; the dx refinement re-solve
+        # must sit within budget / 200 of a dense SVD's top value, whatever
+        # the seed
+        w = WeightSpec(exponent, 1.0)
+        sigma = np.linalg.svd(
+            _dense_commutator(w, make_grid(half_length, 2 * points)).real,
+            compute_uv=False)[0]
+        refined = [commutator_scaling(w, make_grid(half_length, points),
+                                      seed=seed).refinement
+                   for seed in (0, 1, 7, 42)]
+        budget = refined[0].budget
+        for check in refined:
+            assert abs(check.doubled_value - sigma) <= budget / 200 * sigma
+            assert check.doubled_value == pytest.approx(
+                refined[0].doubled_value, rel=1e-9, abs=0)
 
 
 class TestPredictedThresholdScale:
