@@ -187,9 +187,10 @@ _ODE_T_FRACTION = 0.99  # the horizon's share of a finite blow-up time
 
 
 def _cmd_ode(cfg: dict, seed: int, workers: int) -> _Result:
-    o = cfg["ode"]
-    params = OdeParams(c1=o["c1"], c2=o["c2"], q=o["q"], f0=o["f0"])
+    params = OdeParams(**cfg["ode"])
     t_star = blowup_time(params)
+    if not (np.isfinite(t_star) or params.c1 > 0):  # at c1 = 0 T* is finite
+        raise OverflowError(f"T* = f0^(1-q)/(c2 (q-1)) overflows at {params}")
     horizon = (_ODE_T_FRACTION * t_star if np.isfinite(t_star)
                else 5.0 / params.c1)
     times = np.linspace(0.0, horizon, _ODE_SAMPLES)

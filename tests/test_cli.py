@@ -567,6 +567,23 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    def test_readme_exit_code_examples(self, tmp_path, capsys):
+        # every `fgl ...` span with an option under the README's "Exit
+        # codes" exits with the code of the bullet it sits under
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = text.split("\nExit codes:\n", 1)[1].split("\n## ", 1)[0]
+        examples = []
+        for bullet in re.split(r"^- ", section, flags=re.M)[1:]:
+            code = int(re.match(r"`(\d)` —", bullet).group(1))
+            examples += [(" ".join(span.split()), code)
+                         for span in re.findall(r"`(fgl [^`]*--[^`]*)`", bullet)]
+        assert {code for _, code in examples} == {0, 1, 2}
+        for i, (line, code) in enumerate(examples):
+            argv = shlex.split(line)[1:] + ["--out-dir", str(tmp_path / str(i))]
+            assert main(argv) == code, line
+        capsys.readouterr()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["ode", "--config", str(tmp_path / "nope.cfg"),
                      "--out-dir", str(tmp_path / "o")])
@@ -652,18 +669,20 @@ class TestExitCodes:
         assert not issubclass(ConfigError, NumericalError)
         assert not issubclass(SupercriticalError, NumericalError)
 
-    def test_ode_where_c1_over_c2_underflows(self, tmp_path, capsys):
-        # c1/c2 = 1e-600 underflows: T* = f0^(1-q)/(c2 (q-1)) = 5e-301 in
-        # logs, and the closed form names its overflowing coefficient.
+    def test_ode_where_c1_over_c2_underflows(self, tmp_path):
+        # c1/c2 = 1e-600 underflows, but no form takes it: T0 =
+        # f0^(1-q)/(c2 (q-1)) = 5e-301 and a = c1 (q-1) T0 underflows, so
+        # T* = T0 exactly, and the closed form evaluates up to 0.99 T*.
         params = OdeParams(c1=1e-300, c2=1e300, q=2.0, f0=2.0)
-        assert blowup_time(params) == pytest.approx(5e-301, rel=1e-12)
+        assert blowup_time(params) == 5e-301
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["ode", "--out-dir", str(tmp_path / "o"),
                          "--ode.c1", "1e-300", "--ode.c2", "1e300"])
-        assert code == 2
-        assert ("closed form's f0^(q-1) c2/c1 overflows at c1 = 1e-300, "
-                "c2 = 1e+300, f0 = 2, q - 1 = 1") in capsys.readouterr().err
+        assert code == 0
+        summary = _read_json(tmp_path / "o" / "summary.json")
+        assert summary["blowup_time"] == 5e-301
+        assert summary["final_value"] == pytest.approx(200.0, rel=1e-13)
 
     @pytest.mark.parametrize("exponent, message", [
         # tol-1e-13 solves on (100, 2048) give 3.3191867 and 8.1717911
@@ -817,7 +836,9 @@ _FUZZ_EDGES = {
 # refusal, or ran without bound, with the exit code they get now: bounds
 # runs that reach t_max undetected (the last in two steps), powers past
 # the double range (an equilibrium past it is +inf), a closed-form curve
-# that leaves the double range (it wrote inf), 3e8 steps, and a weight
+# that leaves the double range (it wrote inf), a c2 f0^(q-1) below it (a
+# global solution, once refused), c1 = 0 (once refused) and its T* past
+# the double range (a division by zero), 3e8 steps, and a weight
 # that overflows on the grid (1,000 Lanczos applications on NaN where
 # the commutator needs h; simulate's 1/h is 0 there; bounds and threshold
 # refuse it first for its kappa, which has no line limit), and a
@@ -828,7 +849,7 @@ _FUZZ_FIXED = (
     ("bounds --evolution.amplitude 3 --evolution.t_max 0.1", 0),
     ("threshold --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
     ("bounds --evolution.p 1.0000001 --weights.scale 0.01 --grid.points 256", 2),
-    ("ode --ode.q 50 --ode.f0 1e-300 --ode.c2 1e300", 2),
+    ("ode --ode.q 50 --ode.f0 1e-300 --ode.c2 1e300", 0),
     ("ode --ode.c1 1e300 --ode.q 1.0000001", 0),
     ("ode --ode.c2 1e300 --ode.f0 1e300 --ode.q 1.0000001", 2),
     ("simulate --grid.points 16 --grid.half_length 1e-3 "
@@ -839,6 +860,8 @@ _FUZZ_FIXED = (
     ("simulate --weights.exponent 200 --grid.points 256", 0),
     ("threshold --evolution.t_max 1e9 --evolution.dt_max 1e-9 "
      "--grid.half_length 12.5 --grid.points 256 --evolution.amplitude 0.9", 1),
+    ("ode --ode.c1 0", 0),
+    ("ode --ode.c1 0 --ode.f0 1e-300 --ode.c2 1e-300 --ode.q 3", 2),
 )
 
 
@@ -862,8 +885,8 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
         assert code in (0, 1, 2) and want in (None, code), argv
     err = capsys.readouterr().err
     assert "overflows at kappa = 98.0833, p - 1 = 1e-07" in err
-    assert ("closed form's f0^(1-q) overflows at c1 = 1, c2 = 1e+300, "
-            "f0 = 1e-300, q - 1 = 49") in err
+    assert ("T* = f0^(1-q)/(c2 (q-1)) overflows at c1 = 0, c2 = 1e-300, "
+            "f0 = 1e-300, q - 1 = 2") in err
     assert ("closed form's f(t) overflows at t = 4.97453e-296, c1 = 1, "
             "c2 = 1e+300, f0 = 1e+300, q - 1 = 1e-07") in err
     assert "t_max = 0.3 over dt_max = 1e-09" in err

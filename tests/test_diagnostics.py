@@ -179,6 +179,36 @@ class TestGrowthInequality:
         audit = check_growth_inequality(series, comparison_ode(b))
         assert not audit.violated, audit.worst
 
+    @pytest.mark.parametrize("half_length, points, profile, p, dt_max", [
+        (100.0, 2048, GaussianProfile(2.0, 1.0), 2.0, 0.01),
+        (100.0, 4096, GaussianProfile(1.0, 1.0), 2.0, 0.005),
+        (100.0, 4096, GaussianProfile(0.5, 1.0), 3.0, 0.005),
+        (12.5, 256, GaussianProfile(0.32, 2.0), 2.0, 0.05),
+        (50.0, 1024, GaussianProfile(3.0, 1.0), 1.5, 0.01),
+        (50.0, 1024, GaussianProfile(3.0, 0.3), 2.5, 0.01),
+        (10.0, 256, ConstantProfile(1.0), 2.0, 0.05),
+    ], ids=["A2-p2-bounds", "A1-p2", "A0.5-p3", "A0.32-w2-p2", "A3-p1.5",
+            "A3-w0.3-p2.5", "constant-A1-p2"])
+    def test_mass_audit_at_zero_kappa(self, half_length, points, profile, p,
+                                      dt_max):
+        # h == 1 commutes with |D|: kappa = 0 and ||1/h||_2 = sqrt(2L) on
+        # the torus, so the recorded momentum is the mass M and every step
+        # obeys the kappa-free bound M' >= 2 (2L)^{-(p-1)/2} M^{(p+1)/2},
+        # whose blow-up time T_M caps the run's lifespan.
+        cfg = SimConfig(grid=make_grid(half_length, points), p=p,
+                        profile=profile, t_max=10.0, dt_max=dt_max)
+        series, report = simulate(cfg, weight=WeightSpec(exponent=0))
+        np.testing.assert_array_equal(series.momentum, series.mass)
+        b = BoundParams(p=p, kappa=0.0, inv_weight_norm=math.sqrt(2 * half_length),
+                        initial_weighted_norm=math.sqrt(series.mass[0]))
+        audit = check_growth_inequality(series, comparison_ode(b))
+        assert not audit.violated, audit.worst
+        assert report.blew_up
+        assert report.t_detected <= lower_bound_divergence_time(b)
+        if isinstance(profile, ConstantProfile):
+            # Hoelder is an equality on constant data: no slack to rounding
+            assert abs(audit.worst) < 1e-14
+
 
 class TestMassIdentity:
     def test_factor_two_wins_on_gaussian(self, gaussian_run):

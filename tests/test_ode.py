@@ -1,6 +1,8 @@
 """Bernoulli comparison ODE: closed form and the bounds read off it."""
 
+import decimal
 import math
+import random
 import warnings
 
 import numpy as np
@@ -10,12 +12,17 @@ from hypothesis import given, strategies as st
 from fgl_lab import (
     BlowupExceededError,
     BoundParams,
+    ConstantProfile,
     OdeParams,
     blowup_time,
     closed_form_eval,
     critical_initial_norm,
+    homogeneous_blowup_time,
+    initial_field,
+    l2_norm,
     lifespan_upper_bound,
     lower_bound_divergence_time,
+    make_grid,
     weighted_norm_lower_bound,
 )
 
@@ -128,20 +135,21 @@ class TestClosedForm:
         assert blowup_time(params) == math.inf
 
     def test_blowup_time_when_the_power_overflows(self):
-        # f0^(1-q) = 1e14700: the argument is far above 1, so T* is +inf
+        # f0^(1-q) = 1e14700: a = c1 (q-1) T0 is far above 1, so T* is +inf
         params = OdeParams(c1=1.0, c2=1e300, q=50.0, f0=1e-300)
         assert blowup_time(params) == math.inf
-        # f0^(1-q) = 1e310 but c1/c2 = 1e-320: the argument is 1e-10 < 1,
-        # and T* = -log1p(-1e-10) / (c1 (q - 1))
+        # f0^(1-q) = 1e310, taken in logs: T0 = 1e10 and a = 1e-10 < 1,
+        # so T* = T0 (-log1p(-a)/a)
         params = OdeParams(c1=1e-20, c2=1e300, q=2.0, f0=1e-310)
         assert blowup_time(params) == pytest.approx(1e10, rel=1e-9)
 
     def test_closed_form_overflow_names_the_stage(self):
+        # c2 f0^(q-1) = 1e-14400 underflows: a global solution whose
+        # nonlinear term is below the double range, f = f0 e^{-t}
         params = OdeParams(c1=1.0, c2=1e300, q=50.0, f0=1e-300)
-        with pytest.raises(OverflowError, match=r"closed form's f0\^\(1-q\) "
-                           r"overflows at c1 = 1, c2 = 1e\+300, f0 = 1e-300, "
-                           r"q - 1 = 49"):
-            closed_form_eval(params, np.linspace(0.0, 5.0, 3))
+        t = np.linspace(0.0, 5.0, 3)
+        np.testing.assert_allclose(closed_form_eval(params, t),
+                                   1e-300 * np.exp(-t), rtol=1e-15)
         # f0 = 1e300 is finite, but f grows past the double range at the
         # second sample: refused by name, with no numpy warning on the way.
         params = OdeParams(c1=1.0, c2=1e300, q=1.0000001, f0=1e300)
@@ -161,6 +169,7 @@ class TestClosedForm:
         assert np.all(np.diff(f) < 0)
 
     def test_validation(self):
+        OdeParams(c1=0.0, c2=1.0, q=2.0, f0=1.0)
         with pytest.raises(ValueError):
             OdeParams(c1=-1.0, c2=1.0, q=2.0, f0=1.0)
         with pytest.raises(ValueError):
@@ -169,6 +178,146 @@ class TestClosedForm:
             OdeParams(c1=1.0, c2=1.0, q=1.0, f0=1.0)
         with pytest.raises(ValueError):
             OdeParams(c1=1.0, c2=1.0, q=2.0, f0=0.0)
+
+
+# ----------------------------------------------------------------------
+# A 60-digit decimal oracle for blowup_time and closed_form_eval, from the
+# float inputs as given: T0 = f0^{-m}/(c2 m), a = c1 m T0, m = q - 1.
+
+D = decimal.Decimal
+EPS = 2.0**-53
+
+
+def _series_or(x, direct, coefficient):
+    """direct(x), or its power series sum_k coefficient(k) x^k where x is
+    too small for 60 digits."""
+    if abs(x) >= D("1e-15"):
+        return direct(x)
+    total = D(0)
+    for k in reversed(range(6)):
+        total = total * x + coefficient(k)
+    return total
+
+
+def oracle_blowup_time(params):
+    """T* = T0 (-log(1 - a)/a) to 60 digits, or None when a >= 1."""
+    with decimal.localcontext(prec=60):
+        c1, c2, q, f0 = (D(v) for v in (params.c1, params.c2, params.q, params.f0))
+        m = q - 1
+        t0 = (-m * f0.ln()).exp() / (c2 * m)
+        a = c1 * m * t0
+        if a >= 1:
+            return None
+        return t0 * _series_or(a, lambda a: -(1 - a).ln() / a,
+                               lambda k: 1 / D(k + 1))
+
+
+def oracle_closed_form(params, t):
+    """(f, cond, gain): f = f0 e^{-c1 t} (1 + x)^{-1/m} to 60 digits, with
+    x = -c2 f0^m m t G(c1 m t) and G(z) = (1 - e^{-z})/z; its condition
+    number cond = 1 + c1 t + |log(1 + x)|/m + gain sums the relative error
+    amplifications of e^{-c1 t}, of the power's argument and, through
+    gain = |x/((1 + x) m)|, of x."""
+    with decimal.localcontext(prec=60):
+        c1, c2, q, f0, t = (D(v) for v in (params.c1, params.c2, params.q,
+                                           params.f0, t))
+        m = q - 1
+        z = c1 * m * t
+        g = _series_or(z, lambda z: (1 - (-z).exp()) / z,
+                       lambda k: D(-1) ** k / math.factorial(k + 1))
+        x = -c2 * (m * f0.ln()).exp() * m * t * g
+        log = x * _series_or(x, lambda x: (1 + x).ln() / x,
+                             lambda k: D(-1) ** k / (k + 1))
+        gain = abs(x / ((1 + x) * m))
+        cond = 1 + c1 * t + abs(log) / m + gain
+        return f0 * (-c1 * t).exp() * (-log / m).exp(), cond, gain
+
+
+def _oracle_draws(rng, n, zero_c1):
+    """n draws with q - 1 in [0.01, 10], f0 and T0 in [1e-30, 1e30], and a
+    in [1e-20, 0.9] (finite T*) or [1, 1e3] (global); c1 = 0 on request."""
+    draws = []
+    while len(draws) < n:
+        q = 1.0 + 10 ** rng.uniform(-2, 1)
+        f0, t0 = 10 ** rng.uniform(-30, 30), 10 ** rng.uniform(-30, 30)
+        c2 = f0 ** (1.0 - q) / (t0 * (q - 1.0))
+        if not 1e-300 < c2 < 1e300:
+            continue
+        a = rng.choice([0.9 * 10 ** rng.uniform(-20, 0), rng.uniform(0.0, 0.9),
+                        10 ** rng.uniform(0, 3)])
+        c1 = 0.0 if zero_c1 else a / (t0 * (q - 1.0))
+        draws.append(OdeParams(c1=c1, c2=c2, q=q, f0=f0))
+    return draws
+
+
+# The extremes of the tests above and of the README's `fgl ode` lines,
+# as (c1, c2, q, f0): logs past the double range, c1/c2 past it, q -> 1.
+ORACLE_EXTREMES = [
+    (1.0, 1.0, 2.0, 2.0), (0.7, 1.3, 2.5, 3.0), (2.0, 0.5, 3.0, 1.0),
+    (1.0, 1e300, 50.0, 1e-300), (1e-20, 1e300, 2.0, 1e-310),
+    (1e300, 1.0, 1.0 + 1e-7, 2.0), (1e-300, 1e300, 2.0, 2.0),
+    (0.0, 1.0, 2.0, 2.0), (0.0, 1e300, 2.0, 2.0), (0.0, 1e-300, 3.0, 1e100),
+    (0.0, 1e300, 50.0, 1e-10),
+]
+
+
+def _oracle_worst(draws, logs=False):
+    """Worst relative errors of T* and of f(t), each over EPS times its
+    condition number; f is sampled at 1/4, 1/2 and 9/10 of a finite T*,
+    else at 0, 1/c1 and 5/c1.
+
+    With logs, both condition numbers add the error of taking T0 in logs,
+    l = |(q-1) log f0| + |log c2| relative, and f adds its amplification
+    |x/((1 + x)(q-1))| as well."""
+    worst_t = worst_f = 0.0
+    for params in draws:
+        ell = (abs((params.q - 1.0) * math.log(params.f0)) + abs(math.log(params.c2))
+               if logs else 0.0)
+        exact = oracle_blowup_time(params)
+        t_star = blowup_time(params)
+        if exact is None:
+            assert t_star == math.inf, params
+            times = np.array([0.0, 1.0, 5.0]) / params.c1
+        else:
+            worst_t = max(worst_t, float(abs(D(t_star) / exact - 1)) / (1 + ell) / EPS)
+            times = np.array([0.25, 0.5, 0.9]) * float(exact)
+        for t, f in zip(times, closed_form_eval(params, times)):
+            value, cond, gain = oracle_closed_form(params, t)
+            error = float(abs(D(float(f)) / value - 1)) / EPS
+            worst_f = max(worst_f, error / (float(cond) + ell * (1 + float(gain))))
+    return worst_t, worst_f
+
+
+class TestDecimalOracle:
+    # In the units of _oracle_worst, the c2/c1 form this one replaced
+    # erred by at most 5.71 (T*) and 2.47 (f) on the c1 > 0 draws and
+    # extremes below; it refused f on three of the extremes.
+    BUDGET_T, BUDGET_F = 5.8, 2.5
+
+    @pytest.mark.parametrize("zero_c1", [False, True], ids=["c1>0", "c1=0"])
+    def test_random_draws(self, zero_c1):
+        draws = _oracle_draws(random.Random(36), 300 if zero_c1 else 900, zero_c1)
+        worst_t, worst_f = _oracle_worst(draws)
+        assert worst_t <= self.BUDGET_T and worst_f <= self.BUDGET_F
+
+    def test_extremes(self):
+        draws = [OdeParams(*v) for v in ORACLE_EXTREMES]
+        worst_t, worst_f = _oracle_worst(draws, logs=True)
+        assert worst_t <= self.BUDGET_T and worst_f <= self.BUDGET_F
+
+    def test_blowup_time_is_continuous_as_c1_tends_to_zero(self):
+        # T* = T0 g(a) with g(a) = 1 + a/2 + O(a^2): T* falls to T0 as
+        # c1 -> 0+, and at c1 = 0 it is T0 = f0^{1-q}/(c2 (q-1)) itself.
+        t0 = blowup_time(OdeParams(c1=0.0, c2=1.3, q=2.5, f0=3.0))
+        assert t0 == pytest.approx(3.0**-1.5 / (1.3 * 1.5), rel=4.5e-16)
+        previous = math.inf
+        for k in range(1, 300):
+            c1 = 10.0**-k
+            t_star = blowup_time(OdeParams(c1=c1, c2=1.3, q=2.5, f0=3.0))
+            a = c1 * 1.5 * t0
+            assert t0 <= t_star <= previous
+            assert abs(t_star / t0 - 1 - a / 2) <= a * a + 4.5e-16
+            previous = t_star
 
 
 class TestBounds:
@@ -286,8 +435,25 @@ class TestBounds:
             lower_bound_divergence_time(small), rel=1e-5
         )
 
-    def test_zero_kappa_rejected(self):
-        # kappa = 0 only for h == 1, whose ||1/h||_2 is infinite
+    def test_negative_kappa_rejected(self):
+        # kappa = 0 is h == 1: on the torus [-L, L) its ||1/h||_2 = sqrt(2L)
+        BoundParams(p=2.0, kappa=0.0, inv_weight_norm=SQRT_PI,
+                    initial_weighted_norm=1.0)
         with pytest.raises(ValueError, match="kappa"):
-            BoundParams(p=2.0, kappa=0.0, inv_weight_norm=SQRT_PI,
+            BoundParams(p=2.0, kappa=-1e-300, inv_weight_norm=SQRT_PI,
                         initial_weighted_norm=1.0)
+
+    @pytest.mark.parametrize("amplitude, p, half_length, points", [
+        (1.0, 2.0, 10.0, 256), (2.0, 3.0, 50.0, 1024), (0.7, 1.5, 12.5, 256),
+        (3.0, 2.5, 1.0, 64),
+    ])
+    def test_mass_bound_lifespan_is_exact_on_constant_data(
+            self, amplitude, p, half_length, points):
+        # On constant data Hoelder is an equality: M' = 2 (2L)^{-(p-1)/2}
+        # M^{(p+1)/2}, so T_M is the exact lifespan A^{-(p-1)}/(p-1).
+        grid = make_grid(half_length, points)
+        u0 = initial_field(ConstantProfile(amplitude), grid)
+        b = BoundParams(p=p, kappa=0.0, inv_weight_norm=math.sqrt(2 * half_length),
+                        initial_weighted_norm=l2_norm(u0))
+        assert lower_bound_divergence_time(b) == pytest.approx(
+            homogeneous_blowup_time(amplitude, p), rel=4.5e-16)
