@@ -11,9 +11,10 @@ entries, and its help.  A key's value is its ``--section.key`` flag
 A flag for any other key is refused as an unrecognized argument.
 
 Each handler returns a ``_Result``; ``run`` alone writes it out as a
-summary JSON, command-specific CSV, two-column plot data under
-``plots/``, and a run manifest listing exactly those files, all into the
-output directory (``--out-dir``, default ``fgl-out``).
+summary JSON, command-specific CSV tables, a ``curves.json`` naming the
+table columns each curve plots, and a run manifest listing exactly those
+files, all into the output directory (``--out-dir``, default
+``fgl-out``).
 
 Exit codes: 0 on success (a detected blow-up is a successful result),
 1 on usage/config errors and refused requests, 2 on numerical failure.
@@ -71,8 +72,7 @@ class _Result:
     """What a command produced; ``_write_tree`` turns it into files.
 
     tables: (file name, header, columns) entries.
-    curves: (stem under plots/, x label, y label, title, x, y) entries;
-    x and y are written as floats.
+    curves: (table file name, x column, y column, title) entries.
     """
 
     line: str
@@ -124,11 +124,9 @@ def _stability_dict(check) -> dict:
 
 
 def _series_curves(series) -> list:
-    """One plot curve per recorded quantity against t."""
-    named = [("mass", series.mass), ("h1", series.h1), ("sup", series.sup),
-             (f"Q_{series.weight.label}", series.momentum)]
-    return [(f"{name}_vs_t", "t", name, f"{name} along the run",
-             series.times, values) for name, values in named]
+    """One curve of series.csv per recorded quantity against t."""
+    return [("series.csv", "t", name, f"{name} along the run")
+            for name in ("mass", "h1", "sup", f"Q_{series.weight.label}")]
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +159,6 @@ def _cmd_simulate(cfg: dict, seed: int, workers: int) -> _Result:
 def _cmd_sweep(cfg: dict, seed: int, workers: int) -> _Result:
     result = lifespan_sweep(_sim_config(cfg), cfg["sweep"]["r_values"],
                             workers=workers)
-    mask = result.included
     summary = {
         "parameter": "R",
         "slope": result.slope,
@@ -175,10 +172,9 @@ def _cmd_sweep(cfg: dict, seed: int, workers: int) -> _Result:
     return _Result(
         line, summary,
         [("sweep.csv", ["R", "t_detected", "included"],
-          (result.parameter_values, result.measured, mask))],
-        [("t_detected_vs_R", "R", "t_detected",
-          "lifespan vs amplitude scale (log-log)",
-          result.parameter_values[mask], result.measured[mask])],
+          (result.parameter_values, result.measured, result.included))],
+        [("sweep.csv", "R", "t_detected",
+          "lifespan vs amplitude scale (log-log)")],
     )
 
 
@@ -189,10 +185,12 @@ _ODE_T_FRACTION = 0.99  # the horizon's share of a finite blow-up time
 def _cmd_ode(cfg: dict, seed: int, workers: int) -> _Result:
     params = OdeParams(**cfg["ode"])
     t_star = blowup_time(params)
-    if not (np.isfinite(t_star) or params.c1 > 0):  # at c1 = 0 T* is finite
-        raise OverflowError(f"T* = f0^(1-q)/(c2 (q-1)) overflows at {params}")
-    horizon = (_ODE_T_FRACTION * t_star if np.isfinite(t_star)
-               else 5.0 / params.c1)
+    # a global solution (T* = inf at c1 > 0) is drawn over 5/c1
+    horizon = (5.0 / params.c1 if params.c1 > 0 and not np.isfinite(t_star)
+               else _ODE_T_FRACTION * t_star)
+    if not np.isfinite(horizon):
+        raise OverflowError(f"the curve's horizon overflows at "
+                            f"T* = {t_star:.6g}, {params}")
     times = np.linspace(0.0, horizon, _ODE_SAMPLES)
     values = closed_form_eval(params, times)
     summary = {
@@ -206,7 +204,7 @@ def _cmd_ode(cfg: dict, seed: int, workers: int) -> _Result:
     return _Result(
         line, summary,
         [("ode.csv", ["t", "f"], (times, values))],
-        [("f_vs_t", "t", "f", "closed-form Bernoulli solution", times, values)],
+        [("ode.csv", "t", "f", "closed-form Bernoulli solution")],
     )
 
 
@@ -228,9 +226,8 @@ def _cmd_commutator(cfg: dict, seed: int, workers: int) -> _Result:
         line, summary,
         [("commutator.csv", ["R", "kappa", "kappa_times_R"],
           (result.parameter_values, result.measured, products))],
-        [("kappa_vs_R", "R", "kappa",
-          "commutator norm vs weight scale (log-log)",
-          result.parameter_values, result.measured)],
+        [("commutator.csv", "R", "kappa",
+          "commutator norm vs weight scale (log-log)")],
     )
 
 
@@ -260,11 +257,12 @@ def _cmd_kernel(cfg: dict, seed: int, workers: int) -> _Result:
             f"C shift={fmt(c_change)}")
     return _Result(
         line, summary,
-        [("kernel.csv", ["x", "g", "envelope"], (x, g, envelope))],
-        [("g_vs_x", "x", "g", "kernel", x, g),
-         ("envelope_vs_x", "x", "|g|(1+x^2)", "decay envelope", x, envelope),
-         ("bin_maxima", "x", "bin max |g|", "envelope bin maxima",
-          fit.bin_x, fit.bin_values)],
+        [("kernel.csv", ["x", "g", "envelope"], (x, g, envelope)),
+         ("kernel_bins.csv", ["x", "bin_max_abs_g"],
+          (fit.bin_x, fit.bin_values))],
+        [("kernel.csv", "x", "g", "kernel"),
+         ("kernel.csv", "x", "envelope", "decay envelope |g|(1+x^2)"),
+         ("kernel_bins.csv", "x", "bin_max_abs_g", "envelope bin maxima")],
     )
 
 
@@ -291,9 +289,8 @@ def _cmd_threshold(cfg: dict, seed: int, workers: int) -> _Result:
         line, summary,
         [("threshold.csv", columns,
           [[h[c] for h in result.history] for c in columns])],
-        [("threshold_vs_R", "R", "threshold", "critical norm vs weight dilation",
-          [h["R"] for h in result.history],
-          [h["threshold"] for h in result.history])],
+        [("threshold.csv", "R", "threshold",
+          "critical norm vs weight dilation")],
     )
 
 
@@ -325,10 +322,11 @@ def _cmd_bounds(cfg: dict, seed: int, workers: int) -> _Result:
             f"lower={fmt(lower.worst)} growth={fmt(audit.growth_margins.worst)}")
     return _Result(
         line, summary,
-        [("series.csv", *timeseries_table(audit.series))],
+        [("series.csv", *timeseries_table(audit.series)),
+         ("lower_bound.csv", ["t", "lower_bound"], (lower.times, bound_curve))],
         _series_curves(audit.series) + [
-            ("lower_bound_vs_t", "t", "lower bound",
-             "certified weighted-norm lower bound", lower.times, bound_curve)],
+            ("lower_bound.csv", "t", "lower_bound",
+             "certified weighted-norm lower bound")],
     )
 
 
@@ -380,29 +378,21 @@ def build_parser() -> _Parser:
 
 
 def _write_tree(out_dir: str, result: _Result) -> list[str]:
-    """Write a command's tables, plot curves, plot index and summary.
+    """Write a command's tables, its curves.json and its summary.
 
     Returns the files written, relative to out_dir: the manifest's list.
     """
-    os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
-    formatted = {}  # each distinct column object is formatted once
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, header, columns in result.tables:
-        write_columns(os.path.join(out_dir, name), columns, header,
-                      formatted=formatted)
+        write_columns(os.path.join(out_dir, name), columns, header)
         written.append(name)
-    index = []
-    for stem, x_label, y_label, title, x, y in result.curves:
-        rel = os.path.join("plots", f"{stem}.dat")
-        write_columns(os.path.join(out_dir, rel),
-                      (np.asarray(x, dtype=float), np.asarray(y, dtype=float)),
-                      sep=" ", formatted=formatted)
-        index.append({"file": rel, "x": x_label, "y": y_label, "title": title})
-        written.append(rel)
-    for rel, payload in ((os.path.join("plots", "index.json"), {"curves": index}),
-                         ("summary.json", result.summary)):
-        write_json(os.path.join(out_dir, rel), payload)
-        written.append(rel)
+    curves = [{"file": name, "x": x, "y": y, "title": title}
+              for name, x, y, title in result.curves]
+    for name, payload in (("curves.json", {"curves": curves}),
+                          ("summary.json", result.summary)):
+        write_json(os.path.join(out_dir, name), payload)
+        written.append(name)
     return written
 
 
@@ -432,7 +422,6 @@ def run(argv) -> int:
         config=cfg,
         version=__version__,
         seed=args.seed,
-        workers=workers,
         out_dir=args.out_dir,
         timestamp=run_timestamp(),
         outputs=tuple(sorted(_write_tree(args.out_dir, result)

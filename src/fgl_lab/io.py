@@ -1,13 +1,13 @@
-"""Deterministic result persistence: CSV, JSON, plot data, run manifest.
+"""Deterministic result persistence: CSV tables, JSON, run manifest.
 
 The CLI's output tree is laid out in one place, ``cli._write_tree``,
-from these writers.  CSV tables and plot curves share one column-wise
-writer, ``write_columns``; a column that several files of one tree hold
-is formatted once.  Every writer produces byte-identical output for
-identical inputs: floats are rendered with ``repr`` (shortest round-trip
-form), JSON keys are sorted, and the manifest timestamp honors the
-``SOURCE_DATE_EPOCH`` reproducible-build convention when that variable
-is set.
+from these writers.  Every CSV table goes through one column-wise
+writer, ``write_columns``; a plotted curve names two columns of a table
+and holds no numbers of its own, so each number is written once.  Every
+writer produces byte-identical output for identical inputs: floats are
+rendered with ``repr`` (shortest round-trip form), JSON keys are sorted,
+and the manifest timestamp honors the ``SOURCE_DATE_EPOCH``
+reproducible-build convention when that variable is set.
 """
 
 from __future__ import annotations
@@ -105,32 +105,16 @@ def _format_column(column) -> list[str]:
     return [_cell(v) for v in column]
 
 
-def write_columns(path: str, columns: Sequence,
-                  header: Sequence[str] | None = None, sep: str = ",",
-                  formatted: dict | None = None) -> None:
-    """The one table writer: CSV tables and plot curves, column by column.
-
-    A header line is written when given.  ``formatted`` caches each
-    column's text by object identity across the calls that share it, so a
-    column written to several files is formatted once; the cache holds the
-    column too, so no id is reused while it lives.
-    """
-    if header is not None and len(header) != len(columns):
+def write_columns(path: str, columns: Sequence, header: Sequence[str]) -> None:
+    """The one table writer: a CSV header line, then the columns' cells."""
+    if len(header) != len(columns):
         raise ValueError(f"{path}: {len(header)} header names for "
                          f"{len(columns)} columns")
-    if formatted is None:
-        formatted = {}
-    cells = []
-    for column in columns:
-        if id(column) not in formatted:
-            formatted[id(column)] = (column, _format_column(column))
-        cells.append(formatted[id(column)][1])
+    cells = [_format_column(column) for column in columns]
     lengths = [len(c) for c in cells]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path}: columns of unequal length {lengths}")
-    lines = [sep.join(header)] if header is not None else []
-    lines += map(sep.join, zip(*cells))
-    lines.append("")
+    lines = [",".join(header), *map(",".join, zip(*cells)), ""]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
 
@@ -143,7 +127,6 @@ class RunManifest:
     config: Mapping
     version: str
     seed: int
-    workers: int
     out_dir: str
     timestamp: str
     outputs: tuple  # files written, relative to out_dir, sorted

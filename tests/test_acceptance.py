@@ -412,7 +412,8 @@ def test_criterion_12_cli_outputs_reproducible(scoreboard, tmp_path, monkeypatch
     with open(out / "manifest.json") as fh:
         manifest = json.load(fh)
     listed = set(manifest["outputs"]) == set(first.keys())
-    ok = same_names and not diffs and listed and len(first) >= 8
+    tree = {"series.csv", "curves.json", "summary.json", "manifest.json"}
+    ok = same_names and not diffs and listed and first.keys() == tree
     line = scoreboard(
         12, ok,
         f"two identical runs wrote {len(first)} files, "

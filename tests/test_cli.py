@@ -247,6 +247,21 @@ SIM_ARGS = [
 ]
 
 
+# Each command at a grid small enough for a quick run.
+_SMALL_RUNS = {
+    "simulate": SIM_ARGS,
+    "sweep": ["--workers", "1", "--sweep.r_values", "1,2,4"] + SIM_ARGS,
+    "ode": [],
+    "commutator": ["--grid.half_length", "6.25", "--grid.points", "128"],
+    "kernel": ["--kernel.num_nodes", "800"],
+    "threshold": ["--grid.half_length", "12.5", "--grid.points", "256",
+                  "--evolution.amplitude", "0.9"],
+    "bounds": ["--grid.half_length", "25", "--grid.points", "512",
+               "--evolution.amplitude", "3", "--evolution.dt_max", "0.01",
+               "--evolution.t_max", "2"],
+}
+
+
 class TestMainCommands:
     @staticmethod
     def assert_manifest_lists_tree(out):
@@ -265,7 +280,8 @@ class TestMainCommands:
         summary = _read_json(out / "summary.json")
         assert summary["blowup_time"] == pytest.approx(math.log(2.0))
         assert summary["equilibrium"] == 1.0
-        t, f = np.loadtxt(out / "plots" / "f_vs_t.dat", unpack=True)
+        t, f = np.loadtxt(out / "ode.csv", delimiter=",", skiprows=1,
+                          unpack=True)
         assert t[0] == 0.0
         assert f[0] == 2.0
         assert np.all(np.diff(f) > 0)
@@ -303,8 +319,7 @@ class TestMainCommands:
         data = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
         assert data.shape[1] == 7
         assert np.all(np.diff(data[:, 0]) > 0)
-        sup_t, sup = np.loadtxt(out / "plots" / "sup_vs_t.dat", unpack=True)
-        assert sup[-1] >= 1e8
+        assert data[-1, 5] >= 1e8  # sup
 
     def test_simulate_underflowing_rate_takes_dt_max(self, tmp_path, capsys):
         # |u0|^2 is normal, but sup**(p-1) underflows to 0: no step limit
@@ -508,8 +523,9 @@ class TestMainCommands:
         with open(out / "series.csv") as fh:
             header = fh.readline().strip().split(",")
         assert [c for c in header if c.startswith("Q_")] == ["Q_bracket_s0.75_R1"]
-        assert [p.name for p in (out / "plots").glob("Q_*_vs_t.dat")] == [
-            "Q_bracket_s0.75_R1_vs_t.dat"]
+        curves = _read_json(out / "curves.json")["curves"]
+        assert [c["y"] for c in curves if c["y"].startswith("Q_")] == [
+            "Q_bracket_s0.75_R1"]
 
     def test_default_out_dir_is_cwd_relative(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -517,23 +533,42 @@ class TestMainCommands:
         assert (tmp_path / "fgl-out" / "summary.json").is_file()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_curves_name_columns_of_the_tree_tables(self, tmp_path, capsys,
+                                                    command):
+        out = tmp_path / "run"
+        assert main([command, "--out-dir", str(out)]
+                    + _SMALL_RUNS[command]) == 0
+        capsys.readouterr()
+        self.assert_manifest_lists_tree(out)
+        assert all(p.is_file() for p in out.iterdir())  # no plots/ directory
+        curves = _read_json(out / "curves.json")["curves"]
+        assert curves
+        for curve in curves:
+            assert sorted(curve) == ["file", "title", "x", "y"]
+            assert curve["file"].endswith(".csv")
+            with open(out / curve["file"]) as fh:
+                header = fh.readline().rstrip("\n").split(",")
+            assert {curve["x"], curve["y"]} <= set(header), curve
+
+
+def _snapshot(out):
+    """The output tree under out as {path: bytes}."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            full = os.path.join(root, name)
+            with open(full, "rb") as fh:
+                files[os.path.relpath(full, out)] = fh.read()
+    return files
+
 
 def _run_twice(argv, out):
-    """Run argv twice into out; return the two output trees as {path: bytes}."""
-
-    def snapshot():
-        files = {}
-        for root, _, names in os.walk(out):
-            for name in names:
-                full = os.path.join(root, name)
-                with open(full, "rb") as fh:
-                    files[os.path.relpath(full, out)] = fh.read()
-        return files
-
+    """Run argv twice into out; return the two output trees."""
     assert main(argv) == 0
-    first = snapshot()
+    first = _snapshot(out)
     assert main(argv) == 0
-    return first, snapshot()
+    return first, _snapshot(out)
 
 
 class TestDeterminism:
@@ -556,6 +591,24 @@ class TestDeterminism:
         capsys.readouterr()
         assert "kernel.csv" in first
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["ode"],
+        ["sweep", "--workers", "0", "--sweep.r_values", "1,2,4"] + SIM_ARGS])
+    def test_tree_does_not_depend_on_the_host(self, tmp_path, monkeypatch,
+                                              capsys, argv):
+        # --workers 0 takes every core: three pool processes on 8 cores,
+        # none on 1.  The members give the same bits either way.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        out = tmp_path / "run"  # the manifest records it
+        trees = []
+        for cores in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            trees.append(_snapshot(out))
+        capsys.readouterr()
+        assert "manifest.json" in trees[0]
+        assert trees[0] == trees[1]
 
     def test_manifest_timestamp_honors_epoch(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
@@ -722,8 +775,8 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "weight exponent 0.5" in capsys.readouterr().err
-        # a refused run writes no output tree, not even an empty plots/
-        assert not (tmp_path / "o" / "plots").exists()
+        # a refused run writes no output tree, not even an empty directory
+        assert not (tmp_path / "o").exists()
 
     def test_weight_without_a_line_kappa_is_refused_before_any_kappa(
             self, tmp_path, kappa_calls, capsys):
@@ -841,8 +894,10 @@ _FUZZ_EDGES = {
 # the double range (a division by zero), 3e8 steps, and a weight
 # that overflows on the grid (1,000 Lanczos applications on NaN where
 # the commutator needs h; simulate's 1/h is 0 there; bounds and threshold
-# refuse it first for its kappa, which has no line limit), and a
-# threshold search given the run length it never reads (1e18 steps).
+# refuse it first for its kappa, which has no line limit), a
+# threshold search given the run length it never reads (1e18 steps), and
+# curve horizons past the double range, 0.99 T* at c1 = 0 and 5/c1 at a
+# subnormal c1 (a numpy warning and a refusal that blamed T*).
 _FUZZ_FIXED = (
     ("bounds --evolution.amplitude 3 --evolution.t_max 0.3", 0),
     ("bounds --evolution.p 1.0000001 --grid.points 64", 0),
@@ -862,6 +917,8 @@ _FUZZ_FIXED = (
      "--grid.half_length 12.5 --grid.points 256 --evolution.amplitude 0.9", 1),
     ("ode --ode.c1 0", 0),
     ("ode --ode.c1 0 --ode.f0 1e-300 --ode.c2 1e-300 --ode.q 3", 2),
+    ("ode --ode.c1 0 --ode.f0 1e-300 --ode.q 3", 2),
+    ("ode --ode.c1 1e-310 --ode.c2 1e-309", 2),
 )
 
 
@@ -885,8 +942,11 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
         assert code in (0, 1, 2) and want in (None, code), argv
     err = capsys.readouterr().err
     assert "overflows at kappa = 98.0833, p - 1 = 1e-07" in err
-    assert ("T* = f0^(1-q)/(c2 (q-1)) overflows at c1 = 0, c2 = 1e-300, "
-            "f0 = 1e-300, q - 1 = 2") in err
+    for coefficients in ("c1 = 0, c2 = 1e-300, f0 = 1e-300, q - 1 = 2",
+                         "c1 = 0, c2 = 1, f0 = 1e-300, q - 1 = 2",
+                         "c1 = 1e-310, c2 = 1e-309, f0 = 2, q - 1 = 1"):
+        assert (f"numerical failure: the curve's horizon overflows at "
+                f"T* = inf, {coefficients}\n") in err
     assert ("closed form's f(t) overflows at t = 4.97453e-296, c1 = 1, "
             "c2 = 1e+300, f0 = 1e+300, q - 1 = 1e-07") in err
     assert "t_max = 0.3 over dt_max = 1e-09" in err
@@ -901,7 +961,7 @@ def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
         out = tmp_path / str(i)
         TestMainCommands.assert_manifest_lists_tree(out)
         assert (out / "series.csv").is_file()
-        assert (out / "plots" / "lower_bound_vs_t.dat").is_file()
+        assert (out / "lower_bound.csv").is_file()
         summary = _read_json(out / "summary.json")
         assert (summary["blew_up"], summary["t_detected"]) == (False, None)
         assert summary["lower_margins_ok"] and summary["growth_margins_ok"]

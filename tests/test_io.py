@@ -1,5 +1,5 @@
-"""The one column-wise writer: its bytes, its refusals, and its reuse of
-columns that several files of one output tree share."""
+"""The one column-wise writer: its bytes, its refusals, and the output
+tree's curves, which name columns of its tables and hold no numbers."""
 
 import csv
 import json
@@ -35,12 +35,6 @@ def _reference_table(header, columns) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _reference_curve(x, y) -> str:
-    xs = np.asarray(x, dtype=float).ravel()
-    ys = np.asarray(y, dtype=float).ravel()
-    return "".join(f"{repr(float(a))} {repr(float(b))}\n" for a, b in zip(xs, ys))
-
-
 SPECIALS = np.array([-0.0, 5e-324, 1e-320, 1e-5, 1e-4, 1e16, 0.1 + 0.2,
                      np.nan, np.inf, -np.inf])
 
@@ -60,28 +54,16 @@ class TestBytes:
             [float(v) for v in SPECIALS],
         )
         header = [f"c{i}" for i in range(len(columns))]
-        curves = [
-            ("floats", "x", "y", "", SPECIALS, SPECIALS[::-1].copy()),
-            ("float32", "x", "y", "", columns[1], SPECIALS),
-            ("ints", "x", "y", "", [1, 2, 4, 8], np.array([3, 5, 7, 9])),
-            ("shared", "x", "y", "", columns[3], SPECIALS),
-        ]
         _write_tree(str(tmp_path), _Result("", {}, [("t.csv", header, columns)],
-                                           curves))
+                                           [("t.csv", "c0", "c1", "")]))
         assert (tmp_path / "t.csv").read_text() == _reference_table(header, columns)
-        for stem, _, _, _, x, y in curves:
-            text = (tmp_path / "plots" / f"{stem}.dat").read_text()
-            assert text == _reference_curve(x, y), stem
-        ints = (tmp_path / "plots" / "ints.dat").read_text()
-        assert ints.startswith("1.0 3.0\n")
-        # the int64 column reads 3 in the table and 3.0 as a curve
-        assert (tmp_path / "plots" / "shared.dat").read_text().startswith("-5.0 ")
+        with open(tmp_path / "curves.json") as fh:
+            assert json.load(fh) == {"curves": [
+                {"file": "t.csv", "x": "c0", "y": "c1", "title": ""}]}
 
     def test_empty_columns(self, tmp_path):
         fio.write_columns(str(tmp_path / "t.csv"), (np.array([]), []), ["a", "b"])
-        fio.write_columns(str(tmp_path / "c.dat"), (np.array([]), []), sep=" ")
         assert (tmp_path / "t.csv").read_text() == "a,b\n"
-        assert (tmp_path / "c.dat").read_text() == ""
 
 
 class TestRefusals:
@@ -92,13 +74,6 @@ class TestRefusals:
             fio.write_columns(str(path), (np.zeros(3), [1, 2], np.ones(3)),
                               ["a", "b", "c"])
         assert not path.exists()
-
-    def test_ragged_curve(self, tmp_path):
-        result = _Result("", {}, [], [("c", "x", "y", "", np.zeros(4), [1.0])])
-        with pytest.raises(ValueError, match=r"c\.dat: columns of unequal "
-                                             r"length \[4, 1\]"):
-            _write_tree(str(tmp_path), result)
-        assert not (tmp_path / "plots" / "c.dat").exists()
 
     def test_header_that_does_not_fit(self, tmp_path):
         with pytest.raises(ValueError, match="2 header names for 3 columns"):
@@ -111,29 +86,35 @@ def _csv_columns(path):
     return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
 
 
-def _curve_lines(path):
-    return Path(path).read_text().splitlines()
-
-
 def _assert_float_cells(columns):
     for name, cells in columns.items():
         for c in cells:
             assert repr(float(c)) == c, (name, c)
 
 
+def _curve_columns(out):
+    """(file, x, y) of each curve in the tree's curves.json."""
+    with open(out / "curves.json") as fh:
+        return [(c["file"], c["x"], c["y"]) for c in json.load(fh)["curves"]]
+
+
 class TestSharedColumns:
-    def test_kernel_curves_repeat_the_table(self, tmp_path, capsys):
+    """A curve is two columns of a table; each column is written once."""
+
+    def test_kernel_curves_name_the_table_columns(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["kernel", "--out-dir", str(out),
                      "--kernel.num_nodes", "800"]) == 0
         capsys.readouterr()
-        table = _csv_columns(out / "kernel.csv")
-        _assert_float_cells(table)
-        for stem, y in (("g_vs_x", "g"), ("envelope_vs_x", "envelope")):
-            expected = [f"{a} {b}" for a, b in zip(table["x"], table[y])]
-            assert _curve_lines(out / "plots" / f"{stem}.dat") == expected
+        _assert_float_cells(_csv_columns(out / "kernel.csv"))
+        bins = _csv_columns(out / "kernel_bins.csv")
+        _assert_float_cells(bins)
+        assert list(bins) == ["x", "bin_max_abs_g"] and len(bins["x"]) == 12
+        assert _curve_columns(out) == [
+            ("kernel.csv", "x", "g"), ("kernel.csv", "x", "envelope"),
+            ("kernel_bins.csv", "x", "bin_max_abs_g")]
 
-    def test_series_curves_repeat_the_table(self, tmp_path, capsys):
+    def test_series_curves_name_the_table_columns(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--out-dir", str(out),
                      "--grid.half_length", "10", "--grid.points", "64",
@@ -141,19 +122,15 @@ class TestSharedColumns:
                      "--evolution.amplitude", "2", "--evolution.dt_max", "1e-3",
                      "--evolution.t_max", "1"]) == 0
         capsys.readouterr()
-        table = _csv_columns(out / "series.csv")
-        _assert_float_cells(table)
-        curves = sorted((out / "plots").glob("*_vs_t.dat"))
-        assert len(curves) == 4
-        for path in curves:
-            y = path.name[:-len("_vs_t.dat")]
-            expected = [f"{a} {b}" for a, b in zip(table["t"], table[y])]
-            assert _curve_lines(path) == expected, path.name
+        _assert_float_cells(_csv_columns(out / "series.csv"))
+        assert _curve_columns(out) == [
+            ("series.csv", "t", y)
+            for y in ("mass", "h1", "sup", "Q_bracket_s1_R1")]
 
     @pytest.mark.parametrize("argv, distinct", [
-        # kernel.csv's x, g and envelope, then the two bin-maxima columns
+        # kernel.csv's x, g and envelope, then kernel_bins.csv's two columns
         (["kernel", "--kernel.num_nodes", "800"], 5),
-        # series.csv's 7 columns; the 4 curves reuse t and 4 of them
+        # series.csv's 7 columns; the curves format none
         (["simulate", "--grid.half_length", "10", "--grid.points", "64",
           "--evolution.t_max", "0.05"], 7),
     ])
@@ -206,8 +183,7 @@ def test_tracer_installs_against_the_writers(tmp_path):
     assert code == 0
     assert restored
     io_spans = {k: v for k, v in names.items() if k.startswith("io.")}
-    # sweep.csv, whose included column takes the per-cell rule, and
-    # plots/t_detected_vs_R.dat; plots/index.json, summary.json and the
-    # manifest's JSON
-    assert io_spans == {"io.write_columns": 2, "io.write_json": 3,
+    # sweep.csv, whose included column takes the per-cell rule;
+    # curves.json, summary.json and the manifest's JSON
+    assert io_spans == {"io.write_columns": 1, "io.write_json": 3,
                         "io.run_timestamp": 1, "io.RunManifest.write": 1}
